@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import DimensionMismatch, InvalidSetting, NotPD
-from .math_core import rmse, spd_cholesky, chol_solve
+from .math_core import chol_solve, spd_cholesky, stack_rows
 from .metrics import MetricsRecord
 
 GD_METHODS = ("local", "fedavg", "fedprox", "fedavg_ft", "fedprox_ft", "ditto")
@@ -109,18 +109,22 @@ def local_exact(shard, jitter: float = 1e-10) -> np.ndarray:
 
 
 def evaluate_models(models_raw: np.ndarray, shards) -> tuple:
-    tr = np.empty(models_raw.shape[0])
-    te = np.empty(models_raw.shape[0])
-    for i, sh in enumerate(shards):
-        tr[i] = rmse(sh.X_train, models_raw[i], sh.Y_train)
-        te[i] = rmse(sh.X_test, models_raw[i], sh.Y_test)
-    return tr, te
+    """Per-client train and test RMSE of the models [M, k], one per shard."""
+    train = stack_rows([sh.X_train for sh in shards], [sh.Y_train for sh in shards])
+    test = stack_rows([sh.X_test for sh in shards], [sh.Y_test for sh in shards])
+    return (
+        np.sqrt(train.sse(models_raw) / train.counts),
+        np.sqrt(test.sse(models_raw) / test.counts),
+    )
 
 
-def _batch_indices(rng, n: int, batch: Optional[int]):
-    if batch is None or batch >= n:
-        return None
-    return rng.choice(n, size=batch, replace=False)
+def _minibatch(rng, X: np.ndarray, Y: np.ndarray, batch: Optional[int]):
+    """`batch` rows of (X, Y) drawn without replacement, or all rows when
+    the batch is None or covers them."""
+    if batch is None or batch >= X.shape[0]:
+        return X, Y
+    b = rng.choice(X.shape[0], size=batch, replace=False)
+    return X[b], Y[b]
 
 
 def run_baseline(
@@ -195,18 +199,14 @@ def run_baseline(
         if method == "local":
             for i in range(M):
                 for _ in range(cfg.local_epochs):
-                    b = _batch_indices(rngs[i], Xs[i].shape[0], batch)
-                    Xb = Xs[i] if b is None else Xs[i][b]
-                    Yb = Ys[i] if b is None else Ys[i][b]
+                    Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
                     v_pers[i] -= cfg.baseline_lr * _mean_grad(Xb, Yb, v_pers[i])
         elif is_global:
             updated = np.empty((M, k))
             for i in range(M):
                 u = w.copy()
                 for _ in range(cfg.local_epochs):
-                    b = _batch_indices(rngs[i], Xs[i].shape[0], batch)
-                    Xb = Xs[i] if b is None else Xs[i][b]
-                    Yb = Ys[i] if b is None else Ys[i][b]
+                    Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
                     g = _mean_grad(Xb, Yb, u)
                     if method in ("fedprox", "fedprox_ft"):
                         g = g + cfg.mu * (u - w)
@@ -218,15 +218,11 @@ def run_baseline(
             for i in range(M):
                 u = w.copy()
                 for _ in range(cfg.local_epochs):
-                    b = _batch_indices(rngs[i], Xs[i].shape[0], batch)
-                    Xb = Xs[i] if b is None else Xs[i][b]
-                    Yb = Ys[i] if b is None else Ys[i][b]
+                    Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
                     u -= cfg.baseline_lr * _mean_grad(Xb, Yb, u)
                 updated[i] = u
                 for _ in range(cfg.local_epochs):
-                    b = _batch_indices(rngs[i], Xs[i].shape[0], batch)
-                    Xb = Xs[i] if b is None else Xs[i][b]
-                    Yb = Ys[i] if b is None else Ys[i][b]
+                    Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
                     g = _mean_grad(Xb, Yb, v_pers[i]) + cfg.lambda_ditto * (v_pers[i] - w)
                     v_pers[i] -= cfg.baseline_lr * g
             w = agg_w @ updated
@@ -251,9 +247,7 @@ def run_baseline(
         for i in range(M):
             v_pers[i] = w.copy()
             for _ in range(cfg.ft_epochs):
-                b = _batch_indices(rngs[i], Xs[i].shape[0], batch)
-                Xb = Xs[i] if b is None else Xs[i][b]
-                Yb = Ys[i] if b is None else Ys[i][b]
+                Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
                 v_pers[i] -= cfg.baseline_lr * _mean_grad(Xb, Yb, v_pers[i])
         models = np.stack([std.to_raw(v_pers[i]) for i in range(M)])
         tr, te = evaluate_models(models, shards)

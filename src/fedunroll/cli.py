@@ -27,7 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from .baselines import run_baseline
-from .config import METHODS, ExperimentConfig, coerce_field
+from .config import FIELD_TYPES, METHODS, ExperimentConfig, coerce_field
 from .datagen import SettingSpec, export_delimited, generate_setting
 from .diagnostics import check_descent, lambda_report, trace_from_tape
 from .errors import ConfigError, FedunrollError
@@ -60,7 +60,7 @@ _ALIAS = {"m": "M", "layers": "L"}
 
 def parse_config_file(path: str) -> dict:
     """Read an INI config into a {field: value} dict (typed)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -89,10 +89,10 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--rounds", type=int)
-    sp.add_argument("--layers", type=int)
-    sp.add_argument("--clients", type=int, help="number of clients M")
-    sp.add_argument("--samples", type=int, help="samples per client")
-    sp.add_argument("--out", help="output directory (created if absent)")
+    sp.add_argument("--layers", dest="L", type=int)
+    sp.add_argument("--clients", dest="M", type=int, help="number of clients M")
+    sp.add_argument("--samples", dest="n_per_client", type=int, help="samples per client")
+    sp.add_argument("--out", dest="out_dir", help="output directory (created if absent)")
     sp.add_argument("--transcript", action="store_true", default=None,
                     help="dump per-round message transcripts")
     sp.add_argument("--diagnostics", action="store_true", default=None,
@@ -145,30 +145,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    flag_map = {
-        "setting": "setting",
-        "trials": "trials",
-        "seed": "seed",
-        "rounds": "rounds",
-        "layers": "L",
-        "clients": "M",
-        "samples": "n_per_client",
-        "out": "out_dir",
-        "transcript": "transcript",
-        "diagnostics": "diagnostics",
-        "policy": "policy",
-        "participation": "participation",
-        "mode": "mode",
-        "dual_update": "dual_update",
-        "optimizer": "optimizer",
-        "lr": "lr",
-        "epochs_per_round": "epochs_per_round",
-        "tied": "tied",
-    }
-    for attr, field in flag_map.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            values[field] = val
+    # flags are named (or given dest=) after the config fields they set
+    for name, val in vars(args).items():
+        if name in FIELD_TYPES and val is not None:
+            values[name] = val
     if getattr(args, "method", None):
         values["methods"] = [args.method]
     elif getattr(args, "methods", None):

@@ -125,7 +125,7 @@ def coerce_field(name: str, text: str):
             return [tok.strip() for tok in text.split(",") if tok.strip()]
         if name in ("seed", "baseline_batch"):
             return None if text.lower() in ("", "none") else int(text)
-        if ftype == "bool" or name in ("tied", "standardize", "transcript", "diagnostics"):
+        if ftype == "bool":
             low = text.lower()
             if low in _BOOL_TRUE:
                 return True

@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateStep, DimensionMismatch
-from .math_core import clamp_positive, rectify, sse_loss
-from .unrolled_net import CellState, LearnableParams, Tape, dual_step_weights
+from .math_core import clamp_positive, rectify, rowdot
+from .unrolled_net import CellState, LearnableParams, Tape, client_rows, dual_step_weights
 
 # Minimum effective penalty above which descent violations are treated
 # as anomalous rather than expected (the regime where the forward is a
@@ -53,16 +53,12 @@ def lagrangian(
     s = params.slot(layer)
     rho_eff = clamp_positive(params.rho_raw[s, idx])
     step_w = dual_step_weights(rho_eff, dual_update)
-    total = 0.0
-    for j, ci in enumerate(idx):
-        shard = shards[ci]
-        p = params.p[s, ci]
-        lam_eff = rectify(params.lam_raw[s, ci])
-        F = sse_loss(shard.X_train, state.v[j], shard.Y_train)
-        zlz = float(state.z[j] @ (lam_eff * state.z[j]))
-        r = state.z[j] - state.v[j] + state.w + state.alpha[j] / step_w[j]
-        total += p * (F + zlz + 0.5 * float(rho_eff[j]) * float(r @ r))
-    return total / m
+    lam_eff = rectify(params.lam_raw[s, idx])
+    F = client_rows(shards, idx).sse(state.v)
+    zlz = rowdot(state.z, lam_eff * state.z)
+    r = state.z - state.v + state.w + state.alpha / step_w[:, None]
+    per_client = params.p[s, idx] * (F + zlz + 0.5 * rho_eff * rowdot(r, r))
+    return float(per_client.sum()) / m
 
 
 @dataclass

@@ -40,11 +40,11 @@ from .errors import (
     ProtocolViolation,
 )
 from .learner import OptimizerState, backward, init_optimizer, optimizer_step
-from .math_core import sse_loss
 from .metrics import MetricsRecord
 from .unrolled_net import (
     CellState,
     LearnableParams,
+    client_rows,
     forward_network,
     init_params,
     init_state,
@@ -210,16 +210,17 @@ def run_round(
         client_indices=idx,
         batch_rng=batch_rng,
         batch_size=cfg.batch_size if cfg.mode == "grad" else None,
+        grad_lr=cfg.grad_lr,
+        grad_steps=cfg.grad_steps,
         message_sink=sink,
     )
 
-    loss_sum = 0.0
-    for j, ci in enumerate(idx):
-        F = sse_loss(shards[ci].X_train, v_final[j], shards[ci].Y_train)
+    losses = client_rows(shards, idx).sse(v_final).tolist()
+    for ci, F in zip(idx, losses):
         transcript.messages.append(
-            RoundMessage(kind="loss_report", layer=None, client_id=int(ci) + 1, payload=float(F))
+            RoundMessage(kind="loss_report", layer=None, client_id=int(ci) + 1, payload=F)
         )
-        loss_sum += F
+    loss_sum = sum(losses)
     transcript.messages.append(
         RoundMessage(kind="loss_sum_broadcast", layer=None, client_id=None, payload=float(loss_sum))
     )

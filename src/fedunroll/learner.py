@@ -33,8 +33,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LayoutMismatch, NonFiniteGradient, NonFiniteInput, TapeMismatch
-from .math_core import chol_solve, sse_loss
-from .unrolled_net import CellState, LearnableParams, Tape, forward_network
+from .math_core import chol_solve, rowdot
+from .unrolled_net import CellState, LearnableParams, Tape, client_rows, forward_network
 
 POLICIES = ("exact", "federated_local")
 
@@ -77,32 +77,17 @@ class ParamGradients:
 def pb_loss(v_final: np.ndarray, shards: Sequence, client_indices=None) -> float:
     """Sum of local training losses at the final-cell models."""
     idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
-    total = 0.0
-    for j, ci in enumerate(idx):
-        total += sse_loss(shards[ci].X_train, v_final[j], shards[ci].Y_train)
-    return total
-
-
-def _seed_vbar(tape: Tape, shards: Sequence, seed_clients) -> np.ndarray:
-    """d P_b / d v^L for the seeded clients: 2 X'(X v - Y)."""
-    m, k = tape.m_active, tape.k
-    v_final = tape.final_v()
-    vbar = np.zeros((m, k))
-    for j in seed_clients:
-        shard = shards[tape.client_indices[j]]
-        r = shard.X_train @ v_final[j] - shard.Y_train
-        vbar[j] = 2.0 * shard.X_train.T @ r
-    return vbar
+    return float(client_rows(shards, idx).sse(v_final).sum())
 
 
 def _reverse_pass(
     tape: Tape,
-    shards: Sequence,
     grads: ParamGradients,
-    seed_clients,
+    vbar: np.ndarray,
     keep_mask: np.ndarray,
 ):
-    """Walk the tape backwards accumulating adjoints into `grads`.
+    """Walk the tape backwards from the seed adjoint `vbar` of the final
+    models, accumulating adjoints into `grads`.
 
     `keep_mask` selects the clients whose chains carry adjoints through
     the aggregation boundary (all clients under the exact policy; a
@@ -111,11 +96,11 @@ def _reverse_pass(
     """
     m, k = tape.m_active, tape.k
     idx = tape.client_indices
-    vbar = _seed_vbar(tape, shards, seed_clients)
     zbar = np.zeros((m, k))
     albar = np.zeros((m, k))
     wbar = np.zeros(k)
     km = keep_mask[:, None]
+    kept = np.flatnonzero(keep_mask)
 
     for rec in reversed(tape.cells):
         s = rec.slot
@@ -155,50 +140,37 @@ def _reverse_pass(
         grads.rho_raw[s, idx] += (zbar * d * rec.lam_eff / denom**2).sum(axis=1) * rec.rho_on
         zbar = np.zeros((m, k))
 
-        # ---- phi2 ----
-        new_vbar = np.zeros((m, k))
+        # ---- phi2, on the kept clients: `anchor_bar` is the adjoint of
+        # anchor = w_prev + z_prev + a, `rho_bar` the direct rho edge ----
+        anchor = rec.w_prev + rec.z_prev[kept] + a[kept]
+        vb = vbar[kept]
+        rho_k = rho[kept, None]
         if tape.mode == "linear":
-            # v = A^{-1}(rho * anchor + X'Y), A = X'X + rho I,
-            # anchor = w_prev + z_prev + a.
-            for j in range(m):
-                if not keep_mask[j] or not np.any(vbar[j]):
-                    continue
-                t = chol_solve(rec.chol[j], vbar[j])
-                anchor = rec.w_prev + rec.z_prev[j] + a[j]
-                rt = rho[j] * t
-                albar[j] += rt / rec.step_w[j]
-                abar[j] += rt
-                zbar[j] += rt
-                wbar += rt
-                if rec.rho_on[j]:
-                    grads.rho_raw[s, idx[j]] += float(t @ (anchor - rec.v[j]))
+            # v = A^{-1}(rho * anchor + X'Y), A = X'X + rho I
+            t = chol_solve(rec.chol[kept], vb)
+            anchor_bar = rho_k * t
+            rho_bar = rowdot(t, anchor - rec.v[kept])
+            vb = np.zeros_like(vb)  # the closed form does not read v_prev
         else:
             # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2
             lr = rec.grad_lr
-            for j in range(m):
-                if not keep_mask[j] or not np.any(vbar[j]):
-                    continue
-                shard = shards[idx[j]]
-                batch = None if rec.batch_idx is None else rec.batch_idx[j]
-                Xb = shard.X_train if batch is None else shard.X_train[batch]
-                H = 2.0 * Xb.T @ Xb
-                anchor = rec.z_prev[j] + rec.w_prev + a[j]
-                vb = vbar[j].copy()
-                ubar = np.zeros(k)
-                rho_acc = 0.0
-                for t in range(rec.grad_steps - 1, -1, -1):
-                    v_t = rec.v_iterates[j, t]
-                    rho_acc += -lr * float(vb @ (v_t - anchor))
-                    ubar += lr * rho[j] * vb
-                    vb = vb - lr * (H @ vb + rho[j] * vb)
-                new_vbar[j] = vb
-                albar[j] += ubar / rec.step_w[j]
-                abar[j] += ubar
-                zbar[j] += ubar
-                wbar += ubar
-                if rec.rho_on[j]:
-                    grads.rho_raw[s, idx[j]] += rho_acc
-        vbar = new_vbar
+            H = 2.0 * rec.gram[kept]
+            anchor_bar = np.zeros_like(vb)
+            rho_bar = np.zeros(kept.shape[0])
+            for t in range(rec.grad_steps - 1, -1, -1):
+                rho_bar += -lr * rowdot(vb, rec.v_iterates[t, kept] - anchor)
+                anchor_bar += lr * rho_k * vb
+                vb = vb - lr * ((H @ vb[:, :, None])[:, :, 0] + rho_k * vb)
+        vbar = np.zeros((m, k))
+        vbar[kept] = vb
+        albar[kept] += anchor_bar / sw[kept]
+        abar[kept] += anchor_bar
+        zbar[kept] += anchor_bar
+        # the rows enter wbar one at a time in client order (a sum along
+        # axis 0 adds them in order): training runs are sensitive to the
+        # last bits of the gradient
+        wbar = np.concatenate((wbar[None, :], anchor_bar)).sum(axis=0)
+        grads.rho_raw[s, idx[kept]] += rho_bar * rec.rho_on[kept]
         if tape.dual_update == "rho_step":
             grads.rho_raw[s, idx] -= (abar * a).sum(axis=1) / rho * rec.rho_on
 
@@ -223,12 +195,13 @@ def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradie
         )
     if not tape.cells:
         raise TapeMismatch("tape has no recorded cells")
-    for j, ci in enumerate(tape.client_indices):
-        if shards[ci].X_train.shape[1] != tape.k:
-            raise TapeMismatch("tape feature dimension disagrees with shards")
+    rows = client_rows(shards, tape.client_indices)
+    if rows.X.shape[2] != tape.k:
+        raise TapeMismatch("tape feature dimension disagrees with shards")
+    # d P_b / d v^L = 2 X'(X v - Y) for every active client
+    seed = 2.0 * rows.xt(rows.residuals(tape.final_v()))
 
     m = tape.m_active
-    ref = tape.cells[0]
     S_slots = 1 if tape.tied else tape.L
     proto = LearnableParams(
         lam_raw=np.zeros((S_slots, tape.M_total, tape.k)),
@@ -241,13 +214,13 @@ def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradie
     grads = ParamGradients.zeros_like(proto)
 
     if policy == "exact":
-        _reverse_pass(tape, shards, grads, range(m), np.ones(m, dtype=bool))
+        _reverse_pass(tape, grads, seed, np.ones(m, dtype=bool))
     else:
         for i in range(m):
             gi = ParamGradients.zeros_like(proto)
             keep = np.zeros(m, dtype=bool)
             keep[i] = True
-            _reverse_pass(tape, shards, gi, [i], keep)
+            _reverse_pass(tape, gi, np.where(keep[:, None], seed, 0.0), keep)
             ci = tape.client_indices[i]
             grads.lam_raw[:, ci] += gi.lam_raw[:, ci]
             grads.rho_raw[:, ci] += gi.rho_raw[:, ci]

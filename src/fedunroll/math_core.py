@@ -2,13 +2,16 @@
 
 Everything here works on plain float64 numpy arrays of modest size
 (feature dimension k is 4 in the synthetic benchmark, a few hundred at
-most by design). Vectors are 1-d arrays, matrices 2-d; no wrapper
-classes.
+most by design). Vectors are 1-d arrays and matrices 2-d; a stack of
+either, one per client, carries a leading client axis. The one container
+is RowStack, which holds several clients' rows so that residuals and
+losses run as array operations over the clients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -60,45 +63,24 @@ def clamp_positive(raw, floor: float = EPS):
     return np.maximum(raw, floor)
 
 
-@dataclass
-class DiagPD:
-    """Diagonal nonnegative-definite matrix stored pre-rectification.
-
-    The effective diagonal is rectify(raw_diag), entrywise >= 0. Training
-    updates raw_diag freely; the forward pass only ever sees the
-    rectified values.
-    """
-
-    raw_diag: np.ndarray
-
-    def __post_init__(self):
-        self.raw_diag = np.asarray(self.raw_diag, dtype=np.float64)
-        if self.raw_diag.ndim != 1:
-            raise DimensionMismatch("DiagPD raw_diag must be 1-d")
-        if not np.all(np.isfinite(self.raw_diag)):
-            raise NonFiniteInput("DiagPD raw_diag contains non-finite entries")
-
-    @property
-    def k(self) -> int:
-        return self.raw_diag.shape[0]
-
-    @property
-    def effective(self) -> np.ndarray:
-        return rectify(self.raw_diag)
-
-
 def spd_cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric PD matrix.
+    """Lower-triangular Cholesky factor of a symmetric PD matrix, or of
+    every matrix of a stack [..., k, k] in one batched factorization.
 
     Raises NotPD when the factorization hits a non-positive pivot and
     NonFiniteInput / DimensionMismatch on malformed input. Symmetry is
-    required to 1e-12 (relative to the largest entry).
+    required to 1e-12 (relative to each matrix's largest entry).
     """
-    A = as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"spd_cholesky: matrix must be square, got {A.shape}")
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > 1e-12 * scale:
+    if A.shape[-1] < 1:
+        raise EmptyData("spd_cholesky: needs at least one row and one column")
+    if not np.all(np.isfinite(A)):
+        raise NonFiniteInput("spd_cholesky: contains non-finite entries")
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(A - np.swapaxes(A, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asym > 1e-12 * scale):
         raise NotPD("spd_cholesky: matrix is not symmetric")
     try:
         return np.linalg.cholesky(A)
@@ -107,25 +89,86 @@ def spd_cholesky(A: np.ndarray) -> np.ndarray:
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the lower Cholesky factor L of A."""
-    y = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, y)
+    """Solve A x = b given the lower Cholesky factor L of A.
 
-
-def spd_solve(A, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky.
-
-    Dimensions are small by design, so a direct factorization is both
-    exact enough for the forward-equivalence tests and cheap.
+    L [..., k, k] and b [..., k] may carry a leading stack axis; each
+    system is solved as it would be on its own, bit for bit.
     """
-    A = as_matrix(A, "A")
-    b = as_vector(b, "b")
-    if A.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"spd_solve: A is {A.shape} but b has length {b.shape[0]}"
-        )
-    L = spd_cholesky(A)
-    return chol_solve(L, b)
+    y = np.linalg.solve(L, b[..., None])
+    return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products a_i . b_i of [m, k] arrays, [m].
+
+    Each row goes through the same BLAS dot as `a_i @ b_i` would.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+@dataclass(frozen=True)
+class RowStack:
+    """Several clients' rows in one array, for array operations over
+    the clients.
+
+    Client i's rows are X[i, :counts[i]] of X [m, n, k] and the matching
+    entries of Y [m, n]. Rows past a client's count are zero, so they
+    add nothing to its sums, and clients may hold different numbers of
+    rows. Each client's products run through the same BLAS call as the
+    per-client matrix product, so on clients of equal size the results
+    equal it bit for bit. Build it with `stack_rows`, which validates
+    the data once.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    counts: np.ndarray
+
+    def gram(self) -> np.ndarray:
+        """Each client's X_i'X_i, [m, k, k]."""
+        return np.swapaxes(self.X, 1, 2) @ self.X
+
+    def xt(self, r: np.ndarray) -> np.ndarray:
+        """Each client's X_i' r_i for per-row values r [m, n], [m, k]."""
+        return (np.swapaxes(self.X, 1, 2) @ r[:, :, None])[:, :, 0]
+
+    def residuals(self, V: np.ndarray) -> np.ndarray:
+        """Residuals X_i v_i - Y_i of per-client models V [m, k], [m, n]."""
+        V = np.asarray(V, dtype=np.float64)
+        if V.shape != (self.X.shape[0], self.X.shape[2]):
+            raise DimensionMismatch(
+                f"models have shape {V.shape}, rows need {(self.X.shape[0], self.X.shape[2])}"
+            )
+        if not np.all(np.isfinite(V)):
+            raise NonFiniteInput("models contain non-finite entries")
+        return (self.X @ V[:, :, None])[:, :, 0] - self.Y
+
+    def sse(self, V: np.ndarray) -> np.ndarray:
+        """Each client's sum of squared residuals ||X_i v_i - Y_i||^2, [m]."""
+        r = self.residuals(V)
+        return rowdot(r, r)
+
+
+def stack_rows(Xs: Sequence, Ys: Sequence) -> RowStack:
+    """Stack per-client design matrices and targets into a RowStack,
+    checking shapes and finiteness once for all of them."""
+    try:
+        X = as_matrix(np.concatenate(Xs), "X")
+        Y = as_vector(np.concatenate(Ys), "Y")
+    except ValueError as exc:
+        raise DimensionMismatch(f"stack_rows: client arrays disagree in shape: {exc}") from exc
+    counts = np.array([np.shape(x)[0] for x in Xs], dtype=np.intp)
+    if np.any(counts < 1):
+        raise EmptyData("stack_rows: every client needs at least one row")
+    if not np.array_equal(counts, [np.shape(y)[0] for y in Ys]):
+        raise DimensionMismatch("stack_rows: row counts do not match target lengths")
+    client = np.repeat(np.arange(counts.shape[0]), counts)
+    row = np.arange(X.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    Xp = np.zeros((counts.shape[0], counts.max(), X.shape[1]))
+    Yp = np.zeros(Xp.shape[:2])
+    Xp[client, row] = X
+    Yp[client, row] = Y
+    return RowStack(X=Xp, Y=Yp, counts=counts)
 
 
 def poly_features(x: float, degree: int) -> np.ndarray:
@@ -151,34 +194,11 @@ def design_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _check_xy(X: np.ndarray, v: np.ndarray, Y: np.ndarray):
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(
-            f"row count {X.shape[0]} does not match target length {Y.shape[0]}"
-        )
-    if X.shape[1] != v.shape[0]:
-        raise DimensionMismatch(
-            f"column count {X.shape[1]} does not match coefficient length {v.shape[0]}"
-        )
-
-
 def sse_loss(X, v, Y) -> float:
-    """Sum of squared residuals ||X v - Y||^2."""
-    X = as_matrix(X, "X")
-    v = as_vector(v, "v")
-    Y = as_vector(Y, "Y")
-    _check_xy(X, v, Y)
-    r = X @ v - Y
-    return float(r @ r)
+    """Sum of squared residuals ||X v - Y||^2 (one client of RowStack.sse)."""
+    return float(stack_rows([X], [Y]).sse(as_vector(v, "v")[None, :])[0])
 
 
 def rmse(X, v, Y) -> float:
     """Root mean squared error sqrt(sse / n)."""
-    X = as_matrix(X, "X")
-    v = as_vector(v, "v")
-    Y = as_vector(Y, "Y")
-    if X.shape[0] == 0:
-        raise EmptyData("rmse: no rows")
-    _check_xy(X, v, Y)
-    r = X @ v - Y
-    return float(np.sqrt((r @ r) / X.shape[0]))
+    return float(np.sqrt(sse_loss(X, v, Y) / np.shape(X)[0]))

@@ -1,13 +1,24 @@
 """Forward pass of the unrolled consensus network.
 
 One iteration of the underlying splitting scheme is modeled as a
-four-layer cell, applied in sequence per client and then globally:
+four-layer cell. Each layer is one array operation over the batch of
+active clients, which carry a leading client axis; only linear mode's
+factorizations and grad mode's minibatch draw visit the clients one by
+one:
 
   phi1  dual ascent on the consensus multiplier alpha
   phi2  personalized-model update v (closed form, or a few gradient steps)
   phi3  auxiliary deviation update z (entrywise shrinkage by the
         per-coordinate consensus weights)
   phi4  server aggregation of the client vectors v - z - alpha/step into w
+
+phi2 sees a client's data only through its sufficient statistics
+G = X'X and c = X'Y (ClientStats), which a forward pass computes and
+validates once for all its cells. Linear mode factors each client's
+G + rho I with its own Cholesky call and solves all clients' systems in
+one batched solve per cell; grad mode takes gradient steps on each
+client's minibatch Gram matrix. Clients may hold different numbers of
+rows.
 
 L cells concatenated form the network; every per-layer constant of the
 scheme (consensus weights, penalty scalars, aggregation weights and the
@@ -41,13 +52,12 @@ from .errors import (
 )
 from .math_core import (
     EPS,
-    DiagPD,
-    as_matrix,
-    as_vector,
+    RowStack,
     chol_solve,
     clamp_positive,
     rectify,
     spd_cholesky,
+    stack_rows,
 )
 
 DUAL_UPDATES = ("rho_step", "unit_step")
@@ -58,46 +68,58 @@ GRAD_STEPS_DEFAULT = 5
 
 
 # ---------------------------------------------------------------------------
-# per-client layer operations
+# layer operations, batched over clients
+#
+# Per-client arrays are [m, k] and per-client scalars [m]; w is [k]. A
+# single client may be passed without the client axis ([k] vectors and
+# a scalar penalty).
 # ---------------------------------------------------------------------------
 
-def phi1_dual(alpha_prev, v_prev, z_prev, w_prev, rho: float) -> np.ndarray:
+def _floats(*arrays) -> List[np.ndarray]:
+    return [np.asarray(a, dtype=np.float64) for a in arrays]
+
+
+def _check_operands(name: str, w: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> None:
+    if any(a.shape != first.shape for a in rest) or w.shape != first.shape[-1:]:
+        raise DimensionMismatch(f"{name}: operand shapes disagree")
+
+
+def _column(per_client) -> np.ndarray:
+    """A per-client scalar as a column that broadcasts over coordinates."""
+    return np.asarray(per_client, dtype=np.float64)[..., None]
+
+
+def phi1_dual(alpha_prev, v_prev, z_prev, w_prev, rho) -> np.ndarray:
     """Dual ascent step: alpha + rho * (z - v + w)."""
-    alpha_prev = as_vector(alpha_prev, "alpha_prev")
-    v_prev = as_vector(v_prev, "v_prev")
-    z_prev = as_vector(z_prev, "z_prev")
-    w_prev = as_vector(w_prev, "w_prev")
-    k = alpha_prev.shape[0]
-    if not (v_prev.shape[0] == z_prev.shape[0] == w_prev.shape[0] == k):
-        raise DimensionMismatch("phi1_dual: operand lengths disagree")
-    return alpha_prev + rho * (z_prev - v_prev + w_prev)
+    alpha_prev, v_prev, z_prev, w_prev = _floats(alpha_prev, v_prev, z_prev, w_prev)
+    _check_operands("phi1_dual", w_prev, alpha_prev, v_prev, z_prev)
+    return alpha_prev + _column(rho) * (z_prev - v_prev + w_prev)
 
 
-def phi2_v_linear(X, Y, alpha, z_prev, w_prev, rho: float) -> np.ndarray:
-    """Closed-form v update: solve (X'X + rho I) v = rho(w+z+alpha) + X'Y.
+def phi2_v_linear(G, c, alpha, z_prev, w_prev, rho) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed-form v update on the sufficient statistics G = X'X and
+    c = X'Y: solve (G + rho I) v = rho(w+z+alpha) + c.
 
-    `alpha` here and in phi2_v_grad, phi3_aux and phi4_global is the
-    scaled multiplier (alpha / step in the cell's terms).
+    G is [m, k, k] and c [m, k] (or [k, k] and [k] for one client).
+    Returns v and the Cholesky factors of G + rho I, which the reverse
+    pass reuses. `alpha` here and in phi2_v_grad, phi3_aux and
+    phi4_global is the scaled multiplier (alpha / step in the cell's
+    terms).
     """
-    v, _ = _phi2_linear_with_factor(X, Y, alpha, z_prev, w_prev, rho)
-    return v
-
-
-def _phi2_linear_with_factor(X, Y, alpha, z_prev, w_prev, rho):
-    X = as_matrix(X, "X")
-    Y = as_vector(Y, "Y")
-    alpha = as_vector(alpha, "alpha")
-    z_prev = as_vector(z_prev, "z_prev")
-    w_prev = as_vector(w_prev, "w_prev")
-    k = X.shape[1]
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch("phi2_v_linear: X rows and Y length disagree")
-    if not (alpha.shape[0] == z_prev.shape[0] == w_prev.shape[0] == k):
-        raise DimensionMismatch("phi2_v_linear: vector lengths disagree with X columns")
-    A = X.T @ X + rho * np.eye(k)
-    rhs = rho * (w_prev + z_prev + alpha) + X.T @ Y
-    L = spd_cholesky(A)
-    return chol_solve(L, rhs), L
+    G, c, alpha, z_prev, w_prev = _floats(G, c, alpha, z_prev, w_prev)
+    _check_operands("phi2_v_linear", w_prev, c, alpha, z_prev)
+    k = c.shape[-1]
+    if G.shape != c.shape + (k,):
+        raise DimensionMismatch("phi2_v_linear: G disagrees with c")
+    rho = np.asarray(rho, dtype=np.float64)
+    A = G + rho[..., None, None] * np.eye(k)
+    # each client factors its own matrix, one checked call per client and
+    # cell (the per-client work the benchmark's factorization count
+    # records); the solves run batched
+    chol = np.empty_like(A)
+    for i in np.ndindex(A.shape[:-2]):
+        chol[i] = spd_cholesky(A[i])
+    return chol_solve(chol, rho[..., None] * (w_prev + z_prev + alpha) + c), chol
 
 
 def phi2_v_grad(
@@ -106,39 +128,47 @@ def phi2_v_grad(
     alpha,
     z_prev,
     w_prev,
-    rho: float,
+    rho,
     lr: float = GRAD_LR_DEFAULT,
     steps: int = GRAD_STEPS_DEFAULT,
+    iterates: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """v update by `steps` gradient steps on F(v) + rho/2 ||z+w+alpha-v||^2."""
+    """v update by `steps` gradient steps on F(v) + rho/2 ||z+w+alpha-v||^2.
+
+    `grad_of_F` maps the iterate (shaped like v_prev) to the gradient of
+    F. When `iterates`, shaped (steps + 1,) + v_prev.shape, is given it
+    receives v_0 ... v_steps.
+    """
     if lr <= 0:
         raise ValueError("phi2_v_grad: lr must be positive")
     if steps < 1:
         raise ValueError("phi2_v_grad: steps must be >= 1")
-    v = as_vector(v_prev, "v_prev").copy()
-    anchor = as_vector(z_prev, "z_prev") + as_vector(w_prev, "w_prev") + as_vector(alpha, "alpha")
-    for _ in range(steps):
+    v, alpha, z_prev, w_prev = _floats(v_prev, alpha, z_prev, w_prev)
+    _check_operands("phi2_v_grad", w_prev, v, alpha, z_prev)
+    rho = _column(rho)
+    anchor = z_prev + w_prev + alpha
+    if iterates is not None:
+        iterates[0] = v
+    for t in range(steps):
         g = np.asarray(grad_of_F(v), dtype=np.float64) + rho * (v - anchor)
         v = v - lr * g
         if not np.all(np.isfinite(v)):
             raise NonFiniteGradient("phi2_v_grad: iterate became non-finite")
+        if iterates is not None:
+            iterates[t + 1] = v
     return v
 
 
-def phi3_aux(alpha, v, w_prev, rho: float, lam) -> np.ndarray:
+def phi3_aux(alpha, v, w_prev, rho, lam) -> np.ndarray:
     """Entrywise z[j] = rho * (v - w - alpha)[j] / (rectify(lam_j) + rho).
 
     Large consensus weights pin the corresponding coordinate of z to 0
     (full consensus); zero weights pass the deviation through.
     """
-    alpha = as_vector(alpha, "alpha")
-    v = as_vector(v, "v")
-    w_prev = as_vector(w_prev, "w_prev")
-    lam_eff = lam.effective if isinstance(lam, DiagPD) else rectify(np.asarray(lam, dtype=np.float64))
-    k = v.shape[0]
-    if not (alpha.shape[0] == w_prev.shape[0] == lam_eff.shape[0] == k):
-        raise DimensionMismatch("phi3_aux: operand lengths disagree")
-    return rho * (v - w_prev - alpha) / (lam_eff + rho)
+    alpha, v, w_prev, lam = _floats(alpha, v, w_prev, lam)
+    _check_operands("phi3_aux", w_prev, v, alpha, lam)
+    rho = _column(rho)
+    return rho * (v - w_prev - alpha) / (rectify(lam) + rho)
 
 
 def _aggregate_client_vectors(u: np.ndarray, ps: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -292,8 +322,10 @@ class CellRecord:
     step_w: np.ndarray
     # linear mode: cached Cholesky factors of X'X + rho I, [m, k, k]
     chol: Optional[np.ndarray] = None
-    # grad mode: iterates [m, steps+1, k], per-client batch row indices
+    # grad mode: iterates [steps+1, m, k], the minibatch Gram matrices
+    # X_b'X_b the steps ran on [m, k, k], per-client batch row indices
     v_iterates: Optional[np.ndarray] = None
+    gram: Optional[np.ndarray] = None
     grad_lr: float = GRAD_LR_DEFAULT
     grad_steps: int = GRAD_STEPS_DEFAULT
     batch_idx: Optional[List[np.ndarray]] = None
@@ -324,6 +356,57 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
+# client data
+# ---------------------------------------------------------------------------
+
+def client_rows(shards: Sequence, client_indices) -> RowStack:
+    """The given clients' training rows, stacked and validated."""
+    return stack_rows(
+        [shards[i].X_train for i in client_indices],
+        [shards[i].Y_train for i in client_indices],
+    )
+
+
+@dataclass(frozen=True)
+class ClientStats:
+    """The active clients' sufficient statistics for phi2: G = X'X
+    [m, k, k] and c = X'Y [m, k], from rows validated once."""
+
+    gram: np.ndarray
+    xty: np.ndarray
+
+
+def client_stats(shards: Sequence, client_indices) -> ClientStats:
+    """G and c of the given clients, one entry per client in order."""
+    rows = client_rows(shards, client_indices)
+    return ClientStats(gram=rows.gram(), xty=rows.xt(rows.Y))
+
+
+def _minibatch_stats(stats, shards, idx, batch_rng, batch_size, preset_batches):
+    """Grad mode: each client's minibatch Gram matrix and X'Y, and the
+    drawn row indices (None, and the full-shard statistics, where no
+    batch is drawn). Batches are drawn client by client in order, so
+    the generator's stream is the same for any client batching."""
+    gram, xty = stats.gram.copy(), stats.xty.copy()
+    batches: List[Optional[np.ndarray]] = []
+    for j, ci in enumerate(idx):
+        X, Y = shards[ci].X_train, shards[ci].Y_train
+        batch = None
+        if preset_batches is not None:
+            batch = preset_batches[j]
+        elif batch_size is not None and batch_size < X.shape[0]:
+            if batch_rng is None:
+                raise ValueError("batch_size given without batch_rng")
+            batch = batch_rng.choice(X.shape[0], size=batch_size, replace=False)
+        if batch is not None:
+            Xb = X[batch]
+            gram[j] = Xb.T @ Xb
+            xty[j] = Xb.T @ Y[batch]
+        batches.append(batch)
+    return gram, xty, batches
+
+
+# ---------------------------------------------------------------------------
 # cell and network forward
 # ---------------------------------------------------------------------------
 
@@ -332,51 +415,6 @@ def dual_step_weights(rho_eff: np.ndarray, dual_update: str) -> np.ndarray:
     ``rho_step``, 1 under ``unit_step``. The primal steps read the
     scaled multiplier alpha / step."""
     return rho_eff if dual_update == "rho_step" else np.ones(rho_eff.shape[0])
-
-
-def _client_cell_forward(
-    X: np.ndarray,
-    Y: np.ndarray,
-    v_prev_i: np.ndarray,
-    z_prev_i: np.ndarray,
-    alpha_prev_i: np.ndarray,
-    w_prev: np.ndarray,
-    rho_i: float,
-    lam_eff_i: np.ndarray,
-    step_w_i: float,
-    mode: str,
-    grad_lr: float,
-    grad_steps: int,
-    batch: Optional[np.ndarray],
-):
-    """One client's share of a cell: phi1, phi2, phi3.
-
-    Returns (alpha, v, z, chol_or_None, iterates_or_None). This is the
-    single implementation used both by forward_network and by the
-    message-passing round executor, so the two paths agree bitwise.
-    phi2 and phi3 read the scaled multiplier alpha / step_w.
-    """
-    alpha_i = phi1_dual(alpha_prev_i, v_prev_i, z_prev_i, w_prev, step_w_i)
-    a_i = alpha_i / step_w_i
-    chol_i = None
-    iterates = None
-    if mode == "linear":
-        v_i, chol_i = _phi2_linear_with_factor(X, Y, a_i, z_prev_i, w_prev, rho_i)
-    else:
-        Xb = X if batch is None else X[batch]
-        Yb = Y if batch is None else Y[batch]
-        iterates = np.empty((grad_steps + 1, v_prev_i.shape[0]))
-        iterates[0] = v_prev_i
-        anchor = z_prev_i + w_prev + a_i
-        v_i = v_prev_i.copy()
-        for t in range(grad_steps):
-            g = 2.0 * Xb.T @ (Xb @ v_i - Yb) + rho_i * (v_i - anchor)
-            v_i = v_i - grad_lr * g
-            if not np.all(np.isfinite(v_i)):
-                raise NonFiniteGradient("cell forward: v iterate became non-finite")
-            iterates[t + 1] = v_i
-    z_i = phi3_aux(a_i, v_i, w_prev, rho_i, lam_eff_i)
-    return alpha_i, v_i, z_i, chol_i, iterates
 
 
 def forward_cell(
@@ -394,13 +432,15 @@ def forward_cell(
     grad_steps: int = GRAD_STEPS_DEFAULT,
     preset_batches: Optional[List[Optional[np.ndarray]]] = None,
     message_sink: Optional[Callable[[str, int, Optional[int], np.ndarray], None]] = None,
+    stats: Optional[ClientStats] = None,
 ) -> CellState:
     """Apply one cell (phi1..phi4) and return the new state.
 
     `shards` entries must expose X_train / Y_train; `client_indices`
     selects which parameter/data columns this pass runs over (defaults
-    to all clients). Appends a CellRecord to `tape` when given.
-    `preset_batches` replays previously drawn minibatch indices.
+    to all clients). `stats` are those clients' sufficient statistics,
+    computed here when not given. Appends a CellRecord to `tape` when
+    given. `preset_batches` replays previously drawn minibatch indices.
 
     `message_sink(kind, layer, client_index_or_None, payload)` is called
     with every vector that crosses the client/server boundary: one
@@ -419,6 +459,8 @@ def forward_cell(
     m = idx.shape[0]
     if state.v.shape[0] != m:
         raise DimensionMismatch("forward_cell: state rows disagree with active clients")
+    if stats is None:
+        stats = client_stats(shards, idx)
 
     s = params.slot(layer)
     rho_raw = params.rho_raw[s, idx]
@@ -430,47 +472,24 @@ def forward_cell(
     lam_eff = rectify(lam_raw)
     step_w = dual_step_weights(rho_eff, dual_update)
 
-    k = state.k
-    alpha = np.empty((m, k))
-    v = np.empty((m, k))
-    z = np.empty((m, k))
-    chols = np.empty((m, k, k)) if mode == "linear" else None
-    iterates = np.empty((m, grad_steps + 1, k)) if mode == "grad" else None
-    batches: Optional[List[np.ndarray]] = [] if mode == "grad" else None
-
-    for j, ci in enumerate(idx):
-        shard = shards[ci]
-        batch = None
-        if preset_batches is not None:
-            batch = preset_batches[j]
-        elif mode == "grad" and batch_size is not None and batch_size < shard.X_train.shape[0]:
-            if batch_rng is None:
-                raise ValueError("batch_size given without batch_rng")
-            batch = batch_rng.choice(shard.X_train.shape[0], size=batch_size, replace=False)
-        a_i, v_i, z_i, chol_i, it_i = _client_cell_forward(
-            shard.X_train,
-            shard.Y_train,
-            state.v[j],
-            state.z[j],
-            state.alpha[j],
-            state.w,
-            float(rho_eff[j]),
-            lam_eff[j],
-            float(step_w[j]),
-            mode,
-            grad_lr,
-            grad_steps,
-            batch,
+    alpha = phi1_dual(state.alpha, state.v, state.z, state.w, step_w)
+    a = alpha / step_w[:, None]
+    chol = iterates = gram = batches = None
+    if mode == "linear":
+        v, chol = phi2_v_linear(stats.gram, stats.xty, a, state.z, state.w, rho_eff)
+    else:
+        gram, xty, batches = _minibatch_stats(
+            stats, shards, idx, batch_rng, batch_size, preset_batches
         )
-        alpha[j], v[j], z[j] = a_i, v_i, z_i
-        if chols is not None:
-            chols[j] = chol_i
-        if iterates is not None:
-            iterates[j] = it_i
-        if batches is not None:
-            batches.append(batch)
+        iterates = np.empty((grad_steps + 1,) + state.v.shape)
+        v = phi2_v_grad(
+            lambda u: 2.0 * ((gram @ u[:, :, None])[:, :, 0] - xty),
+            state.v, a, state.z, state.w, rho_eff,
+            lr=grad_lr, steps=grad_steps, iterates=iterates,
+        )
+    z = phi3_aux(a, v, state.w, rho_eff, lam_eff)
 
-    u = v - z - alpha / step_w[:, None]
+    u = v - z - a
     if message_sink is not None:
         for j, ci in enumerate(idx):
             message_sink("client_vector", layer, int(ci), u[j])
@@ -507,8 +526,9 @@ def forward_cell(
                 lam_on=(lam_raw > 0.0),
                 p=p.copy(),
                 step_w=step_w.copy(),
-                chol=chols,
+                chol=chol,
                 v_iterates=iterates,
+                gram=gram,
                 grad_lr=grad_lr,
                 grad_steps=grad_steps,
                 batch_idx=batches,
@@ -541,7 +561,8 @@ def forward_network(
     if L < 1:
         raise ValueError("forward_network: L must be >= 1")
     idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
-    k = shards[idx[0]].X_train.shape[1] if len(idx) else 0
+    stats = client_stats(shards, idx)
+    k = stats.xty.shape[1]
     state = init_state(idx.shape[0], k, seed) if state0 is None else state0.copy()
     tape = Tape(
         mode=mode,
@@ -568,6 +589,7 @@ def forward_network(
             grad_lr=grad_lr,
             grad_steps=grad_steps,
             message_sink=message_sink,
+            stats=stats,
         )
     return state.v, tape
 
@@ -576,6 +598,7 @@ def replay_tape(tape: Tape, shards: Sequence, params: LearnableParams) -> bool:
     """Re-run the forward from the tape's initial state and confirm the
     recorded per-cell outputs are reproduced bit-for-bit."""
     state = tape.init.copy()
+    stats = client_stats(shards, tape.client_indices)
     for rec in tape.cells:
         state = forward_cell(
             state,
@@ -588,6 +611,7 @@ def replay_tape(tape: Tape, shards: Sequence, params: LearnableParams) -> bool:
             grad_lr=rec.grad_lr,
             grad_steps=rec.grad_steps,
             preset_batches=rec.batch_idx,
+            stats=stats,
         )
         if not (
             np.array_equal(state.v, rec.v)

@@ -33,6 +33,16 @@ def make_shards(M=3, k=4, n=20, n_test=8, seed=0, noise=0.1):
     return shards
 
 
+def make_uneven_shards(ns, k=4, seed=0):
+    """Shards whose clients hold different numbers of training rows."""
+    shards = []
+    for i, n in enumerate(ns):
+        (sh,) = make_shards(M=1, k=k, n=n, seed=seed + i)
+        sh.client_id = i + 1
+        shards.append(sh)
+    return shards
+
+
 def random_params(M, k, L, rng, tied=False) -> LearnableParams:
     """Parameters jittered away from defaults but clear of the
     rectifier/clamp kinks, so finite differences stay valid."""

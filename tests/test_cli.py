@@ -1,10 +1,14 @@
 """Command-line interface: config files, flag precedence, subcommands,
 output files, and exit codes."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 
 from fedunroll.cli import main, parse_config_file
+from fedunroll.config import ExperimentConfig
 from fedunroll.datagen import ingest_delimited
 from fedunroll.errors import ConfigError
 from fedunroll.metrics import COLUMNS
@@ -57,6 +61,18 @@ class TestConfigFile:
         assert values["lr"] == 0.02
         assert values["baseline_lr"] == 0.05
         assert values["local_epochs"] == 1
+
+    def test_readme_example_parses_and_validates(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            (block,) = re.findall(r"```ini\n(.*?)```", fh.read(), flags=re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        values = parse_config_file(str(path))
+        ExperimentConfig(**values).validate()
+        assert values["setting"] == 1 and values["M"] == 10 and values["L"] == 10
+        assert values["batch_size"] == 64
+        assert values["baseline_batch"] is None
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -266,6 +266,17 @@ class TestExperimentDriver:
         assert not res.diverged
         assert np.isfinite(res.mean_test_rmse)
 
+    def test_grad_step_settings_reach_the_forward(self):
+        shards = make_shards(M=3, n=80, seed=17)
+        cfg = round_cfg(rounds=3, mode="grad", batch_size=32)
+        one = run_unrolled_experiment(cfg.replace(grad_steps=1), shards)
+        five = run_unrolled_experiment(cfg.replace(grad_steps=5), shards)
+        assert one.mean_test_rmse != five.mean_test_rmse
+        explicit = run_unrolled_experiment(cfg.replace(grad_lr=0.01, grad_steps=5), shards)
+        default = run_unrolled_experiment(cfg, shards)
+        assert np.array_equal(default.models_raw, explicit.models_raw)
+        assert default.mean_test_rmse == explicit.mean_test_rmse
+
     def test_tied_parameters_train(self):
         shards = make_shards(M=3, n=30, seed=18)
         res = run_unrolled_experiment(round_cfg(rounds=5, tied=True), shards)

@@ -4,7 +4,7 @@ boundary policies, and the optimizers."""
 import numpy as np
 import pytest
 
-from conftest import make_shards, random_params
+from conftest import make_shards, make_uneven_shards, random_params
 
 from fedunroll.errors import LayoutMismatch, NonFiniteGradient, TapeMismatch
 from fedunroll.learner import (
@@ -68,6 +68,14 @@ class TestBackwardVsFiniteDifferences:
             check_against_fd(
                 shards, params, seed=inst, mode=mode, dual=dual, rng=rng
             )
+
+    @pytest.mark.parametrize("mode", ["linear", "grad"])
+    def test_clients_of_different_sizes(self, mode):
+        rng = np.random.default_rng(19)
+        for inst in range(2):
+            shards = make_uneven_shards(rng.integers(5, 30, size=3), seed=50 + inst)
+            params = random_params(3, 4, 3, rng)
+            check_against_fd(shards, params, seed=inst, mode=mode, rng=rng)
 
     def test_tied_parameters(self):
         rng = np.random.default_rng(11)

@@ -13,7 +13,6 @@ from fedunroll.errors import (
 )
 from fedunroll.math_core import (
     EPS,
-    DiagPD,
     as_matrix,
     as_vector,
     chol_solve,
@@ -23,8 +22,8 @@ from fedunroll.math_core import (
     rectify,
     rmse,
     spd_cholesky,
-    spd_solve,
     sse_loss,
+    stack_rows,
 )
 
 
@@ -74,10 +73,6 @@ class TestRectifierAndClamp:
         assert float(clamp_positive(0.5)) == 0.5
         assert float(clamp_positive(-0.5)) == EPS
 
-    def test_diag_pd_effective(self):
-        d = DiagPD(raw_diag=np.array([-1.0, 0.7]))
-        assert np.array_equal(d.effective, np.array([0.0, 0.7]))
-
 
 class TestCholesky:
     def test_rejects_asymmetric(self):
@@ -105,7 +100,7 @@ class TestCholesky:
         B = rng.normal(size=(k, k))
         A = B @ B.T + k * np.eye(k)
         x = rng.normal(size=k)
-        got = spd_solve(A, A @ x)
+        got = chol_solve(spd_cholesky(A), A @ x)
         assert np.allclose(got, x, atol=1e-8)
 
     def test_chol_solve_matches_direct(self):
@@ -116,9 +111,24 @@ class TestCholesky:
         L = spd_cholesky(A)
         assert np.allclose(chol_solve(L, b), np.linalg.solve(A, b), atol=1e-10)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            spd_solve(np.eye(3), np.ones(2))
+    def test_stacked_factor_and_solve_match_each_matrix_bitwise(self):
+        rng = np.random.default_rng(4)
+        B = rng.normal(size=(6, 4, 4))
+        A = B @ np.swapaxes(B, 1, 2) + 4.0 * np.eye(4)
+        b = rng.normal(size=(6, 4))
+        L = spd_cholesky(A)
+        x = chol_solve(L, b)
+        for i in range(6):
+            assert np.array_equal(L[i], spd_cholesky(A[i]))
+            assert np.array_equal(x[i], chol_solve(L[i], b[i]))
+
+    def test_stacked_rejects_one_bad_matrix(self):
+        A = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]])])
+        with pytest.raises(NotPD):
+            spd_cholesky(A)
+        A[1] = [[2.0, 1.0], [0.0, 2.0]]
+        with pytest.raises(NotPD):
+            spd_cholesky(A)
 
 
 class TestPolyFeatures:
@@ -176,3 +186,48 @@ class TestLosses:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
             sse_loss(np.zeros((3, 2)), np.zeros(2), np.zeros(4))
+
+
+class TestRowStack:
+    def test_clients_of_different_sizes_match_per_client_losses(self):
+        rng = np.random.default_rng(5)
+        Xs = [rng.normal(size=(n, 3)) for n in (4, 9, 1)]
+        Ys = [rng.normal(size=X.shape[0]) for X in Xs]
+        V = rng.normal(size=(3, 3))
+        rows = stack_rows(Xs, Ys)
+        assert rows.counts.tolist() == [4, 9, 1]
+        sse = rows.sse(V)
+        xtr = rows.xt(rows.residuals(V))
+        for i in range(3):
+            r = Xs[i] @ V[i] - Ys[i]
+            assert abs(sse[i] - r @ r) <= 1e-13 * max(1.0, r @ r)
+            assert np.allclose(xtr[i], Xs[i].T @ r, rtol=0, atol=1e-13)
+
+    def test_clients_of_equal_size_match_per_client_products_bitwise(self):
+        rng = np.random.default_rng(6)
+        Xs = [rng.normal(size=(50, 4)) for _ in range(5)]
+        Ys = [rng.normal(size=50) for _ in range(5)]
+        V = rng.normal(size=(5, 4))
+        rows = stack_rows(Xs, Ys)
+        sse, gram, xty = rows.sse(V), rows.gram(), rows.xt(rows.Y)
+        for i in range(5):
+            assert sse[i] == sse_loss(Xs[i], V[i], Ys[i])
+            r = Xs[i] @ V[i] - Ys[i]
+            assert sse[i] == r @ r
+            assert np.array_equal(gram[i], Xs[i].T @ Xs[i])
+            assert np.array_equal(xty[i], Xs[i].T @ Ys[i])
+
+    def test_rejects_bad_rows_and_models(self):
+        with pytest.raises(DimensionMismatch):
+            stack_rows([np.zeros((2, 3)), np.zeros((2, 4))], [np.zeros(2), np.zeros(2)])
+        with pytest.raises(DimensionMismatch):
+            stack_rows([np.zeros((2, 3))], [np.zeros(3)])
+        with pytest.raises(EmptyData):
+            stack_rows([np.zeros((2, 3)), np.zeros((0, 3))], [np.zeros(2), np.zeros(0)])
+        with pytest.raises(NonFiniteInput):
+            stack_rows([np.zeros((2, 3))], [np.array([0.0, np.nan])])
+        rows = stack_rows([np.ones((2, 3))], [np.zeros(2)])
+        with pytest.raises(DimensionMismatch):
+            rows.sse(np.zeros((2, 3)))
+        with pytest.raises(NonFiniteInput):
+            rows.sse(np.full((1, 3), np.inf))

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_shards, random_params
+from conftest import make_shards, make_uneven_shards, random_params
 
 from fedunroll.errors import (
     DegenerateWeights,
     DimensionMismatch,
     NonFiniteInput,
 )
+from fedunroll import math_core, unrolled_net
 from fedunroll.unrolled_net import (
     CellState,
     GRAD_LR_DEFAULT,
@@ -96,7 +97,7 @@ class TestLayerOps:
         Y = rng.normal(size=12)
         alpha, z, w = (rng.normal(size=3) for _ in range(3))
         rho = 0.8
-        v = phi2_v_linear(X, Y, alpha, z, w, rho)
+        v, _ = phi2_v_linear(X.T @ X, X.T @ Y, alpha, z, w, rho)
         grad = (X.T @ X + rho * np.eye(3)) @ v - (rho * (w + z + alpha) + X.T @ Y)
         assert np.allclose(grad, 0.0, atol=1e-10)
 
@@ -106,7 +107,7 @@ class TestLayerOps:
         Y = rng.normal(size=15)
         alpha, z, w = (rng.normal(size=4) for _ in range(3))
         rho = 1.3
-        v = phi2_v_linear(X, Y, alpha, z, w, rho)
+        v, _ = phi2_v_linear(X.T @ X, X.T @ Y, alpha, z, w, rho)
         want = np.linalg.solve(X.T @ X + rho * np.eye(4), rho * (w + z + alpha) + X.T @ Y)
         assert np.allclose(v, want, atol=1e-12)
 
@@ -196,6 +197,25 @@ class TestLayerOps:
         with pytest.raises(DimensionMismatch):
             phi4_global(vs, vs, vs, np.ones(3), np.ones(2))
 
+    def test_batched_calls_match_one_client_calls_bitwise(self):
+        rng = np.random.default_rng(8)
+        m, k = 3, 4
+        X = rng.normal(size=(m, 10, k))
+        Y = rng.normal(size=(m, 10))
+        G = np.swapaxes(X, 1, 2) @ X
+        c = np.stack([X[i].T @ Y[i] for i in range(m)])
+        alpha, v, z, lam = (rng.normal(size=(m, k)) for _ in range(4))
+        w = rng.normal(size=k)
+        rho = rng.uniform(0.5, 2.0, m)
+        a1 = phi1_dual(alpha, v, z, w, rho)
+        v1, chol = phi2_v_linear(G, c, alpha, z, w, rho)
+        z1 = phi3_aux(alpha, v, w, rho, lam)
+        for i in range(m):
+            assert np.array_equal(a1[i], phi1_dual(alpha[i], v[i], z[i], w, rho[i]))
+            vi, Li = phi2_v_linear(G[i], c[i], alpha[i], z[i], w, rho[i])
+            assert np.array_equal(v1[i], vi) and np.array_equal(chol[i], Li)
+            assert np.array_equal(z1[i], phi3_aux(alpha[i], v[i], w, rho[i], lam[i]))
+
 
 class TestCellAgainstStraightLine:
     @pytest.mark.parametrize("mode", ["linear", "grad"])
@@ -227,6 +247,30 @@ class TestCellAgainstStraightLine:
             assert np.max(np.abs(got.v - v1)) <= 1e-12
             assert np.max(np.abs(got.z - z1)) <= 1e-12
             assert np.max(np.abs(got.w - w1)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["linear", "grad"])
+    def test_clients_of_different_sizes_match_oracle(self, mode):
+        rng = np.random.default_rng(31)
+        for inst in range(5):
+            ns = rng.integers(3, 30, size=4)
+            shards = make_uneven_shards(ns, seed=100 * inst)
+            params = random_params(4, 4, 1, rng)
+            state = CellState(
+                v=rng.normal(size=(4, 4)),
+                z=rng.normal(size=(4, 4)),
+                alpha=rng.normal(size=(4, 4)),
+                w=rng.normal(size=4),
+            )
+            got = forward_cell(state, shards, params, 1, mode=mode)
+            want = straight_line_cell(
+                [sh.X_train for sh in shards],
+                [sh.Y_train for sh in shards],
+                state.v, state.z, state.alpha, state.w,
+                params.lam_raw[0], params.rho_raw[0],
+                params.p[0], params.gam_raw[0], mode=mode,
+            )
+            for g, o in zip((got.alpha, got.v, got.z, got.w), want):
+                assert np.max(np.abs(g - o)) <= 1e-12
 
 
 class TestNetwork:
@@ -373,3 +417,49 @@ class TestNetwork:
         va, _ = forward_network(shards, params, L=3, dual_update="rho_step", seed=12)
         vb, _ = forward_network(shards, params, L=3, dual_update="unit_step", seed=12)
         assert np.array_equal(va, vb)
+
+    def test_minibatches_on_clients_of_different_sizes_replay(self):
+        # batch size 8 draws a batch on the larger shards only; the
+        # smaller one steps on all of its rows
+        shards = make_uneven_shards([30, 6, 12], seed=14)
+        rng = np.random.default_rng(3)
+        params = random_params(3, 4, 3, rng)
+        _, tape = forward_network(
+            shards, params, L=3, mode="grad", seed=14,
+            batch_rng=np.random.default_rng(9), batch_size=8,
+        )
+        batches = tape.cells[0].batch_idx
+        assert batches[0].shape == (8,) and batches[1] is None and batches[2].shape == (8,)
+        assert replay_tape(tape, shards, params)
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of math_core functions wherever fedunroll holds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(math_core, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (math_core, unrolled_net):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["linear", "grad"])
+def test_validation_counts_do_not_grow_with_clients(monkeypatch, mode):
+    # a fixed number of validations per pass at any number of clients;
+    # linear mode factors once per client and cell
+    L = 3
+    seen = []
+    for M in (10, 40):
+        shards = make_shards(M=M, n=20, seed=M)
+        counts = _count_calls(monkeypatch, ("spd_cholesky", "as_vector"))
+        forward_network(shards, init_params(M, 4, L), L=L, mode=mode, seed=1)
+        seen.append(dict(counts))
+        monkeypatch.undo()
+        assert counts["spd_cholesky"] == (M * L if mode == "linear" else 0)
+    assert seen[0]["as_vector"] == seen[1]["as_vector"] <= L
