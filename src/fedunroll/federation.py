@@ -33,6 +33,7 @@ from .baselines import evaluate_models
 from .config import ExperimentConfig
 from .diagnostics import lagrangian
 from .errors import (
+    DegenerateWeights,
     DimensionMismatch,
     NonFiniteGradient,
     NonFiniteInput,
@@ -318,7 +319,9 @@ def run_unrolled_experiment(
                     lag = rr.lagrangian_final
                     if cfg.transcript:
                         transcripts.append(rr.transcript)
-            except (FloatingPointError, NonFiniteInput, NonFiniteGradient, NotPD):
+            except (
+                FloatingPointError, NonFiniteInput, NonFiniteGradient, NotPD, DegenerateWeights
+            ):
                 diverged = True
             if diverged:
                 records.append(

@@ -20,9 +20,13 @@ Two boundary policies:
                    with respect to *other* clients' quantities: client
                    i's consensus-weight and penalty gradients see only
                    its own loss through its own chain (including its
-                   own relayed contribution to w), while aggregation
-                   weights p and the server-side penalty copies gamma
-                   collect their server-side adjoints from every pass.
+                   own relayed contribution to w). The same single
+                   reverse pass computes it, with the adjoint of w kept
+                   per client: row i collects only client i's phi1-phi3
+                   terms and phi4 hands it back to client i alone. The
+                   aggregation weights p and the server-side penalty
+                   copies gamma read the sum of the rows, since their
+                   edges are linear in the w-adjoint.
 """
 
 from __future__ import annotations
@@ -80,27 +84,23 @@ def pb_loss(v_final: np.ndarray, shards: Sequence, client_indices=None) -> float
     return float(client_rows(shards, idx).sse(v_final).sum())
 
 
-def _reverse_pass(
-    tape: Tape,
-    grads: ParamGradients,
-    vbar: np.ndarray,
-    keep_mask: np.ndarray,
-):
+def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_client: bool):
     """Walk the tape backwards from the seed adjoint `vbar` of the final
     models, accumulating adjoints into `grads`.
 
-    `keep_mask` selects the clients whose chains carry adjoints through
-    the aggregation boundary (all clients under the exact policy; a
-    single client per pass under federated_local). Aggregation-weight
-    edges (p, gamma) are accumulated for every client regardless.
+    With `per_client` (the federated_local policy) the adjoint of each
+    broadcast w is an [m, k] array whose row i carries only client i's
+    chain; otherwise it is the shared [k] vector of the exact policy.
+    The p and gamma edges read the sum of the rows.
     """
     m, k = tape.m_active, tape.k
     idx = tape.client_indices
     zbar = np.zeros((m, k))
     albar = np.zeros((m, k))
-    wbar = np.zeros(k)
-    km = keep_mask[:, None]
-    kept = np.flatnonzero(keep_mask)
+    wbar = np.zeros((m, k) if per_client else k)
+
+    def to_w(rows):  # per-client [m, k] adjoint terms, in wbar's shape
+        return rows if per_client else rows.sum(axis=0)
 
     for rec in reversed(tape.cells):
         s = rec.slot
@@ -116,16 +116,15 @@ def _reverse_pass(
         u = rec.v - rec.z - a
         q = rec.p * rec.gam_eff
         S = float(q.sum())
-        contrib = (q / S)[:, None] * wbar[None, :]
-        contrib = np.where(km, contrib, 0.0)
+        contrib = (q / S)[:, None] * wbar
         vbar += contrib
         zbar -= contrib
         albar -= contrib / sw
         abar = -contrib
-        qbar = (u - rec.w[None, :]) @ wbar / S
+        qbar = (u - rec.w[None, :]) @ (wbar.sum(axis=0) if per_client else wbar) / S
         grads.p[s, idx] += qbar * rec.gam_eff
         grads.gam_raw[s, idx] += qbar * rec.p * rec.gam_on
-        wbar = np.zeros(k)
+        wbar = np.zeros_like(wbar)
 
         # ---- phi3: z = rho * d / (lam + rho), d = v - w_prev - a ----
         d = rec.v - rec.w_prev[None, :] - a
@@ -135,49 +134,49 @@ def _reverse_pass(
         vbar += sz
         albar -= sz / sw
         abar -= sz
-        wbar -= sz.sum(axis=0)
+        wbar -= to_w(sz)
         grads.lam_raw[s, idx] += -zbar * rho[:, None] * d / denom**2 * rec.lam_on
         grads.rho_raw[s, idx] += (zbar * d * rec.lam_eff / denom**2).sum(axis=1) * rec.rho_on
         zbar = np.zeros((m, k))
 
-        # ---- phi2, on the kept clients: `anchor_bar` is the adjoint of
+        # ---- phi2: `anchor_bar` is the adjoint of
         # anchor = w_prev + z_prev + a, `rho_bar` the direct rho edge ----
-        anchor = rec.w_prev + rec.z_prev[kept] + a[kept]
-        vb = vbar[kept]
-        rho_k = rho[kept, None]
+        anchor = rec.w_prev + rec.z_prev + a
+        rho_k = rho[:, None]
         if tape.mode == "linear":
             # v = A^{-1}(rho * anchor + X'Y), A = X'X + rho I
-            t = chol_solve(rec.chol[kept], vb)
+            t = chol_solve(rec.chol, vbar)
             anchor_bar = rho_k * t
-            rho_bar = rowdot(t, anchor - rec.v[kept])
-            vb = np.zeros_like(vb)  # the closed form does not read v_prev
+            rho_bar = rowdot(t, anchor - rec.v)
+            vbar = np.zeros((m, k))  # the closed form does not read v_prev
         else:
             # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2
             lr = rec.grad_lr
-            H = 2.0 * rec.gram[kept]
-            anchor_bar = np.zeros_like(vb)
-            rho_bar = np.zeros(kept.shape[0])
+            H = 2.0 * rec.gram
+            anchor_bar = np.zeros((m, k))
+            rho_bar = np.zeros(m)
             for t in range(rec.grad_steps - 1, -1, -1):
-                rho_bar += -lr * rowdot(vb, rec.v_iterates[t, kept] - anchor)
-                anchor_bar += lr * rho_k * vb
-                vb = vb - lr * ((H @ vb[:, :, None])[:, :, 0] + rho_k * vb)
-        vbar = np.zeros((m, k))
-        vbar[kept] = vb
-        albar[kept] += anchor_bar / sw[kept]
-        abar[kept] += anchor_bar
-        zbar[kept] += anchor_bar
-        # the rows enter wbar one at a time in client order (a sum along
-        # axis 0 adds them in order): training runs are sensitive to the
-        # last bits of the gradient
-        wbar = np.concatenate((wbar[None, :], anchor_bar)).sum(axis=0)
-        grads.rho_raw[s, idx[kept]] += rho_bar * rec.rho_on[kept]
+                rho_bar += -lr * rowdot(vbar, rec.v_iterates[t] - anchor)
+                anchor_bar += lr * rho_k * vbar
+                vbar = vbar - lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
+        albar += anchor_bar / sw
+        abar += anchor_bar
+        zbar += anchor_bar
+        if per_client:
+            wbar += anchor_bar
+        else:
+            # the rows enter wbar one at a time in client order (a sum
+            # along axis 0 adds them in order): training runs are
+            # sensitive to the last bits of the gradient
+            wbar = np.concatenate((wbar[None, :], anchor_bar)).sum(axis=0)
+        grads.rho_raw[s, idx] += rho_bar * rec.rho_on
         if tape.dual_update == "rho_step":
             grads.rho_raw[s, idx] -= (abar * a).sum(axis=1) / rho * rec.rho_on
 
         # ---- phi1: alpha = alpha_prev + step_w * (z_prev - v_prev + w_prev) ----
         vbar -= sw * albar
         zbar += sw * albar
-        wbar += (sw * albar).sum(axis=0)
+        wbar += to_w(sw * albar)
         if tape.dual_update == "rho_step":
             resid = rec.z_prev - rec.v_prev + rec.w_prev[None, :]
             grads.rho_raw[s, idx] += (albar * resid).sum(axis=1) * rec.rho_on
@@ -201,31 +200,14 @@ def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradie
     # d P_b / d v^L = 2 X'(X v - Y) for every active client
     seed = 2.0 * rows.xt(rows.residuals(tape.final_v()))
 
-    m = tape.m_active
-    S_slots = 1 if tape.tied else tape.L
-    proto = LearnableParams(
-        lam_raw=np.zeros((S_slots, tape.M_total, tape.k)),
-        rho_raw=np.zeros((S_slots, tape.M_total)),
-        p=np.zeros((S_slots, tape.M_total)),
-        gam_raw=np.zeros((S_slots, tape.M_total)),
-        L=tape.L,
-        tied=tape.tied,
+    slots = (1 if tape.tied else tape.L, tape.M_total)
+    grads = ParamGradients(
+        lam_raw=np.zeros(slots + (tape.k,)),
+        rho_raw=np.zeros(slots),
+        p=np.zeros(slots),
+        gam_raw=np.zeros(slots),
     )
-    grads = ParamGradients.zeros_like(proto)
-
-    if policy == "exact":
-        _reverse_pass(tape, grads, seed, np.ones(m, dtype=bool))
-    else:
-        for i in range(m):
-            gi = ParamGradients.zeros_like(proto)
-            keep = np.zeros(m, dtype=bool)
-            keep[i] = True
-            _reverse_pass(tape, gi, np.where(keep[:, None], seed, 0.0), keep)
-            ci = tape.client_indices[i]
-            grads.lam_raw[:, ci] += gi.lam_raw[:, ci]
-            grads.rho_raw[:, ci] += gi.rho_raw[:, ci]
-            grads.p += gi.p
-            grads.gam_raw += gi.gam_raw
+    _reverse_pass(tape, grads, seed, per_client=policy == "federated_local")
     grads.check_finite()
     return grads
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+from fedunroll import math_core
 from fedunroll.datagen import DataShard
 from fedunroll.math_core import design_matrix
 from fedunroll.unrolled_net import LearnableParams, init_params
@@ -52,3 +55,24 @@ def random_params(M, k, L, rng, tied=False) -> LearnableParams:
     params.p += rng.uniform(-0.02, 0.06, params.p.shape)
     params.gam_raw += rng.uniform(-0.5, 0.9, params.gam_raw.shape)
     return params
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of math_core functions wherever a fedunroll module
+    holds them by name; `monkeypatch.undo()` restores them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [
+        mod for key, mod in list(sys.modules.items())
+        if key == "fedunroll" or key.startswith("fedunroll.")
+    ]
+    for name in names:
+        original = getattr(math_core, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts

@@ -7,7 +7,8 @@ import pytest
 from conftest import make_shards
 
 from fedunroll.config import ExperimentConfig
-from fedunroll.errors import ProtocolViolation
+from fedunroll import unrolled_net
+from fedunroll.errors import DegenerateWeights, ProtocolViolation
 from fedunroll.federation import (
     ParticipationPlan,
     RoundMessage,
@@ -296,3 +297,25 @@ class TestExperimentDriver:
             assert not np.isfinite(last.test_rmse)
         else:
             assert np.isfinite(res.mean_test_rmse)
+
+    def test_degenerate_weights_marked_not_raised(self, monkeypatch):
+        # the aggregation weights collapse from round 2 on; the driver
+        # must record the divergence instead of aborting the run
+        shards = make_shards(M=3, n=30, seed=20)
+        cfg = round_cfg(rounds=4)
+        calls = []
+        original = unrolled_net._aggregate_client_vectors
+
+        def collapsing(u, ps, gammas):
+            calls.append(None)
+            if len(calls) > cfg.epochs_per_round * cfg.L:
+                raise DegenerateWeights("aggregation weights sum to zero")
+            return original(u, ps, gammas)
+
+        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", collapsing)
+        res = run_unrolled_experiment(cfg, shards)
+        assert res.diverged
+        assert [r.round for r in res.records] == [1, 2]
+        assert np.isfinite(res.records[0].test_rmse)
+        assert np.isnan(res.records[1].test_rmse)
+        assert np.isnan(res.records[1].loss_sum)

@@ -4,7 +4,7 @@ boundary policies, and the optimizers."""
 import numpy as np
 import pytest
 
-from conftest import make_shards, make_uneven_shards, random_params
+from conftest import count_calls, make_shards, make_uneven_shards, random_params
 
 from fedunroll.errors import LayoutMismatch, NonFiniteGradient, TapeMismatch
 from fedunroll.learner import (
@@ -16,7 +16,14 @@ from fedunroll.learner import (
     pb_loss,
 )
 from fedunroll.datagen import SettingSpec, generate_setting
-from fedunroll.unrolled_net import CellState, forward_network, init_params
+from fedunroll.math_core import chol_solve, rowdot
+from fedunroll.unrolled_net import (
+    CellState,
+    LearnableParams,
+    client_rows,
+    forward_network,
+    init_params,
+)
 
 KINK_MARGIN = 1e-3
 
@@ -54,6 +61,119 @@ def check_against_fd(shards, params, seed, rel_tol=1e-5, mode="linear",
             worst = max(worst, rel)
             assert rel <= rel_tol, f"{field}{idx}: fd={fd} analytic={an} rel={rel}"
     return worst
+
+
+def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
+    """The reverse pass with a client mask: only the kept clients' chains
+    carry adjoints through the aggregation boundary, while the p and
+    gamma edges are accumulated for every client."""
+    m, k = tape.m_active, tape.k
+    idx = tape.client_indices
+    zbar = np.zeros((m, k))
+    albar = np.zeros((m, k))
+    wbar = np.zeros(k)
+    km = keep_mask[:, None]
+    kept = np.flatnonzero(keep_mask)
+
+    for rec in reversed(tape.cells):
+        s = rec.slot
+        rho = rec.rho_eff
+        sw = rec.step_w[:, None]
+        a = rec.alpha / sw
+
+        # phi4
+        u = rec.v - rec.z - a
+        q = rec.p * rec.gam_eff
+        S = float(q.sum())
+        contrib = (q / S)[:, None] * wbar[None, :]
+        contrib = np.where(km, contrib, 0.0)
+        vbar += contrib
+        zbar -= contrib
+        albar -= contrib / sw
+        abar = -contrib
+        qbar = (u - rec.w[None, :]) @ wbar / S
+        grads.p[s, idx] += qbar * rec.gam_eff
+        grads.gam_raw[s, idx] += qbar * rec.p * rec.gam_on
+        wbar = np.zeros(k)
+
+        # phi3
+        d = rec.v - rec.w_prev[None, :] - a
+        denom = rec.lam_eff + rho[:, None]
+        sfac = rho[:, None] / denom
+        sz = sfac * zbar
+        vbar += sz
+        albar -= sz / sw
+        abar -= sz
+        wbar -= sz.sum(axis=0)
+        grads.lam_raw[s, idx] += -zbar * rho[:, None] * d / denom**2 * rec.lam_on
+        grads.rho_raw[s, idx] += (zbar * d * rec.lam_eff / denom**2).sum(axis=1) * rec.rho_on
+        zbar = np.zeros((m, k))
+
+        # phi2, on the kept clients
+        anchor = rec.w_prev + rec.z_prev[kept] + a[kept]
+        vb = vbar[kept]
+        rho_k = rho[kept, None]
+        if tape.mode == "linear":
+            t = chol_solve(rec.chol[kept], vb)
+            anchor_bar = rho_k * t
+            rho_bar = rowdot(t, anchor - rec.v[kept])
+            vb = np.zeros_like(vb)
+        else:
+            lr = rec.grad_lr
+            H = 2.0 * rec.gram[kept]
+            anchor_bar = np.zeros_like(vb)
+            rho_bar = np.zeros(kept.shape[0])
+            for t in range(rec.grad_steps - 1, -1, -1):
+                rho_bar += -lr * rowdot(vb, rec.v_iterates[t, kept] - anchor)
+                anchor_bar += lr * rho_k * vb
+                vb = vb - lr * ((H @ vb[:, :, None])[:, :, 0] + rho_k * vb)
+        vbar = np.zeros((m, k))
+        vbar[kept] = vb
+        albar[kept] += anchor_bar / sw[kept]
+        abar[kept] += anchor_bar
+        zbar[kept] += anchor_bar
+        wbar = np.concatenate((wbar[None, :], anchor_bar)).sum(axis=0)
+        grads.rho_raw[s, idx[kept]] += rho_bar * rec.rho_on[kept]
+        if tape.dual_update == "rho_step":
+            grads.rho_raw[s, idx] -= (abar * a).sum(axis=1) / rho * rec.rho_on
+
+        # phi1
+        vbar -= sw * albar
+        zbar += sw * albar
+        wbar += (sw * albar).sum(axis=0)
+        if tape.dual_update == "rho_step":
+            resid = rec.z_prev - rec.v_prev + rec.w_prev[None, :]
+            grads.rho_raw[s, idx] += (albar * resid).sum(axis=1) * rec.rho_on
+
+
+def _oracle_federated_local(tape, shards):
+    """federated_local gradients by one masked reverse pass per active
+    client, each seeded with that client's loss alone."""
+    rows = client_rows(shards, tape.client_indices)
+    seed = 2.0 * rows.xt(rows.residuals(tape.final_v()))
+
+    m = tape.m_active
+    S_slots = 1 if tape.tied else tape.L
+    proto = LearnableParams(
+        lam_raw=np.zeros((S_slots, tape.M_total, tape.k)),
+        rho_raw=np.zeros((S_slots, tape.M_total)),
+        p=np.zeros((S_slots, tape.M_total)),
+        gam_raw=np.zeros((S_slots, tape.M_total)),
+        L=tape.L,
+        tied=tape.tied,
+    )
+    grads = ParamGradients.zeros_like(proto)
+    for i in range(m):
+        gi = ParamGradients.zeros_like(proto)
+        keep = np.zeros(m, dtype=bool)
+        keep[i] = True
+        _oracle_reverse_pass(tape, gi, np.where(keep[:, None], seed, 0.0), keep)
+        ci = tape.client_indices[i]
+        grads.lam_raw[:, ci] += gi.lam_raw[:, ci]
+        grads.rho_raw[:, ci] += gi.rho_raw[:, ci]
+        grads.p += gi.p
+        grads.gam_raw += gi.gam_raw
+    return grads
 
 
 class TestBackwardVsFiniteDifferences:
@@ -189,6 +309,48 @@ class TestFederatedLocalPolicy:
         _, tape = forward_network(shards, params, L=2, seed=26)
         with pytest.raises(ValueError):
             backward(tape, shards, policy="mystery")
+
+
+class TestFederatedLocalOnePass:
+    """The single reverse pass with a per-client w-adjoint against one
+    masked pass per client."""
+
+    @pytest.mark.parametrize("mode", ["linear", "grad"])
+    @pytest.mark.parametrize("dual", ["rho_step", "unit_step"])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("uneven", [False, True])
+    def test_matches_one_pass_per_client(self, mode, dual, tied, partial, uneven):
+        rng = np.random.default_rng(60)
+        if uneven:
+            shards = make_uneven_shards([7, 25, 12, 30, 9], seed=61)
+        else:
+            shards = make_shards(M=5, n=20, seed=61)
+        params = random_params(5, 4, 4, rng, tied=tied)
+        idx = np.array([0, 2, 3]) if partial else None
+        _, tape = forward_network(
+            shards, params, L=4, mode=mode, dual_update=dual, seed=62, client_indices=idx
+        )
+        got = backward(tape, shards, policy="federated_local")
+        want = _oracle_federated_local(tape, shards)
+        for field in ("lam_raw", "rho_raw"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for field in ("lam_raw", "rho_raw", "p", "gam_raw"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert np.any(w != 0.0), field
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), field
+
+    @pytest.mark.parametrize("policy", ["exact", "federated_local"])
+    def test_one_solve_per_cell(self, monkeypatch, policy):
+        # linear mode: one batched chol_solve per cell, at any number of clients
+        L = 3
+        for M in (10, 40):
+            shards = make_shards(M=M, n=20, seed=M)
+            _, tape = forward_network(shards, init_params(M, 4, L), L=L, seed=1)
+            counts = count_calls(monkeypatch, ("chol_solve",))
+            backward(tape, shards, policy=policy)
+            monkeypatch.undo()
+            assert counts["chol_solve"] == L
 
 
 class TestTapeChecks:

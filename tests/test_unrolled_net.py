@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_shards, make_uneven_shards, random_params
+from conftest import count_calls, make_shards, make_uneven_shards, random_params
 
 from fedunroll.errors import (
     DegenerateWeights,
     DimensionMismatch,
     NonFiniteInput,
 )
-from fedunroll import math_core, unrolled_net
 from fedunroll.unrolled_net import (
     CellState,
     GRAD_LR_DEFAULT,
@@ -433,22 +432,6 @@ class TestNetwork:
         assert replay_tape(tape, shards, params)
 
 
-def _count_calls(monkeypatch, names):
-    """Count calls of math_core functions wherever fedunroll holds them."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(math_core, name)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for mod in (math_core, unrolled_net):
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
-    return counts
-
-
 @pytest.mark.parametrize("mode", ["linear", "grad"])
 def test_validation_counts_do_not_grow_with_clients(monkeypatch, mode):
     # a fixed number of validations per pass at any number of clients;
@@ -457,7 +440,7 @@ def test_validation_counts_do_not_grow_with_clients(monkeypatch, mode):
     seen = []
     for M in (10, 40):
         shards = make_shards(M=M, n=20, seed=M)
-        counts = _count_calls(monkeypatch, ("spd_cholesky", "as_vector"))
+        counts = count_calls(monkeypatch, ("spd_cholesky", "as_vector"))
         forward_network(shards, init_params(M, 4, L), L=L, mode=mode, seed=1)
         seen.append(dict(counts))
         monkeypatch.undo()
