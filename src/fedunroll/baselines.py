@@ -16,19 +16,28 @@ Methods
   fedavg_ft / fedprox_ft   the global model fine-tuned locally afterwards
   ditto        a global fedavg branch plus per-client personal models
                regularized toward the received global model
+
+The gradient-descent methods train every client at once on the
+client-batched engine of math_core: a run stacks the standardized
+training rows once (each shard standardized before stacking, so the
+padding rows stay zero), and each step is one array operation over the
+clients. Only the minibatch draws visit the clients one by one, each
+from its own generator and in the order the per-client methods define
+(ditto draws its global epochs, then its personal ones). The
+evaluation rows, too, are stacked once per run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import DimensionMismatch, InvalidSetting, NotPD
-from .math_core import chol_solve, spd_cholesky, stack_rows
+from .math_core import RowStack, chol_solve, minibatch_rows, spd_cholesky, stack_rows
 from .metrics import MetricsRecord
 
 GD_METHODS = ("local", "fedavg", "fedprox", "fedavg_ft", "fedprox_ft", "ditto")
@@ -68,20 +77,15 @@ class Standardizer:
         return (X - self.mu) / self.sd
 
     def to_raw(self, v_std: np.ndarray) -> np.ndarray:
+        """Raw-basis coefficients of standardized ones, [k] or [M, k]."""
         raw = v_std / self.sd
         if self.intercept_col is not None:
-            raw = raw.copy()
-            raw[self.intercept_col] -= float(np.sum(v_std * self.mu / self.sd))
+            raw[..., self.intercept_col] -= np.sum(v_std * self.mu / self.sd, axis=-1)
         return raw
 
     @classmethod
     def identity(cls, k: int) -> "Standardizer":
         return cls(mu=np.zeros(k), sd=np.ones(k), intercept_col=None)
-
-
-def _mean_grad(Xs: np.ndarray, Y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = Xs.shape[0]
-    return (2.0 / n) * (Xs.T @ (Xs @ v - Y))
 
 
 @dataclass
@@ -108,23 +112,21 @@ def local_exact(shard, jitter: float = 1e-10) -> np.ndarray:
     return chol_solve(L, X.T @ Y)
 
 
-def evaluate_models(models_raw: np.ndarray, shards) -> tuple:
-    """Per-client train and test RMSE of the models [M, k], one per shard."""
-    train = stack_rows([sh.X_train for sh in shards], [sh.Y_train for sh in shards])
-    test = stack_rows([sh.X_test for sh in shards], [sh.Y_test for sh in shards])
+def evaluation_rows(shards) -> Tuple[RowStack, RowStack]:
+    """Every client's training rows and test rows, each stacked once."""
+    return (
+        stack_rows([sh.X_train for sh in shards], [sh.Y_train for sh in shards]),
+        stack_rows([sh.X_test for sh in shards], [sh.Y_test for sh in shards]),
+    )
+
+
+def evaluate_models(models_raw: np.ndarray, train: RowStack, test: RowStack) -> tuple:
+    """Per-client train and test RMSE of the models [M, k], on the rows
+    of `evaluation_rows`."""
     return (
         np.sqrt(train.sse(models_raw) / train.counts),
         np.sqrt(test.sse(models_raw) / test.counts),
     )
-
-
-def _minibatch(rng, X: np.ndarray, Y: np.ndarray, batch: Optional[int]):
-    """`batch` rows of (X, Y) drawn without replacement, or all rows when
-    the batch is None or covers them."""
-    if batch is None or batch >= X.shape[0]:
-        return X, Y
-    b = rng.choice(X.shape[0], size=batch, replace=False)
-    return X[b], Y[b]
 
 
 def run_baseline(
@@ -142,15 +144,17 @@ def run_baseline(
     k = shards[0].X_train.shape[1]
 
     t0 = time.perf_counter()
+    train, test = evaluation_rows(shards)
     records: List[MetricsRecord] = []
 
-    if method == "local_exact":
-        models = np.stack([local_exact(sh) for sh in shards])
-        tr, te = evaluate_models(models, shards)
+    def evaluate(rnd: int, epoch: int, models: np.ndarray) -> np.ndarray:
+        """Record the mean train/test RMSE of `models`; return the
+        per-client test RMSE."""
+        tr, te = evaluate_models(models, train, test)
         records.append(
             MetricsRecord(
-                round=0,
-                epoch=0,
+                round=rnd,
+                epoch=epoch,
                 method=method,
                 client_id="agg",
                 train_rmse=float(tr.mean()),
@@ -158,6 +162,9 @@ def run_baseline(
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
+        return te
+
+    def result(models: np.ndarray, te: np.ndarray, traj=()) -> BaselineResult:
         return BaselineResult(
             method=method,
             models_raw=models,
@@ -165,131 +172,71 @@ def run_baseline(
             mean_test_rmse=float(te.mean()),
             std_test_rmse=float(te.std()),
             records=records,
+            trajectory=np.stack(traj) if traj else None,
         )
 
+    if method == "local_exact":
+        models = np.stack([local_exact(sh) for sh in shards])
+        return result(models, evaluate(0, 0, models))
+
     if cfg.standardize:
-        pooled = np.vstack([sh.X_train for sh in shards])
-        std = Standardizer.fit(pooled)
+        std = Standardizer.fit(np.vstack([sh.X_train for sh in shards]))
     else:
         std = Standardizer.identity(k)
-    Xs = [std.apply(sh.X_train) for sh in shards]
-    Ys = [sh.Y_train for sh in shards]
-    n_samples = np.array([x.shape[0] for x in Xs], dtype=np.float64)
-    agg_w = n_samples / n_samples.sum()
+    # standardized per shard before stacking, so the padding rows stay zero
+    rows = stack_rows([std.apply(sh.X_train) for sh in shards], [sh.Y_train for sh in shards])
+    agg_w = rows.counts / rows.counts.sum()
 
     seed = int(cfg.seed or 0)
     rngs = [
         np.random.default_rng(np.random.SeedSequence([seed, i, 0xBA7C]))
         for i in range(M)
     ]
-    batch = cfg.baseline_batch
 
-    is_global = method in ("fedavg", "fedprox", "fedavg_ft", "fedprox_ft")
+    def gd(V: np.ndarray, epochs: int, pull: float = 0.0, anchor=None) -> np.ndarray:
+        """`epochs` gradient steps of every client's model (rows of V, in
+        place) on its minibatch mean squared error, plus
+        pull/2 * ||v - anchor||^2 when an anchor is given."""
+        for _ in range(epochs):
+            _, b = minibatch_rows(rows, cfg.baseline_batch, rngs)
+            g = (2.0 / b.counts)[:, None] * b.xt(b.residuals(V))
+            if anchor is not None:
+                g = g + pull * (V - anchor)
+            V -= cfg.baseline_lr * g
+        return V
+
+    personal = method in ("local", "ditto")
     w = np.zeros(k)
-    v_pers = np.zeros((M, k))     # personal models (local / ditto)
+    V = np.zeros((M, k))  # personal models (local, ditto, fine-tuned)
     traj: List[np.ndarray] = []
 
     def current_models() -> np.ndarray:
-        if method == "local" or method == "ditto":
-            return np.stack([std.to_raw(v_pers[i]) for i in range(M)])
-        w_raw = std.to_raw(w)
-        return np.tile(w_raw, (M, 1))
+        return std.to_raw(V) if personal else np.tile(std.to_raw(w), (M, 1))
 
+    models = current_models()
     for rnd in range(1, cfg.rounds + 1):
         if method == "local":
-            for i in range(M):
-                for _ in range(cfg.local_epochs):
-                    Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
-                    v_pers[i] -= cfg.baseline_lr * _mean_grad(Xb, Yb, v_pers[i])
-        elif is_global:
-            updated = np.empty((M, k))
-            for i in range(M):
-                u = w.copy()
-                for _ in range(cfg.local_epochs):
-                    Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
-                    g = _mean_grad(Xb, Yb, u)
-                    if method in ("fedprox", "fedprox_ft"):
-                        g = g + cfg.mu * (u - w)
-                    u -= cfg.baseline_lr * g
-                updated[i] = u
-            w = agg_w @ updated
-        else:  # ditto
-            updated = np.empty((M, k))
-            for i in range(M):
-                u = w.copy()
-                for _ in range(cfg.local_epochs):
-                    Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
-                    u -= cfg.baseline_lr * _mean_grad(Xb, Yb, u)
-                updated[i] = u
-                for _ in range(cfg.local_epochs):
-                    Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
-                    g = _mean_grad(Xb, Yb, v_pers[i]) + cfg.lambda_ditto * (v_pers[i] - w)
-                    v_pers[i] -= cfg.baseline_lr * g
-            w = agg_w @ updated
-
+            gd(V, cfg.local_epochs)
+        else:
+            prox = method in ("fedprox", "fedprox_ft")
+            U = gd(np.tile(w, (M, 1)), cfg.local_epochs, cfg.mu, w if prox else None)
+            if method == "ditto":
+                gd(V, cfg.local_epochs, cfg.lambda_ditto, w)
+            w = agg_w @ U
         models = current_models()
         if keep_trajectory:
-            traj.append(models.copy())
-        tr, te = evaluate_models(models, shards)
-        records.append(
-            MetricsRecord(
-                round=rnd,
-                epoch=cfg.local_epochs,
-                method=method,
-                client_id="agg",
-                train_rmse=float(tr.mean()),
-                test_rmse=float(te.mean()),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+            traj.append(models)
+        te = evaluate(rnd, cfg.local_epochs, models)
 
     if method in ("fedavg_ft", "fedprox_ft"):
-        for i in range(M):
-            v_pers[i] = w.copy()
-            for _ in range(cfg.ft_epochs):
-                Xb, Yb = _minibatch(rngs[i], Xs[i], Ys[i], batch)
-                v_pers[i] -= cfg.baseline_lr * _mean_grad(Xb, Yb, v_pers[i])
-        models = np.stack([std.to_raw(v_pers[i]) for i in range(M)])
-        tr, te = evaluate_models(models, shards)
+        V = gd(np.tile(w, (M, 1)), cfg.ft_epochs)
+        models = std.to_raw(V)
         if records:
             records.pop()  # the fine-tuned evaluation stands in for the last round
-        records.append(
-            MetricsRecord(
-                round=cfg.rounds,
-                epoch=cfg.local_epochs + cfg.ft_epochs,
-                method=method,
-                client_id="agg",
-                train_rmse=float(tr.mean()),
-                test_rmse=float(te.mean()),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        te = evaluate(cfg.rounds, cfg.local_epochs + cfg.ft_epochs, models)
         if keep_trajectory:
-            traj.append(models.copy())
-    else:
-        models = current_models()
+            traj.append(models)
+    elif cfg.rounds == 0:
+        te = evaluate(0, 0, models)
 
-    if cfg.rounds == 0 and not records:
-        tr, te = evaluate_models(models, shards)
-        records.append(
-            MetricsRecord(
-                round=0,
-                epoch=0,
-                method=method,
-                client_id="agg",
-                train_rmse=float(tr.mean()),
-                test_rmse=float(te.mean()),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
-
-    tr, te = evaluate_models(models, shards)
-    return BaselineResult(
-        method=method,
-        models_raw=models,
-        per_client_test_rmse=te,
-        mean_test_rmse=float(te.mean()),
-        std_test_rmse=float(te.std()),
-        records=records,
-        trajectory=np.stack(traj) if keep_trajectory and traj else None,
-    )
+    return result(models, te, traj)

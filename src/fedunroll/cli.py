@@ -287,10 +287,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         for method in cfg.methods:
             result = _run_method(method, tcfg, shards)
-            finals[method].append(result.mean_test_rmse)
+            diverged = getattr(result, "diverged", False)
+            finals[method].append(float("nan") if diverged else result.mean_test_rmse)
             print(
                 f"setting {cfg.setting} trial {trial} {method}: "
                 f"mean test rmse {format_value(result.mean_test_rmse)}"
+                f"{' [DIVERGED]' if diverged else ''}"
             )
     for method in cfg.methods:
         for trial, val in enumerate(finals[method]):

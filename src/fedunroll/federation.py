@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .baselines import evaluate_models
+from .baselines import evaluate_models, evaluation_rows
 from .config import ExperimentConfig
 from .diagnostics import lagrangian
 from .errors import (
@@ -45,7 +45,6 @@ from .metrics import MetricsRecord
 from .unrolled_net import (
     CellState,
     LearnableParams,
-    client_rows,
     forward_network,
     init_params,
     init_state,
@@ -216,7 +215,7 @@ def run_round(
         message_sink=sink,
     )
 
-    losses = client_rows(shards, idx).sse(v_final).tolist()
+    losses = tape.rows.sse(v_final).tolist()
     for ci, F in zip(idx, losses):
         transcript.messages.append(
             RoundMessage(kind="loss_report", layer=None, client_id=int(ci) + 1, payload=F)
@@ -286,9 +285,10 @@ def run_unrolled_experiment(
     transcripts: List[Transcript] = []
     t0 = time.perf_counter()
     diverged = False
+    train, test = evaluation_rows(shards)
 
     if cfg.rounds == 0:
-        tr, te = evaluate_models(state.v, shards)
+        tr, te = evaluate_models(state.v, train, test)
         records.append(
             MetricsRecord(
                 round=0,
@@ -300,7 +300,7 @@ def run_unrolled_experiment(
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        tr_f, te_f = tr, te
+        te_f = te
     else:
         part_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAC71]))
         te_f = None
@@ -338,7 +338,7 @@ def run_unrolled_experiment(
                     )
                 )
                 break
-            tr, te = evaluate_models(state.v, shards)
+            tr, te = evaluate_models(state.v, train, test)
             records.append(
                 MetricsRecord(
                     round=rnd,
@@ -352,12 +352,9 @@ def run_unrolled_experiment(
                     wall_ms=(time.perf_counter() - t0) * 1e3,
                 )
             )
-            tr_f, te_f = tr, te
+            te_f = te
         if te_f is None:
-            try:
-                tr_f, te_f = evaluate_models(state.v, shards)
-            except (NonFiniteInput, FloatingPointError):
-                te_f = np.full(M, float("nan"))
+            _, te_f = evaluate_models(state.v, train, test)
 
     return ExperimentResult(
         method=method_name,

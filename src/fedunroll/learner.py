@@ -61,15 +61,6 @@ class ParamGradients:
     p: np.ndarray
     gam_raw: np.ndarray
 
-    @staticmethod
-    def zeros_like(params: LearnableParams) -> "ParamGradients":
-        return ParamGradients(
-            lam_raw=np.zeros_like(params.lam_raw),
-            rho_raw=np.zeros_like(params.rho_raw),
-            p=np.zeros_like(params.p),
-            gam_raw=np.zeros_like(params.gam_raw),
-        )
-
     def check_finite(self):
         for name in PARAM_FIELDS:
             if not np.all(np.isfinite(getattr(self, name))):
@@ -186,7 +177,11 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
 
 
 def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradients:
-    """Gradients of P_b with respect to every raw learnable parameter."""
+    """Gradients of P_b with respect to every raw learnable parameter.
+
+    The losses are read from the rows the tape's forward stacked;
+    `shards` must be the clients it was recorded on.
+    """
     gradient_boundary_policy(policy)
     if len(shards) != tape.M_total:
         raise TapeMismatch(
@@ -194,9 +189,9 @@ def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradie
         )
     if not tape.cells:
         raise TapeMismatch("tape has no recorded cells")
-    rows = client_rows(shards, tape.client_indices)
-    if rows.X.shape[2] != tape.k:
+    if any(np.shape(shards[i].X_train)[1] != tape.k for i in tape.client_indices):
         raise TapeMismatch("tape feature dimension disagrees with shards")
+    rows = tape.rows
     # d P_b / d v^L = 2 X'(X v - Y) for every active client
     seed = 2.0 * rows.xt(rows.residuals(tape.final_v()))
 

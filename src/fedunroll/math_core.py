@@ -11,7 +11,7 @@ losses run as array operations over the clients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,6 +171,49 @@ def stack_rows(Xs: Sequence, Ys: Sequence) -> RowStack:
     return RowStack(X=Xp, Y=Yp, counts=counts)
 
 
+def minibatch_rows(
+    rows: RowStack,
+    batch_size: Optional[int],
+    rngs: Optional[Sequence[np.random.Generator]] = None,
+    preset: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> Tuple[List[Optional[np.ndarray]], RowStack]:
+    """Each client's minibatch of `rows`, and the batch rows stacked.
+
+    Client i's batch is `preset[i]` when replaying earlier draws, else
+    `batch_size` of its row indices drawn without replacement by
+    `rngs[i]`; it is None where the size is None or covers the client's
+    rows. Clients draw in order, so a generator shared by every client
+    gives one stream for any client batching. A client without a batch
+    keeps all its rows in the returned stack; when no client has a
+    batch, that stack is `rows` itself.
+    """
+    batches: List[Optional[np.ndarray]] = []
+    for i, n in enumerate(rows.counts.tolist()):
+        if preset is not None:
+            batches.append(preset[i])
+        elif batch_size is None or batch_size >= n:
+            batches.append(None)
+        elif rngs is None:
+            raise ValueError("batch_size given without generators")
+        else:
+            batches.append(rngs[i].choice(n, size=batch_size, replace=False))
+    if all(b is None for b in batches):
+        return batches, rows
+    m, width = rows.X.shape[:2]
+    take = np.tile(np.arange(width), (m, 1))
+    counts = rows.counts.copy()
+    for i, batch in enumerate(batches):
+        if batch is not None:
+            counts[i] = batch.shape[0]
+            take[i, :counts[i]] = batch
+    take = take[:, :counts.max()]
+    pad = np.arange(take.shape[1]) >= counts[:, None]
+    client = np.arange(m)[:, None]
+    X = np.where(pad[:, :, None], 0.0, rows.X[client, take])
+    Y = np.where(pad, 0.0, rows.Y[client, take])
+    return batches, RowStack(X=X, Y=Y, counts=counts)
+
+
 def poly_features(x: float, degree: int) -> np.ndarray:
     """Monomial feature vector (1, x, x^2, ..., x^degree)."""
     if degree < 0:
@@ -193,12 +236,3 @@ def design_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
         out[:, d + 1] = out[:, d] * xs
     return out
 
-
-def sse_loss(X, v, Y) -> float:
-    """Sum of squared residuals ||X v - Y||^2 (one client of RowStack.sse)."""
-    return float(stack_rows([X], [Y]).sse(as_vector(v, "v")[None, :])[0])
-
-
-def rmse(X, v, Y) -> float:
-    """Root mean squared error sqrt(sse / n)."""
-    return float(np.sqrt(sse_loss(X, v, Y) / np.shape(X)[0]))

@@ -13,12 +13,14 @@ one:
   phi4  server aggregation of the client vectors v - z - alpha/step into w
 
 phi2 sees a client's data only through its sufficient statistics
-G = X'X and c = X'Y (ClientStats), which a forward pass computes and
-validates once for all its cells. Linear mode factors each client's
-G + rho I with its own Cholesky call and solves all clients' systems in
-one batched solve per cell; grad mode takes gradient steps on each
-client's minibatch Gram matrix. Clients may hold different numbers of
-rows.
+G = X'X and c = X'Y (ClientStats), which a forward pass computes from
+rows it stacks and validates once for all its cells; the tape keeps
+those rows for the loss and the reverse pass. Linear mode factors each
+client's G + rho I with its own Cholesky call and solves all clients'
+systems in one batched solve per cell; grad mode takes gradient steps
+on each client's minibatch Gram matrix, with the batches drawn by
+math_core.minibatch_rows, the helper the baselines use too. Clients may
+hold different numbers of rows.
 
 L cells concatenated form the network; every per-layer constant of the
 scheme (consensus weights, penalty scalars, aggregation weights and the
@@ -55,6 +57,7 @@ from .math_core import (
     RowStack,
     chol_solve,
     clamp_positive,
+    minibatch_rows,
     rectify,
     spd_cholesky,
     stack_rows,
@@ -346,6 +349,8 @@ class Tape:
     init: CellState
     cells: List[CellRecord] = field(default_factory=list)
     tied: bool = False
+    # the active clients' training rows, stacked once for the pass
+    rows: Optional[RowStack] = None
 
     @property
     def m_active(self) -> int:
@@ -369,40 +374,32 @@ def client_rows(shards: Sequence, client_indices) -> RowStack:
 
 @dataclass(frozen=True)
 class ClientStats:
-    """The active clients' sufficient statistics for phi2: G = X'X
-    [m, k, k] and c = X'Y [m, k], from rows validated once."""
+    """The active clients' rows, validated once, and their sufficient
+    statistics for phi2: G = X'X [m, k, k] and c = X'Y [m, k]."""
 
+    rows: RowStack
     gram: np.ndarray
     xty: np.ndarray
 
 
 def client_stats(shards: Sequence, client_indices) -> ClientStats:
-    """G and c of the given clients, one entry per client in order."""
+    """Rows, G and c of the given clients, one entry per client in order."""
     rows = client_rows(shards, client_indices)
-    return ClientStats(gram=rows.gram(), xty=rows.xt(rows.Y))
+    return ClientStats(rows=rows, gram=rows.gram(), xty=rows.xt(rows.Y))
 
 
-def _minibatch_stats(stats, shards, idx, batch_rng, batch_size, preset_batches):
+def _minibatch_stats(stats, batch_rng, batch_size, preset_batches):
     """Grad mode: each client's minibatch Gram matrix and X'Y, and the
     drawn row indices (None, and the full-shard statistics, where no
-    batch is drawn). Batches are drawn client by client in order, so
-    the generator's stream is the same for any client batching."""
-    gram, xty = stats.gram.copy(), stats.xty.copy()
-    batches: List[Optional[np.ndarray]] = []
-    for j, ci in enumerate(idx):
-        X, Y = shards[ci].X_train, shards[ci].Y_train
-        batch = None
-        if preset_batches is not None:
-            batch = preset_batches[j]
-        elif batch_size is not None and batch_size < X.shape[0]:
-            if batch_rng is None:
-                raise ValueError("batch_size given without batch_rng")
-            batch = batch_rng.choice(X.shape[0], size=batch_size, replace=False)
-        if batch is not None:
-            Xb = X[batch]
-            gram[j] = Xb.T @ Xb
-            xty[j] = Xb.T @ Y[batch]
-        batches.append(batch)
+    batch is drawn). One generator serves every client in turn."""
+    m = stats.rows.counts.shape[0]
+    rngs = None if batch_rng is None else [batch_rng] * m
+    batches, b = minibatch_rows(stats.rows, batch_size, rngs, preset_batches)
+    if b is stats.rows:
+        return stats.gram, stats.xty, batches
+    drawn = np.array([batch is not None for batch in batches])
+    gram = np.where(drawn[:, None, None], b.gram(), stats.gram)
+    xty = np.where(drawn[:, None], b.xt(b.Y), stats.xty)
     return gram, xty, batches
 
 
@@ -478,9 +475,7 @@ def forward_cell(
     if mode == "linear":
         v, chol = phi2_v_linear(stats.gram, stats.xty, a, state.z, state.w, rho_eff)
     else:
-        gram, xty, batches = _minibatch_stats(
-            stats, shards, idx, batch_rng, batch_size, preset_batches
-        )
+        gram, xty, batches = _minibatch_stats(stats, batch_rng, batch_size, preset_batches)
         iterates = np.empty((grad_steps + 1,) + state.v.shape)
         v = phi2_v_grad(
             lambda u: 2.0 * ((gram @ u[:, :, None])[:, :, 0] - xty),
@@ -573,6 +568,7 @@ def forward_network(
         client_indices=idx.copy(),
         init=state.copy(),
         tied=params.tied,
+        rows=stats.rows,
     )
     for layer in range(1, L + 1):
         state = forward_cell(

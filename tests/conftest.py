@@ -8,7 +8,8 @@ import numpy as np
 
 from fedunroll import math_core
 from fedunroll.datagen import DataShard
-from fedunroll.math_core import design_matrix
+from fedunroll.learner import ParamGradients
+from fedunroll.math_core import design_matrix, stack_rows
 from fedunroll.unrolled_net import LearnableParams, init_params
 
 
@@ -55,6 +56,22 @@ def random_params(M, k, L, rng, tied=False) -> LearnableParams:
     params.p += rng.uniform(-0.02, 0.06, params.p.shape)
     params.gam_raw += rng.uniform(-0.5, 0.9, params.gam_raw.shape)
     return params
+
+
+def client_sse(X, v, Y) -> float:
+    """One client's sum of squared residuals ||X v - Y||^2, as the
+    one-client case of RowStack.sse."""
+    return float(stack_rows([X], [Y]).sse(np.asarray(v)[None, :])[0])
+
+
+def zero_grads(params: LearnableParams) -> ParamGradients:
+    """Zero gradients shaped like the raw parameters."""
+    return ParamGradients(
+        lam_raw=np.zeros_like(params.lam_raw),
+        rho_raw=np.zeros_like(params.rho_raw),
+        p=np.zeros_like(params.p),
+        gam_raw=np.zeros_like(params.gam_raw),
+    )
 
 
 def count_calls(monkeypatch, names):

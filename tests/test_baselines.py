@@ -1,15 +1,18 @@
 """Reference methods: standardization, exact solver, trainers and their
-defining equalities."""
+defining equalities, and the client-batched trainers against a
+per-client training loop."""
 
 import numpy as np
 import pytest
 
-from conftest import make_shards
+from conftest import count_calls, make_shards, make_uneven_shards
 
 from fedunroll.baselines import (
+    GD_METHODS,
     BaselineResult,
     Standardizer,
     evaluate_models,
+    evaluation_rows,
     local_exact,
     run_baseline,
 )
@@ -51,6 +54,14 @@ class TestStandardizer:
         vs = rng.normal(size=3)
         assert np.allclose(std.apply(X) @ vs, X @ std.to_raw(vs), atol=1e-10)
 
+    def test_raw_mapping_of_a_model_stack_matches_each_row_bitwise(self):
+        rng = np.random.default_rng(3)
+        std = Standardizer.fit(design_matrix(rng.uniform(-1, 1, 50), 3))
+        V = rng.normal(size=(6, 4))
+        raw = std.to_raw(V)
+        for i in range(6):
+            assert np.array_equal(raw[i], std.to_raw(V[i]))
+
     def test_identity_map(self):
         std = Standardizer.identity(3)
         X = np.arange(6, dtype=np.float64).reshape(2, 3)
@@ -85,7 +96,7 @@ class TestTrainers:
         shards = make_shards(M=3, n=60, seed=8)
         res = run_baseline("local", shards, small_cfg(rounds=5000))
         exact = np.stack([local_exact(sh) for sh in shards])
-        _, te_exact = evaluate_models(exact, shards)
+        _, te_exact = evaluate_models(exact, *evaluation_rows(shards))
         assert abs(res.mean_test_rmse - te_exact.mean()) < 1e-4
 
     def test_fedavg_homogeneous_noiseless_converges(self):
@@ -182,3 +193,124 @@ class TestTrainers:
         res = run_baseline("local", shards, small_cfg())
         assert res.per_client_test_rmse.shape == (4,)
         assert res.mean_test_rmse == pytest.approx(res.per_client_test_rmse.mean())
+
+
+# ---------------------------------------------------------------------------
+# the per-client training loop the client-batched trainers replace, kept
+# as a test-only oracle
+
+
+def _oracle_mean_grad(X, Y, v):
+    return (2.0 / X.shape[0]) * (X.T @ (X @ v - Y))
+
+
+def _oracle_minibatch(rng, X, Y, batch):
+    if batch is None or batch >= X.shape[0]:
+        return X, Y
+    b = rng.choice(X.shape[0], size=batch, replace=False)
+    return X[b], Y[b]
+
+
+def _oracle_run(method, shards, cfg):
+    """Train one GD method client by client. Returns the final raw models,
+    (round, epoch, models) per metrics record, and the trajectory."""
+    M, k = len(shards), shards[0].X_train.shape[1]
+    if cfg.standardize:
+        std = Standardizer.fit(np.vstack([sh.X_train for sh in shards]))
+    else:
+        std = Standardizer.identity(k)
+    Xs = [std.apply(sh.X_train) for sh in shards]
+    Ys = [sh.Y_train for sh in shards]
+    n = np.array([x.shape[0] for x in Xs], dtype=np.float64)
+    agg_w = n / n.sum()
+    seed = int(cfg.seed or 0)
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i, 0xBA7C])) for i in range(M)]
+    batch, lr = cfg.baseline_batch, cfg.baseline_lr
+    w = np.zeros(k)
+    v = np.zeros((M, k))
+
+    def models():
+        if method in ("local", "ditto"):
+            return np.stack([std.to_raw(v[i]) for i in range(M)])
+        return np.tile(std.to_raw(w), (M, 1))
+
+    history, traj = [], []
+    for rnd in range(1, cfg.rounds + 1):
+        if method == "local":
+            for i in range(M):
+                for _ in range(cfg.local_epochs):
+                    Xb, Yb = _oracle_minibatch(rngs[i], Xs[i], Ys[i], batch)
+                    v[i] -= lr * _oracle_mean_grad(Xb, Yb, v[i])
+        else:
+            updated = np.empty((M, k))
+            for i in range(M):
+                u = w.copy()
+                for _ in range(cfg.local_epochs):
+                    Xb, Yb = _oracle_minibatch(rngs[i], Xs[i], Ys[i], batch)
+                    g = _oracle_mean_grad(Xb, Yb, u)
+                    if method in ("fedprox", "fedprox_ft"):
+                        g = g + cfg.mu * (u - w)
+                    u -= lr * g
+                updated[i] = u
+                if method == "ditto":
+                    for _ in range(cfg.local_epochs):
+                        Xb, Yb = _oracle_minibatch(rngs[i], Xs[i], Ys[i], batch)
+                        g = _oracle_mean_grad(Xb, Yb, v[i]) + cfg.lambda_ditto * (v[i] - w)
+                        v[i] -= lr * g
+            w = agg_w @ updated
+        history.append((rnd, cfg.local_epochs, models()))
+        traj.append(models())
+    if method in ("fedavg_ft", "fedprox_ft"):
+        for i in range(M):
+            v[i] = w.copy()
+            for _ in range(cfg.ft_epochs):
+                Xb, Yb = _oracle_minibatch(rngs[i], Xs[i], Ys[i], batch)
+                v[i] -= lr * _oracle_mean_grad(Xb, Yb, v[i])
+        final = np.stack([std.to_raw(v[i]) for i in range(M)])
+        history[-1:] = [(cfg.rounds, cfg.local_epochs + cfg.ft_epochs, final)]
+        return final, history, traj + [final]
+    if not history:
+        history.append((0, 0, models()))
+    return models(), history, traj
+
+
+def _oracle_cfg(**kw):
+    return small_cfg(rounds=12, ft_epochs=3, mu=0.3, lambda_ditto=0.5, **kw)
+
+
+class TestBatchedTrainersAgainstPerClientOracle:
+    @pytest.mark.parametrize("batch", [None, 16])
+    @pytest.mark.parametrize("method", GD_METHODS)
+    def test_equal_shards_bitwise(self, method, batch):
+        shards = make_shards(M=4, n=40, seed=22)
+        cfg = _oracle_cfg(baseline_batch=batch)
+        res = run_baseline(method, shards, cfg, keep_trajectory=True)
+        final, history, traj = _oracle_run(method, shards, cfg)
+        assert np.array_equal(res.models_raw, final)
+        train, test = evaluation_rows(shards)
+        assert len(res.records) == len(history)
+        for rec, (rnd, epoch, models) in zip(res.records, history):
+            tr, te = evaluate_models(models, train, test)
+            assert (rec.round, rec.epoch) == (rnd, epoch)
+            assert rec.train_rmse == float(tr.mean()) and rec.test_rmse == float(te.mean())
+        assert np.array_equal(res.trajectory, np.stack(traj))
+
+    @pytest.mark.parametrize("batch", [None, 8])
+    @pytest.mark.parametrize("method", GD_METHODS)
+    def test_uneven_shards_agree(self, method, batch):
+        shards = make_uneven_shards([30, 6, 12, 25], seed=23)
+        cfg = _oracle_cfg(baseline_batch=batch)
+        res = run_baseline(method, shards, cfg)
+        final, _, _ = _oracle_run(method, shards, cfg)
+        assert np.max(np.abs(res.models_raw - final)) <= 1e-12 * np.max(np.abs(final))
+
+    def test_rows_stacked_a_fixed_number_of_times(self, monkeypatch):
+        shards = make_shards(M=3, n=30, seed=24)
+        for method in GD_METHODS + ("local_exact",):
+            seen = []
+            for rounds in (2, 5):
+                counts = count_calls(monkeypatch, ("stack_rows",))
+                run_baseline(method, shards, small_cfg(rounds=rounds, baseline_batch=8))
+                monkeypatch.undo()
+                seen.append(counts["stack_rows"])
+            assert seen[0] == seen[1], method

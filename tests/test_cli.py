@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from fedunroll import unrolled_net
 from fedunroll.cli import main, parse_config_file
 from fedunroll.config import ExperimentConfig
 from fedunroll.datagen import ingest_delimited
-from fedunroll.errors import ConfigError
+from fedunroll.errors import ConfigError, DegenerateWeights
 from fedunroll.metrics import COLUMNS
 
 
@@ -220,6 +221,37 @@ class TestCompare:
         assert len(fl) == 1 + 2 * 2
         seeds = [row.split(",")[2] for row in fl[1:3]]
         assert seeds == ["3", "4"]
+
+    def test_diverged_unrolled_trial_reported_as_diverged(self, tmp_path, monkeypatch, capsys):
+        # the aggregation weights collapse from round 2 on; the last good
+        # round's error must not stand in for the trial's result
+        calls = []
+        original = unrolled_net._aggregate_client_vectors
+
+        def collapsing(u, ps, gammas):
+            calls.append(None)
+            if len(calls) > 2 * 3:  # epochs per round x layers
+                raise DegenerateWeights("aggregation weights sum to zero")
+            return original(u, ps, gammas)
+
+        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", collapsing)
+        out = tmp_path / "d"
+        rc = main([
+            "compare", "--methods", "unrolled,local",
+            "--setting", "1", "--seed", "3", "--trials", "1",
+            "--clients", "3", "--samples", "30", "--rounds", "3", "--layers", "3",
+            "--epochs", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "unrolled: mean test rmse" in printed and "[DIVERGED]" in printed
+        assert "local: mean test rmse" in printed
+        trials = (out / "final_rmse.csv").read_text().splitlines()
+        assert trials[1].split(",")[:4] == ["unrolled", "0", "3", "DIVERGED"]
+        assert np.isfinite(float(trials[2].split(",")[3]))
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[3:] == ["DIVERGED", "DIVERGED"]
+        assert np.isfinite(float(summary[2].split(",")[3]))
 
 
 class TestGradcheck:

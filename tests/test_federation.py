@@ -4,7 +4,7 @@ and the experiment driver."""
 import numpy as np
 import pytest
 
-from conftest import make_shards
+from conftest import client_sse, count_calls, make_shards
 
 from fedunroll.config import ExperimentConfig
 from fedunroll import unrolled_net
@@ -19,7 +19,6 @@ from fedunroll.federation import (
     sample_participants,
 )
 from fedunroll.learner import init_optimizer
-from fedunroll.math_core import sse_loss
 from fedunroll.unrolled_net import init_params, init_state
 
 
@@ -148,7 +147,7 @@ class TestTranscript:
         reports = [m for m in rr.transcript.messages if m.kind == "loss_report"]
         total = 0.0
         for m in reports:
-            want = sse_loss(
+            want = client_sse(
                 shards[m.client_id - 1].X_train,
                 v_final[m.client_id - 1],
                 shards[m.client_id - 1].Y_train,
@@ -297,6 +296,19 @@ class TestExperimentDriver:
             assert not np.isfinite(last.test_rmse)
         else:
             assert np.isfinite(res.mean_test_rmse)
+
+    @pytest.mark.parametrize("mode", ["linear", "grad"])
+    def test_rows_stacked_once_per_epoch(self, monkeypatch, mode):
+        # one stacking in the forward (the backward and the loss reports
+        # read it from the tape), one in the augmented objective, and the
+        # evaluation rows once per run
+        shards = make_shards(M=4, n=30, seed=21)
+        for rounds in (2, 3):
+            cfg = round_cfg(rounds=rounds, mode=mode, batch_size=8)
+            counts = count_calls(monkeypatch, ("stack_rows",))
+            run_unrolled_experiment(cfg, shards)
+            monkeypatch.undo()
+            assert counts["stack_rows"] <= 2 * rounds * cfg.epochs_per_round + 2
 
     def test_degenerate_weights_marked_not_raised(self, monkeypatch):
         # the aggregation weights collapse from round 2 on; the driver

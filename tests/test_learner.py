@@ -4,11 +4,10 @@ boundary policies, and the optimizers."""
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_shards, make_uneven_shards, random_params
+from conftest import count_calls, make_shards, make_uneven_shards, random_params, zero_grads
 
 from fedunroll.errors import LayoutMismatch, NonFiniteGradient, TapeMismatch
 from fedunroll.learner import (
-    ParamGradients,
     backward,
     fd_gradient,
     init_optimizer,
@@ -162,9 +161,9 @@ def _oracle_federated_local(tape, shards):
         L=tape.L,
         tied=tape.tied,
     )
-    grads = ParamGradients.zeros_like(proto)
+    grads = zero_grads(proto)
     for i in range(m):
-        gi = ParamGradients.zeros_like(proto)
+        gi = zero_grads(proto)
         keep = np.zeros(m, dtype=bool)
         keep[i] = True
         _oracle_reverse_pass(tape, gi, np.where(keep[:, None], seed, 0.0), keep)
@@ -381,7 +380,7 @@ class TestTapeChecks:
 class TestOptimizers:
     def test_gd_step_formula(self):
         params = init_params(2, 4, 2)
-        grads = ParamGradients.zeros_like(params)
+        grads = zero_grads(params)
         grads.rho_raw[:] = 2.0
         state = init_optimizer(params, kind="gd", lr=0.1)
         out = optimizer_step(params, grads, state)
@@ -398,7 +397,7 @@ class TestOptimizers:
         theta = params.p.copy()
         cur = params
         for t in range(1, 4):
-            grads = ParamGradients.zeros_like(cur)
+            grads = zero_grads(cur)
             g = rng.normal(size=cur.p.shape)
             grads.p[:] = g
             cur = optimizer_step(cur, grads, state)
@@ -412,7 +411,7 @@ class TestOptimizers:
     def test_adam_untouched_fields_decay_to_no_move(self):
         params = init_params(2, 3, 2)
         state = init_optimizer(params, kind="adam", lr=0.05)
-        grads = ParamGradients.zeros_like(params)
+        grads = zero_grads(params)
         out = optimizer_step(params, grads, state)
         assert np.array_equal(out.lam_raw, params.lam_raw)
         assert np.array_equal(out.p, params.p)
@@ -421,7 +420,7 @@ class TestOptimizers:
         params = init_params(2, 3, 2)
         state = init_optimizer(params, kind="gd", lr=0.1)
         other = init_params(3, 3, 2)
-        grads = ParamGradients.zeros_like(other)
+        grads = zero_grads(other)
         with pytest.raises(LayoutMismatch):
             optimizer_step(params, grads, state)
 
@@ -432,7 +431,7 @@ class TestOptimizers:
 
     def test_nonfinite_gradient_detected(self):
         params = init_params(2, 3, 2)
-        grads = ParamGradients.zeros_like(params)
+        grads = zero_grads(params)
         grads.rho_raw[0, 0] = np.inf
         with pytest.raises(NonFiniteGradient):
             grads.check_finite()

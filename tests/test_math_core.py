@@ -1,4 +1,5 @@
-"""Numeric primitives: validation, factorizations, features, losses."""
+"""Numeric primitives: validation, factorizations, features, stacked
+client rows and their minibatches."""
 
 import numpy as np
 import pytest
@@ -18,13 +19,15 @@ from fedunroll.math_core import (
     chol_solve,
     clamp_positive,
     design_matrix,
+    minibatch_rows,
     poly_features,
     rectify,
-    rmse,
     spd_cholesky,
-    sse_loss,
     stack_rows,
 )
+from fedunroll.unrolled_net import forward_network, init_params
+
+from conftest import make_shards, make_uneven_shards
 
 
 class TestValidation:
@@ -157,37 +160,6 @@ class TestPolyFeatures:
             assert np.array_equal(D[i], poly_features(x, 3))
 
 
-class TestLosses:
-    def test_sse_matches_manual(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(7, 3))
-        v = rng.normal(size=3)
-        Y = rng.normal(size=7)
-        r = X @ v - Y
-        assert abs(sse_loss(X, v, Y) - float(np.sum(r * r))) < 1e-14
-
-    def test_rmse_matches_manual(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(9, 2))
-        v = rng.normal(size=2)
-        Y = rng.normal(size=9)
-        want = float(np.sqrt(np.mean((X @ v - Y) ** 2)))
-        assert abs(rmse(X, v, Y) - want) < 1e-14
-
-    def test_rmse_zero_on_exact_fit(self):
-        X = np.array([[1.0, 2.0], [1.0, 3.0]])
-        v = np.array([0.5, -0.25])
-        assert rmse(X, v, X @ v) == 0.0
-
-    def test_rmse_empty_raises(self):
-        with pytest.raises(EmptyData):
-            rmse(np.zeros((0, 2)), np.zeros(2), np.zeros(0))
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            sse_loss(np.zeros((3, 2)), np.zeros(2), np.zeros(4))
-
-
 class TestRowStack:
     def test_clients_of_different_sizes_match_per_client_losses(self):
         rng = np.random.default_rng(5)
@@ -211,11 +183,19 @@ class TestRowStack:
         rows = stack_rows(Xs, Ys)
         sse, gram, xty = rows.sse(V), rows.gram(), rows.xt(rows.Y)
         for i in range(5):
-            assert sse[i] == sse_loss(Xs[i], V[i], Ys[i])
             r = Xs[i] @ V[i] - Ys[i]
             assert sse[i] == r @ r
             assert np.array_equal(gram[i], Xs[i].T @ Xs[i])
             assert np.array_equal(xty[i], Xs[i].T @ Ys[i])
+
+    def test_one_client_sse_matches_manual_and_vanishes_on_exact_fit(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(7, 3))
+        v = rng.normal(size=3)
+        Y = rng.normal(size=7)
+        r = X @ v - Y
+        assert abs(stack_rows([X], [Y]).sse(v[None])[0] - float(np.sum(r * r))) < 1e-14
+        assert stack_rows([X], [X @ v]).sse(v[None])[0] == 0.0
 
     def test_rejects_bad_rows_and_models(self):
         with pytest.raises(DimensionMismatch):
@@ -231,3 +211,68 @@ class TestRowStack:
             rows.sse(np.zeros((2, 3)))
         with pytest.raises(NonFiniteInput):
             rows.sse(np.full((1, 3), np.inf))
+
+
+def _rows_of(shards):
+    return stack_rows([sh.X_train for sh in shards], [sh.Y_train for sh in shards])
+
+
+class TestMinibatchRows:
+    def test_no_batch_where_the_size_covers_the_shard(self):
+        rows = _rows_of(make_uneven_shards([30, 6, 12], seed=1))
+        for size in (None, 30, 31):
+            batches, b = minibatch_rows(rows, size, [np.random.default_rng(0)] * 3)
+            assert batches == [None, None, None]
+            assert b is rows
+        batches, b = minibatch_rows(rows, 12, [np.random.default_rng(0)] * 3)
+        assert batches[0].shape == (12,) and batches[1] is None and batches[2] is None
+        assert b.counts.tolist() == [12, 6, 12]
+
+    def test_batch_rows_are_the_drawn_rows_with_zero_padding(self):
+        shards = make_uneven_shards([30, 6, 12], seed=2)
+        batches, b = minibatch_rows(_rows_of(shards), 8, [np.random.default_rng(i) for i in range(3)])
+        assert b.X.shape == (3, 8, 4)
+        for i, sh in enumerate(shards):
+            sel = np.arange(sh.X_train.shape[0]) if batches[i] is None else batches[i]
+            n = sel.shape[0]
+            assert b.counts[i] == n
+            assert np.array_equal(b.X[i, :n], sh.X_train[sel])
+            assert np.array_equal(b.Y[i, :n], sh.Y_train[sel])
+            assert not np.any(b.X[i, n:]) and not np.any(b.Y[i, n:])
+
+    def test_per_client_generators_draw_in_their_own_streams(self):
+        rows = _rows_of(make_shards(M=3, n=20, seed=3))
+        batches, _ = minibatch_rows(rows, 5, [np.random.default_rng(10 + i) for i in range(3)])
+        for i in range(3):
+            want = np.random.default_rng(10 + i).choice(20, size=5, replace=False)
+            assert np.array_equal(batches[i], want)
+
+    def test_a_repeated_generator_reproduces_grad_modes_stream(self):
+        # grad mode draws client by client in order from one generator
+        shards = make_uneven_shards([30, 6, 12], seed=4)
+        rng = np.random.default_rng(9)
+        batches, _ = minibatch_rows(_rows_of(shards), 8, [rng] * 3)
+        ref = np.random.default_rng(9)
+        assert np.array_equal(batches[0], ref.choice(30, size=8, replace=False))
+        assert batches[1] is None
+        assert np.array_equal(batches[2], ref.choice(12, size=8, replace=False))
+        _, tape = forward_network(shards, init_params(3, 4, 2), L=2, mode="grad", seed=4,
+                                  batch_rng=np.random.default_rng(9), batch_size=8)
+        rng = np.random.default_rng(9)
+        for rec in tape.cells:
+            drawn, _ = minibatch_rows(_rows_of(shards), 8, [rng] * 3)
+            for got, want in zip(rec.batch_idx, drawn):
+                assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_preset_batches_replay(self):
+        rows = _rows_of(make_uneven_shards([30, 6, 12], seed=5))
+        drawn, first = minibatch_rows(rows, 8, [np.random.default_rng(1)] * 3)
+        again, second = minibatch_rows(rows, None, preset=drawn)
+        assert again == drawn
+        assert np.array_equal(first.X, second.X) and np.array_equal(first.Y, second.Y)
+        assert np.array_equal(first.counts, second.counts)
+
+    def test_a_size_without_generators_is_rejected(self):
+        rows = _rows_of(make_shards(M=2, n=20, seed=6))
+        with pytest.raises(ValueError):
+            minibatch_rows(rows, 5)
