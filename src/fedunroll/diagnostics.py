@@ -2,29 +2,30 @@
 
 The augmented objective evaluated after each cell,
 
-    (1/M) * sum_i p_i ( F_i(v_i) + z_i' diag(lam_i) z_i
-                        + rho_i/2 * ||z_i - v_i + w + alpha_i / step_i||^2 ),
+    sum_i omega_i ( F_i(v_i) + z_i' diag(lam_i) z_i
+                    + rho_i/2 * ||z_i - v_i + w + alpha_i / step_i||^2 ),
 
 is the quantity whose layer-over-layer monotonicity the descent checker
-inspects (effective, i.e. rectified/clamped, parameter values are used).
-alpha_i / step_i is the scaled multiplier the primal steps read: step_i
-is rho_i under the ``rho_step`` dual convention and 1 under
-``unit_step`` (see unrolled_net). Under large fixed penalties the value
-is non-increasing with either convention; the checker classifies any
-violation as expected (small or learned penalties) or anomalous (large
-fixed penalties).
+inspects. It reads the effective (rectified/clamped) parameter values
+and phi4's aggregation weights omega, which sum to one over the active
+clients, from the cell's record, and F_i from the rows the forward
+stacked. alpha_i / step_i is the scaled multiplier the primal steps
+read: step_i is rho_i under the ``rho_step`` dual convention and 1
+under ``unit_step`` (see unrolled_net). Under large fixed penalties the
+value is non-increasing with either convention; the checker classifies
+any violation as expected (small or learned penalties) or anomalous
+(large fixed penalties).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DegenerateStep, DimensionMismatch
-from .math_core import clamp_positive, rectify, rowdot
-from .unrolled_net import CellState, LearnableParams, Tape, client_rows, dual_step_weights
+from .math_core import RowStack, rectify, rowdot
+from .unrolled_net import CellRecord, LearnableParams, Tape
 
 # Minimum effective penalty above which descent violations are treated
 # as anomalous rather than expected (the regime where the forward is a
@@ -33,32 +34,14 @@ from .unrolled_net import CellState, LearnableParams, Tape, client_rows, dual_st
 RHO_DESCENT_REGIME = 100.0
 
 
-def lagrangian(
-    state: CellState,
-    shards: Sequence,
-    params: LearnableParams,
-    layer: int,
-    client_indices=None,
-    dual_update: str = "rho_step",
-) -> float:
-    """Augmented objective of the consensus splitting at one cell state.
-
-    `dual_update` names the convention that produced `state.alpha`; the
-    penalty term reads the scaled multiplier alpha / step.
-    """
-    idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
-    m = idx.shape[0]
-    if state.v.shape[0] != m:
-        raise DimensionMismatch("lagrangian: state rows disagree with client count")
-    s = params.slot(layer)
-    rho_eff = clamp_positive(params.rho_raw[s, idx])
-    step_w = dual_step_weights(rho_eff, dual_update)
-    lam_eff = rectify(params.lam_raw[s, idx])
-    F = client_rows(shards, idx).sse(state.v)
-    zlz = rowdot(state.z, lam_eff * state.z)
-    r = state.z - state.v + state.w + state.alpha / step_w[:, None]
-    per_client = params.p[s, idx] * (F + zlz + 0.5 * rho_eff * rowdot(r, r))
-    return float(per_client.sum()) / m
+def lagrangian(rec: CellRecord, rows: RowStack) -> float:
+    """Augmented objective of the consensus splitting after one recorded
+    cell, on the active clients' training `rows`."""
+    F = rows.sse(rec.v)
+    zlz = rowdot(rec.z, rec.lam_eff * rec.z)
+    r = rec.z - rec.v + rec.w + rec.alpha / rec.step_w[:, None]
+    per_client = F + zlz + 0.5 * rec.rho_eff * rowdot(r, r)
+    return float((rec.omega * per_client).sum())
 
 
 @dataclass
@@ -73,12 +56,7 @@ class CellTrace:
     params_trained: bool = False     # True when built mid-training
 
 
-def trace_from_tape(
-    tape: Tape,
-    shards: Sequence,
-    params: LearnableParams,
-    params_trained: bool = False,
-) -> CellTrace:
+def trace_from_tape(tape: Tape, params_trained: bool = False) -> CellTrace:
     """Evaluate the objective and step norms after every recorded cell."""
     L = len(tape.cells)
     m = tape.m_active
@@ -88,10 +66,7 @@ def trace_from_tape(
     dw = np.empty(L)
     rho_min = np.inf
     for li, rec in enumerate(tape.cells):
-        state = CellState(v=rec.v, z=rec.z, alpha=rec.alpha, w=rec.w)
-        lags[li] = lagrangian(
-            state, shards, params, rec.layer, tape.client_indices, tape.dual_update
-        )
+        lags[li] = lagrangian(rec, tape.rows)
         dv[li] = np.linalg.norm(rec.v - rec.v_prev, axis=1)
         da[li] = np.linalg.norm(rec.alpha - rec.alpha_prev, axis=1)
         dw[li] = np.linalg.norm(rec.w - rec.w_prev)
@@ -148,21 +123,6 @@ def check_descent(trace: CellTrace, slack: float = 1e-9) -> DescentReport:
         rho_min=trace.rho_min,
         slack=slack,
     )
-
-
-def dual_model_step_ratio(trace: CellTrace, client: int, floor: float = 1e-14) -> float:
-    """Empirical bound max_l ||dalpha_l|| / ||dv_l|| for one client.
-
-    An estimate of the constant tying dual-step size to primal-step
-    size; raises DegenerateStep when every primal step is below the
-    resolvable floor.
-    """
-    dv = trace.dv_norms[:, client]
-    da = trace.dalpha_norms[:, client]
-    usable = dv > floor
-    if not np.any(usable):
-        raise DegenerateStep("dual_model_step_ratio: all v-steps below threshold")
-    return float(np.max(da[usable] / dv[usable]))
 
 
 @dataclass

@@ -30,10 +30,6 @@ class NonFiniteGradient(FedunrollError):
     """A gradient step produced non-finite entries."""
 
 
-class DegenerateWeights(FedunrollError):
-    """Aggregation weights sum to (numerically) zero."""
-
-
 class TapeMismatch(FedunrollError):
     """A recorded tape does not correspond to the supplied data."""
 
@@ -60,10 +56,6 @@ class ParseError(FedunrollError):
 
 class MissingColumn(FedunrollError):
     """A requested column is absent from the file header."""
-
-
-class DegenerateStep(FedunrollError):
-    """All recorded iterate steps are below the resolvable threshold."""
 
 
 class ConfigError(FedunrollError):

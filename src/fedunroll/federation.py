@@ -32,14 +32,7 @@ import numpy as np
 from .baselines import evaluate_models, evaluation_rows
 from .config import ExperimentConfig
 from .diagnostics import lagrangian
-from .errors import (
-    DegenerateWeights,
-    DimensionMismatch,
-    NonFiniteGradient,
-    NonFiniteInput,
-    NotPD,
-    ProtocolViolation,
-)
+from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteInput, NotPD, ProtocolViolation
 from .learner import OptimizerState, backward, init_optimizer, optimizer_step
 from .metrics import MetricsRecord
 from .unrolled_net import (
@@ -227,14 +220,7 @@ def run_round(
     transcript.verify(n_active=idx.size, L=cfg.L)
 
     final = tape.cells[-1]
-    lag = lagrangian(
-        CellState(v=final.v, z=final.z, alpha=final.alpha, w=final.w),
-        shards,
-        params,
-        final.layer,
-        idx,
-        cfg.dual_update,
-    )
+    lag = lagrangian(final, tape.rows)
 
     grads = backward(tape, shards, policy=cfg.policy)
     new_params = optimizer_step(params, grads, opt_state)
@@ -300,69 +286,47 @@ def run_unrolled_experiment(
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        te_f = te
-    else:
-        part_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAC71]))
-        te_f = None
-        for rnd in range(1, cfg.rounds + 1):
-            if cfg.participation < 1.0:
-                plan = sample_participants(M, cfg.participation, part_rng)
-            else:
-                plan = full_participation(M)
-            loss_sum = None
-            lag = None
-            try:
-                for ep in range(1, cfg.epochs_per_round + 1):
-                    rr = run_round(shards, params, opt_state, state, plan, cfg, rnd, ep)
-                    params = rr.params
-                    loss_sum = rr.loss_sum
-                    lag = rr.lagrangian_final
-                    if cfg.transcript:
-                        transcripts.append(rr.transcript)
-            except (
-                FloatingPointError, NonFiniteInput, NonFiniteGradient, NotPD, DegenerateWeights
-            ):
-                diverged = True
-            if diverged:
-                records.append(
-                    MetricsRecord(
-                        round=rnd,
-                        epoch=cfg.epochs_per_round,
-                        method=method_name,
-                        client_id="agg",
-                        train_rmse=float("nan"),
-                        test_rmse=float("nan"),
-                        loss_sum=float("nan"),
-                        lagrangian_final_cell=float("nan"),
-                        wall_ms=(time.perf_counter() - t0) * 1e3,
-                    )
-                )
-                break
+    part_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAC71]))
+    for rnd in range(1, cfg.rounds + 1):
+        if cfg.participation < 1.0:
+            plan = sample_participants(M, cfg.participation, part_rng)
+        else:
+            plan = full_participation(M)
+        try:
+            for ep in range(1, cfg.epochs_per_round + 1):
+                rr = run_round(shards, params, opt_state, state, plan, cfg, rnd, ep)
+                params = rr.params
+                if cfg.transcript:
+                    transcripts.append(rr.transcript)
             tr, te = evaluate_models(state.v, train, test)
-            records.append(
-                MetricsRecord(
-                    round=rnd,
-                    epoch=cfg.epochs_per_round,
-                    method=method_name,
-                    client_id="agg",
-                    train_rmse=float(tr.mean()),
-                    test_rmse=float(te.mean()),
-                    loss_sum=loss_sum,
-                    lagrangian_final_cell=lag,
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                )
+            loss_sum, lag = rr.loss_sum, rr.lagrangian_final
+        except (FloatingPointError, NonFiniteInput, NonFiniteGradient, NotPD):
+            diverged = True
+            tr = te = np.full(M, np.nan)
+            loss_sum = lag = float("nan")
+        records.append(
+            MetricsRecord(
+                round=rnd,
+                epoch=cfg.epochs_per_round,
+                method=method_name,
+                client_id="agg",
+                train_rmse=float(tr.mean()),
+                test_rmse=float(te.mean()),
+                loss_sum=loss_sum,
+                lagrangian_final_cell=lag,
+                wall_ms=(time.perf_counter() - t0) * 1e3,
             )
-            te_f = te
-        if te_f is None:
-            _, te_f = evaluate_models(state.v, train, test)
+        )
+        if diverged:
+            break
 
     return ExperimentResult(
         method=method_name,
         records=records,
         models_raw=state.v.copy(),
-        per_client_test_rmse=te_f,
-        mean_test_rmse=float(te_f.mean()),
-        std_test_rmse=float(te_f.std()),
+        per_client_test_rmse=te,
+        mean_test_rmse=float(te.mean()),
+        std_test_rmse=float(te.std()),
         params=params,
         diverged=diverged,
         transcripts=transcripts,

@@ -24,9 +24,8 @@ Two boundary policies:
                    reverse pass computes it, with the adjoint of w kept
                    per client: row i collects only client i's phi1-phi3
                    terms and phi4 hands it back to client i alone. The
-                   aggregation weights p and the server-side penalty
-                   copies gamma read the sum of the rows, since their
-                   edges are linear in the w-adjoint.
+                   aggregation logits read the sum of the rows, since
+                   their edge is linear in the w-adjoint.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .unrolled_net import CellState, LearnableParams, Tape, client_rows, forward
 
 POLICIES = ("exact", "federated_local")
 
-PARAM_FIELDS = ("lam_raw", "rho_raw", "p", "gam_raw")
+PARAM_FIELDS = ("lam_raw", "rho_raw", "p")
 
 
 def gradient_boundary_policy(mode: str) -> str:
@@ -59,7 +58,6 @@ class ParamGradients:
     lam_raw: np.ndarray
     rho_raw: np.ndarray
     p: np.ndarray
-    gam_raw: np.ndarray
 
     def check_finite(self):
         for name in PARAM_FIELDS:
@@ -82,7 +80,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     With `per_client` (the federated_local policy) the adjoint of each
     broadcast w is an [m, k] array whose row i carries only client i's
     chain; otherwise it is the shared [k] vector of the exact policy.
-    The p and gamma edges read the sum of the rows.
+    The aggregation-logit edge reads the sum of the rows.
     """
     m, k = tape.m_active, tape.k
     idx = tape.client_indices
@@ -103,18 +101,16 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         sw = rec.step_w[:, None]
         a = rec.alpha / sw
 
-        # ---- phi4: w = sum(q_i u_i) / sum(q_i), q = p * gamma_eff ----
+        # ---- phi4: w = sum(omega_i u_i), omega = softmax(theta); the
+        # logit edge is d w / d theta_i = omega_i (u_i - w) ----
         u = rec.v - rec.z - a
-        q = rec.p * rec.gam_eff
-        S = float(q.sum())
-        contrib = (q / S)[:, None] * wbar
+        contrib = rec.omega[:, None] * wbar
         vbar += contrib
         zbar -= contrib
         albar -= contrib / sw
         abar = -contrib
-        qbar = (u - rec.w[None, :]) @ (wbar.sum(axis=0) if per_client else wbar) / S
-        grads.p[s, idx] += qbar * rec.gam_eff
-        grads.gam_raw[s, idx] += qbar * rec.p * rec.gam_on
+        wsum = wbar.sum(axis=0) if per_client else wbar
+        grads.p[s, idx] += rec.omega * ((u - rec.w[None, :]) @ wsum)
         wbar = np.zeros_like(wbar)
 
         # ---- phi3: z = rho * d / (lam + rho), d = v - w_prev - a ----
@@ -200,7 +196,6 @@ def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradie
         lam_raw=np.zeros(slots + (tape.k,)),
         rho_raw=np.zeros(slots),
         p=np.zeros(slots),
-        gam_raw=np.zeros(slots),
     )
     _reverse_pass(tape, grads, seed, per_client=policy == "federated_local")
     grads.check_finite()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyData, NonFiniteInput, NotPD
 
-# Positivity floor for penalty scalars (rho, gamma): values are clamped
+# Positivity floor for the penalty scalars rho: values are clamped
 # to [EPS, inf) at the point of use.
 EPS = 1e-6
 
@@ -214,21 +214,8 @@ def minibatch_rows(
     return batches, RowStack(X=X, Y=Y, counts=counts)
 
 
-def poly_features(x: float, degree: int) -> np.ndarray:
-    """Monomial feature vector (1, x, x^2, ..., x^degree)."""
-    if degree < 0:
-        raise DimensionMismatch("poly_features: degree must be >= 0")
-    if not np.isfinite(x):
-        raise NonFiniteInput("poly_features: x is not finite")
-    out = np.empty(degree + 1, dtype=np.float64)
-    out[0] = 1.0
-    for d in range(degree):
-        out[d + 1] = out[d] * x
-    return out
-
-
 def design_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
-    """Stack poly_features rows for a batch of abscissae."""
+    """Monomial features (1, x, x^2, ..., x^degree), one row per abscissa."""
     xs = as_vector(xs, "xs")
     out = np.empty((xs.shape[0], degree + 1), dtype=np.float64)
     out[:, 0] = 1.0

@@ -23,9 +23,11 @@ math_core.minibatch_rows, the helper the baselines use too. Clients may
 hold different numbers of rows.
 
 L cells concatenated form the network; every per-layer constant of the
-scheme (consensus weights, penalty scalars, aggregation weights and the
-server-side penalty copies) is a trainable parameter. The forward pass
-records a Tape with everything the reverse pass needs.
+scheme (consensus weights, penalty scalars and aggregation weights) is
+a trainable parameter. A client's aggregation weight is the softmax of
+its logit over the round's active clients, so the weights are positive
+and sum to one on any subset of clients. The forward pass records a
+Tape with everything the reverse pass needs.
 
 Two dual-step conventions are provided; both are consensus ADMM with
 fixed parameters. phi1 adds step * (z - v + w) to alpha, and phi2,
@@ -46,12 +48,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeights,
-    DimensionMismatch,
-    NonFiniteGradient,
-    NonFiniteInput,
-)
+from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteInput
 from .math_core import (
     EPS,
     RowStack,
@@ -174,33 +171,33 @@ def phi3_aux(alpha, v, w_prev, rho, lam) -> np.ndarray:
     return rho * (v - w_prev - alpha) / (rectify(lam) + rho)
 
 
-def _aggregate_client_vectors(u: np.ndarray, ps: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Server side of the aggregation: normalized weighted mean of the
-    received client vectors u_i. The only client data this touches is u."""
-    q = ps * clamp_positive(gammas)
-    s = float(q.sum())
-    if abs(s) < 1e-12:
-        raise DegenerateWeights("aggregation weights sum to zero")
-    return (q / s) @ u
+def _aggregate_client_vectors(u: np.ndarray, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Server side of the aggregation: the weights omega of the received
+    client vectors u_i, the softmax of the clients' logits theta, and
+    their weighted mean w. The logits are shifted by the largest, so exp
+    cannot overflow and the largest term is 1: the sum never vanishes.
+    The only client data this touches is u."""
+    e = np.exp(theta - theta.max())
+    omega = e / e.sum()
+    return omega, omega @ u
 
 
-def phi4_global(vs, zs, alphas, ps, gammas) -> np.ndarray:
+def phi4_global(vs, zs, alphas, theta) -> np.ndarray:
     """Weighted average of the client vectors (v - z - alpha).
 
-    Weights are p_i * clamp(gamma_i); they are normalized first so the
-    single-client case returns v - z - alpha exactly.
+    The weights are the softmax of the clients' logits theta, so a
+    single client's weight is exactly 1 and the result is its
+    v - z - alpha.
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=np.float64))
     zs = np.atleast_2d(np.asarray(zs, dtype=np.float64))
     alphas = np.atleast_2d(np.asarray(alphas, dtype=np.float64))
-    ps = np.atleast_1d(np.asarray(ps, dtype=np.float64))
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
-    m = vs.shape[0]
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if not (zs.shape == vs.shape and alphas.shape == vs.shape):
         raise DimensionMismatch("phi4_global: state shapes disagree")
-    if not (ps.shape[0] == gammas.shape[0] == m):
+    if theta.shape != vs.shape[:1]:
         raise DimensionMismatch("phi4_global: weight lengths disagree")
-    return _aggregate_client_vectors(vs - zs - alphas, ps, gammas)
+    return _aggregate_client_vectors(vs - zs - alphas, theta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +209,14 @@ class LearnableParams:
     """Raw trainable parameters, one slot per layer (or a single shared
     slot when tied across layers).
 
-    Shapes: lam_raw [S, M, k], rho_raw / p / gam_raw [S, M], where
-    S = L for untied parameters and S = 1 for tied.
+    Shapes: lam_raw [S, M, k], rho_raw / p [S, M], where S = L for
+    untied parameters and S = 1 for tied. `p` holds each client's
+    aggregation logit; phi4 weighs the active clients by their softmax.
     """
 
     lam_raw: np.ndarray
     rho_raw: np.ndarray
     p: np.ndarray
-    gam_raw: np.ndarray
     L: int
     tied: bool = False
 
@@ -240,7 +237,6 @@ class LearnableParams:
             lam_raw=self.lam_raw.copy(),
             rho_raw=self.rho_raw.copy(),
             p=self.p.copy(),
-            gam_raw=self.gam_raw.copy(),
             L=self.L,
             tied=self.tied,
         )
@@ -248,13 +244,12 @@ class LearnableParams:
 
 def init_params(M: int, k: int, L: int, tied: bool = False) -> LearnableParams:
     """Default initialization: unit consensus weights and penalties,
-    uniform aggregation weights."""
+    zero aggregation logits (uniform weights)."""
     S = 1 if tied else L
     return LearnableParams(
         lam_raw=np.ones((S, M, k)),
         rho_raw=np.ones((S, M)),
-        p=np.full((S, M), 1.0 / M),
-        gam_raw=np.ones((S, M)),
+        p=np.zeros((S, M)),
         L=L,
         tied=tied,
     )
@@ -316,11 +311,10 @@ class CellRecord:
     # effective parameter values and clamp/rectifier pass-through masks
     rho_eff: np.ndarray
     rho_on: np.ndarray
-    gam_eff: np.ndarray
-    gam_on: np.ndarray
     lam_eff: np.ndarray
     lam_on: np.ndarray
-    p: np.ndarray
+    # phi4's aggregation weights, the softmax of the active clients' logits
+    omega: np.ndarray
     # dual step used by phi1 (rho_eff or ones); phi2-phi4 read alpha / step_w
     step_w: np.ndarray
     # linear mode: cached Cholesky factors of X'X + rho I, [m, k, k]
@@ -461,11 +455,8 @@ def forward_cell(
 
     s = params.slot(layer)
     rho_raw = params.rho_raw[s, idx]
-    gam_raw = params.gam_raw[s, idx]
     lam_raw = params.lam_raw[s, idx]
-    p = params.p[s, idx]
     rho_eff = clamp_positive(rho_raw)
-    gam_eff = clamp_positive(gam_raw)
     lam_eff = rectify(lam_raw)
     step_w = dual_step_weights(rho_eff, dual_update)
 
@@ -488,7 +479,7 @@ def forward_cell(
     if message_sink is not None:
         for j, ci in enumerate(idx):
             message_sink("client_vector", layer, int(ci), u[j])
-    w = _aggregate_client_vectors(u, p, gam_raw)
+    omega, w = _aggregate_client_vectors(u, params.p[s, idx])
     if message_sink is not None:
         message_sink("global_broadcast", layer, None, w)
     new_state = CellState(v=v, z=z, alpha=alpha, w=w)
@@ -515,11 +506,9 @@ def forward_cell(
                 w=w.copy(),
                 rho_eff=rho_eff.copy(),
                 rho_on=(rho_raw > EPS),
-                gam_eff=gam_eff.copy(),
-                gam_on=(gam_raw > EPS),
                 lam_eff=lam_eff.copy(),
                 lam_on=(lam_raw > 0.0),
-                p=p.copy(),
+                omega=omega,
                 step_w=step_w.copy(),
                 chol=chol,
                 v_iterates=iterates,
@@ -588,32 +577,3 @@ def forward_network(
             stats=stats,
         )
     return state.v, tape
-
-
-def replay_tape(tape: Tape, shards: Sequence, params: LearnableParams) -> bool:
-    """Re-run the forward from the tape's initial state and confirm the
-    recorded per-cell outputs are reproduced bit-for-bit."""
-    state = tape.init.copy()
-    stats = client_stats(shards, tape.client_indices)
-    for rec in tape.cells:
-        state = forward_cell(
-            state,
-            shards,
-            params,
-            rec.layer,
-            mode=tape.mode,
-            dual_update=tape.dual_update,
-            client_indices=tape.client_indices,
-            grad_lr=rec.grad_lr,
-            grad_steps=rec.grad_steps,
-            preset_batches=rec.batch_idx,
-            stats=stats,
-        )
-        if not (
-            np.array_equal(state.v, rec.v)
-            and np.array_equal(state.z, rec.z)
-            and np.array_equal(state.alpha, rec.alpha)
-            and np.array_equal(state.w, rec.w)
-        ):
-            return False
-    return True

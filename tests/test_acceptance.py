@@ -10,6 +10,7 @@ than weakened. The sibling test next to criterion 3 runs the same
 configuration under the unit dual-step convention.
 """
 
+import math
 import time
 
 import numpy as np
@@ -52,12 +53,12 @@ def criterion(num: str, ok: bool, detail: str) -> None:
 def near_kink(field: str, value: float) -> bool:
     if field == "lam_raw":
         return abs(value) < KINK_MARGIN
-    if field in ("rho_raw", "gam_raw"):
+    if field == "rho_raw":
         return abs(value - CLAMP_FLOOR) < KINK_MARGIN
     return False
 
 
-def straight_line_cell(Xs, Ys, v0, z0, a0, w0, lam, rho, p, gam,
+def straight_line_cell(Xs, Ys, v0, z0, a0, w0, lam, rho, theta,
                        dual="rho_step", mode="linear", lr=0.01, steps=5):
     """Independent loop-based transcription of one layer, restated here
     so the acceptance check does not depend on the unit-test suite."""
@@ -86,11 +87,12 @@ def straight_line_cell(Xs, Ys, v0, z0, a0, w0, lam, rho, p, gam,
         for j in range(k):
             lam_j = lam[i, j] if lam[i, j] > 0 else 0.0
             z1[i, j] = rho_i * (v1[i, j] - w0[j] - sa[i, j]) / (lam_j + rho_i)
-    qs = [p[i] * (gam[i] if gam[i] > CLAMP_FLOOR else CLAMP_FLOOR) for i in range(M)]
-    S = sum(qs)
+    # aggregation weights: the softmax of the logits, shifted by the largest
+    es = [math.exp(theta[i] - max(theta)) for i in range(M)]
+    S = sum(es)
     w1 = np.zeros(k)
     for i in range(M):
-        w1 += (qs[i] / S) * (v1[i] - z1[i] - sa[i])
+        w1 += (es[i] / S) * (v1[i] - z1[i] - sa[i])
     return a1, v1, z1, w1
 
 
@@ -108,7 +110,7 @@ def test_criterion_1_reverse_pass_matches_finite_differences():
         seed = int(rng.integers(2**31))
         _, tape = forward_network(shards, params, L=3, seed=seed)
         grads = backward(tape, shards)
-        for fieldname in ("lam_raw", "rho_raw", "p", "gam_raw"):
+        for fieldname in ("lam_raw", "rho_raw", "p"):
             arr = getattr(params, fieldname)
             for pos in range(arr.size):
                 idx = np.unravel_index(pos, arr.shape)
@@ -164,7 +166,7 @@ def test_criterion_2_cell_forward_matches_straight_line_oracle():
         a1, v1, z1, w1 = straight_line_cell(
             [sh.X_train for sh in shards], [sh.Y_train for sh in shards],
             state.v, state.z, state.alpha, state.w,
-            params.lam_raw[0], params.rho_raw[0], params.p[0], params.gam_raw[0],
+            params.lam_raw[0], params.rho_raw[0], params.p[0],
             dual=dual, mode=mode,
         )
         worst = max(
@@ -199,7 +201,7 @@ def _descent_violations(dual_update: str, n_seeds: int = 20):
             _, tape = forward_network(
                 shards, params, L=20, dual_update=dual_update, seed=1000 + s
             )
-            trace = trace_from_tape(tape, shards, params)
+            trace = trace_from_tape(tape)
             rep = check_descent(trace, slack=1e-9)
             per_seed.append(len(rep.violations))
         except (NonFiniteInput, FloatingPointError, OverflowError):
@@ -389,7 +391,7 @@ def test_criterion_8_degenerate_configurations_reduce_exactly():
     # single client: the broadcast equals that client's consensus vector
     # v - z - alpha / step (phi4 reads the scaled multiplier)
     vs, zs, As = (rng.normal(size=(1, 4)) for _ in range(3))
-    w = phi4_global(vs, zs, As, np.array([1.0]), np.array([1.0]))
+    w = phi4_global(vs, zs, As, np.array([1.0]))
     single_op = np.array_equal(w, (vs - zs - As)[0])
 
     shard = make_shards(M=1, k=4, n=30, seed=6)

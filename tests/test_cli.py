@@ -11,7 +11,7 @@ from fedunroll import unrolled_net
 from fedunroll.cli import main, parse_config_file
 from fedunroll.config import ExperimentConfig
 from fedunroll.datagen import ingest_delimited
-from fedunroll.errors import ConfigError, DegenerateWeights
+from fedunroll.errors import ConfigError, NonFiniteInput
 from fedunroll.metrics import COLUMNS
 
 
@@ -179,6 +179,25 @@ class TestRun:
         assert llines[0].startswith("client,final_c0")
         assert len(llines) == 1 + 3 + 1  # header, one per client, cross-client row
 
+    def test_diverged_trial_prints_no_value(self, tmp_path, monkeypatch, capsys):
+        # the aggregation turns non-finite in round 2: the trial line
+        # carries the marker instead of round 1's error
+        calls = []
+        original = unrolled_net._aggregate_client_vectors
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) > 2:  # epochs per round x layers
+                raise NonFiniteInput("aggregated vector is not finite")
+            return original(*args)
+
+        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", failing)
+        assert main(tiny_run_args(tmp_path)) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == "unrolled trial 0: mean test rmse DIVERGED [DIVERGED]"
+        rows = (tmp_path / "metrics_unrolled.csv").read_text().splitlines()[1:]
+        assert rows[1].split(",")[5] == "DIVERGED"
+
     def test_multi_trial_concatenates(self, tmp_path):
         args = tiny_run_args(tmp_path)
         args[args.index("--trials") + 1] = "2"
@@ -223,18 +242,18 @@ class TestCompare:
         assert seeds == ["3", "4"]
 
     def test_diverged_unrolled_trial_reported_as_diverged(self, tmp_path, monkeypatch, capsys):
-        # the aggregation weights collapse from round 2 on; the last good
+        # the aggregation turns non-finite from round 2 on; the last good
         # round's error must not stand in for the trial's result
         calls = []
         original = unrolled_net._aggregate_client_vectors
 
-        def collapsing(u, ps, gammas):
+        def failing(*args):
             calls.append(None)
             if len(calls) > 2 * 3:  # epochs per round x layers
-                raise DegenerateWeights("aggregation weights sum to zero")
-            return original(u, ps, gammas)
+                raise NonFiniteInput("aggregated vector is not finite")
+            return original(*args)
 
-        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", collapsing)
+        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", failing)
         out = tmp_path / "d"
         rc = main([
             "compare", "--methods", "unrolled,local",

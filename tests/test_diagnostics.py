@@ -1,13 +1,15 @@
-"""Objective evaluation, descent checking, step-ratio and weight reports.
+"""Objective evaluation, descent checking and weight reports.
 
 The augmented objective is checked against `straight_line_objective`, an
 independent per-term transcription coded below with scalar loops.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import make_shards, random_params
+from conftest import count_calls, make_shards, random_params
 
 from fedunroll.diagnostics import (
     RHO_DESCENT_REGIME,
@@ -15,18 +17,20 @@ from fedunroll.diagnostics import (
     check_descent,
     lagrangian,
     lambda_report,
-    dual_model_step_ratio,
     trace_from_tape,
 )
-from fedunroll.errors import DegenerateStep, DimensionMismatch
-from fedunroll.unrolled_net import CellState, forward_network, init_params
+from fedunroll.errors import DimensionMismatch
+from fedunroll.unrolled_net import CellState, client_rows, forward_network, init_params
 
 
-def straight_line_objective(shards, state, lam, rho, p, dual="rho_step"):
-    """(1/M) sum_i p_i [ ||X_i v_i - Y_i||^2 + z_i' diag(lam_i)+ z_i
-    + rho_i/2 ||z_i - v_i + w + alpha_i / step_i||^2 ], scalar loops
-    throughout; step_i is rho_i under rho_step and 1 under unit_step."""
+def straight_line_objective(shards, state, lam, rho, theta, dual="rho_step"):
+    """sum_i omega_i [ ||X_i v_i - Y_i||^2 + z_i' diag(lam_i)+ z_i
+    + rho_i/2 ||z_i - v_i + w + alpha_i / step_i||^2 ], with omega the
+    softmax of the logits theta, scalar loops throughout; step_i is rho_i
+    under rho_step and 1 under unit_step."""
     M, k = state.v.shape
+    top = max(theta)
+    es = [math.exp(theta[i] - top) for i in range(M)]
     total = 0.0
     for i in range(M):
         F = 0.0
@@ -45,12 +49,14 @@ def straight_line_objective(shards, state, lam, rho, p, dual="rho_step"):
             quad += state.z[i, j] * lam_j * state.z[i, j]
             resid = state.z[i, j] - state.v[i, j] + state.w[j] + state.alpha[i, j] / step
             pen += resid * resid
-        total += p[i] * (F + quad + 0.5 * rho_i * pen)
-    return total / M
+        total += es[i] / sum(es) * (F + quad + 0.5 * rho_i * pen)
+    return total
 
 
 class TestObjective:
     def test_matches_straight_line(self):
+        # the objective after layer 2 of a forward from a random state,
+        # read from the cell's record, against the raw parameters
         rng = np.random.default_rng(0)
         for inst in range(5):
             M, k = 3, 4
@@ -63,22 +69,20 @@ class TestObjective:
                 w=rng.normal(size=k),
             )
             for dual in ("rho_step", "unit_step"):
-                got = lagrangian(state, shards, params, layer=2, dual_update=dual)
+                _, tape = forward_network(shards, params, state0=state, dual_update=dual)
+                rec = tape.cells[1]
+                got = lagrangian(rec, tape.rows)
                 want = straight_line_objective(
-                    shards, state, params.lam_raw[1], params.rho_raw[1],
-                    params.p[1], dual=dual,
+                    shards, CellState(rec.v, rec.z, rec.alpha, rec.w),
+                    params.lam_raw[1], params.rho_raw[1], params.p[1], dual=dual,
                 )
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_row_mismatch_rejected(self):
         shards = make_shards(M=3, seed=1)
-        params = init_params(3, 4, 1)
-        state = CellState(
-            v=np.zeros((2, 4)), z=np.zeros((2, 4)),
-            alpha=np.zeros((2, 4)), w=np.zeros(4),
-        )
+        _, tape = forward_network(shards, init_params(3, 4, 1), seed=1)
         with pytest.raises(DimensionMismatch):
-            lagrangian(state, shards, params, layer=1)
+            lagrangian(tape.cells[0], client_rows(shards, [0, 1]))
 
 
 class TestDescent:
@@ -92,7 +96,7 @@ class TestDescent:
             _, tape = forward_network(
                 shards, params, L=15, dual_update="unit_step", seed=seed
             )
-            trace = trace_from_tape(tape, shards, params)
+            trace = trace_from_tape(tape)
             report = check_descent(trace, slack=1e-9)
             assert report.ok, f"seed {seed}: {report.violations}"
             assert report.classification == "none"
@@ -162,41 +166,6 @@ class TestDescent:
         assert report.n_transitions == 3
 
 
-class TestStepRatio:
-    def test_ratio_finite_on_real_run(self):
-        shards = make_shards(M=3, n=30, seed=320)
-        params = init_params(3, 4, 8)
-        params.rho_raw[:] = 50.0
-        _, tape = forward_network(shards, params, L=8, dual_update="unit_step", seed=1)
-        trace = trace_from_tape(tape, shards, params)
-        for client in range(3):
-            ratio = dual_model_step_ratio(trace, client)
-            assert np.isfinite(ratio)
-            assert ratio > 0.0
-
-    def test_ratio_matches_manual_max(self):
-        trace = CellTrace(
-            lagrangians=np.zeros(3),
-            dv_norms=np.array([[1.0], [2.0], [1e-16]]),
-            dalpha_norms=np.array([[3.0], [1.0], [5.0]]),
-            dw_norms=np.zeros(3),
-            rho_min=1.0,
-        )
-        # the sub-threshold third step is excluded; max(3/1, 1/2) = 3
-        assert dual_model_step_ratio(trace, 0) == 3.0
-
-    def test_degenerate_when_no_usable_steps(self):
-        trace = CellTrace(
-            lagrangians=np.zeros(2),
-            dv_norms=np.full((2, 1), 1e-16),
-            dalpha_norms=np.ones((2, 1)),
-            dw_norms=np.zeros(2),
-            rho_min=1.0,
-        )
-        with pytest.raises(DegenerateStep):
-            dual_model_step_ratio(trace, 0)
-
-
 class TestWeightReport:
     def test_shapes_and_means(self):
         params = init_params(5, 4, 3)
@@ -220,10 +189,18 @@ class TestWeightReport:
         shards = make_shards(M=2, n=15, seed=330)
         params = init_params(2, 4, 3)
         _, tape = forward_network(shards, params, L=3, seed=2)
-        trace = trace_from_tape(tape, shards, params)
+        trace = trace_from_tape(tape)
         assert trace.dv_norms.shape == (3, 2)
         assert trace.dalpha_norms.shape == (3, 2)
         assert trace.dw_norms.shape == (3,)
         rec = tape.cells[1]
         want = np.linalg.norm(rec.v - rec.v_prev, axis=1)
         assert np.allclose(trace.dv_norms[1], want, atol=1e-15)
+
+    def test_trace_reads_the_tapes_rows(self, monkeypatch):
+        shards = make_shards(M=3, n=15, seed=331)
+        _, tape = forward_network(shards, init_params(3, 4, 4), seed=3)
+        counts = count_calls(monkeypatch, ("stack_rows",))
+        trace = trace_from_tape(tape)
+        assert counts["stack_rows"] == 0
+        assert np.all(np.isfinite(trace.lagrangians))

@@ -8,7 +8,8 @@ from conftest import client_sse, count_calls, make_shards
 
 from fedunroll.config import ExperimentConfig
 from fedunroll import unrolled_net
-from fedunroll.errors import DegenerateWeights, ProtocolViolation
+from fedunroll.datagen import SettingSpec, generate_setting
+from fedunroll.errors import NonFiniteInput, ProtocolViolation
 from fedunroll.federation import (
     ParticipationPlan,
     RoundMessage,
@@ -26,6 +27,21 @@ def round_cfg(**kw) -> ExperimentConfig:
     base = dict(seed=0, L=4, rounds=3, epochs_per_round=2)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def fail_from_round(monkeypatch, first, cfg):
+    """Make the server aggregation raise NonFiniteInput from round
+    `first` on (full participation, every epoch runs L aggregations)."""
+    calls = []
+    original = unrolled_net._aggregate_client_vectors
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) > (first - 1) * cfg.epochs_per_round * cfg.L:
+            raise NonFiniteInput("aggregated vector is not finite")
+        return original(*args)
+
+    monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", failing)
 
 
 def one_round(shards, cfg, plan=None):
@@ -135,9 +151,9 @@ class TestTranscript:
                 m.payload for m in t.messages
                 if m.kind == "global_broadcast" and m.layer == layer
             )
-            s = params.slot(layer)
-            q = params.p[s] * np.maximum(params.gam_raw[s], 1e-6)
-            w = (q / q.sum()) @ us
+            theta = params.p[params.slot(layer)]
+            omega = np.exp(theta - theta.max())
+            w = (omega / omega.sum()) @ us
             assert np.array_equal(w, w_msg)
 
     def test_loss_reports_match_final_models(self):
@@ -299,8 +315,8 @@ class TestExperimentDriver:
 
     @pytest.mark.parametrize("mode", ["linear", "grad"])
     def test_rows_stacked_once_per_epoch(self, monkeypatch, mode):
-        # one stacking in the forward (the backward and the loss reports
-        # read it from the tape), one in the augmented objective, and the
+        # one stacking in the forward (the backward, the loss reports and
+        # the augmented objective read it from the tape), and the
         # evaluation rows once per run
         shards = make_shards(M=4, n=30, seed=21)
         for rounds in (2, 3):
@@ -308,26 +324,60 @@ class TestExperimentDriver:
             counts = count_calls(monkeypatch, ("stack_rows",))
             run_unrolled_experiment(cfg, shards)
             monkeypatch.undo()
-            assert counts["stack_rows"] <= 2 * rounds * cfg.epochs_per_round + 2
+            assert counts["stack_rows"] <= rounds * cfg.epochs_per_round + 2
 
-    def test_degenerate_weights_marked_not_raised(self, monkeypatch):
-        # the aggregation weights collapse from round 2 on; the driver
+    def test_nonfinite_aggregation_marked_not_raised(self, monkeypatch):
+        # the aggregation turns non-finite from round 2 on; the driver
         # must record the divergence instead of aborting the run
         shards = make_shards(M=3, n=30, seed=20)
         cfg = round_cfg(rounds=4)
-        calls = []
-        original = unrolled_net._aggregate_client_vectors
-
-        def collapsing(u, ps, gammas):
-            calls.append(None)
-            if len(calls) > cfg.epochs_per_round * cfg.L:
-                raise DegenerateWeights("aggregation weights sum to zero")
-            return original(u, ps, gammas)
-
-        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", collapsing)
+        fail_from_round(monkeypatch, 2, cfg)
         res = run_unrolled_experiment(cfg, shards)
         assert res.diverged
         assert [r.round for r in res.records] == [1, 2]
         assert np.isfinite(res.records[0].test_rmse)
         assert np.isnan(res.records[1].test_rmse)
         assert np.isnan(res.records[1].loss_sum)
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_diverged_run_reports_nan_test_rmse(self, monkeypatch, first):
+        # neither the untrained state's error nor the last good round's
+        # may stand in for a diverged run's result
+        shards = make_shards(M=3, n=30, seed=20)
+        cfg = round_cfg(rounds=4)
+        fail_from_round(monkeypatch, first, cfg)
+        res = run_unrolled_experiment(cfg, shards)
+        assert res.diverged
+        assert len(res.records) == first
+        assert np.isnan(res.mean_test_rmse) and np.isnan(res.std_test_rmse)
+        assert res.per_client_test_rmse.shape == (3,)
+        assert np.all(np.isnan(res.per_client_test_rmse))
+
+
+def assert_trained_undiverged(res, rounds):
+    assert not res.diverged
+    assert len(res.records) == rounds
+    for r in res.records:
+        for value in (r.train_rmse, r.test_rmse, r.loss_sum, r.lagrangian_final_cell):
+            assert np.isfinite(value)
+    assert np.isfinite(res.mean_test_rmse)
+
+
+def test_partial_participation_instance_trains_undiverged():
+    # a grad-mode instance with 30% participation on which one layer's
+    # aggregation weights once summed to almost zero over the active
+    # clients, and the run blew up at round 24
+    cfg = ExperimentConfig(
+        setting=3, M=100, n_per_client=200, seed=6064, L=10, rounds=30,
+        mode="grad", participation=0.3, batch_size=64,
+    )
+    shards = generate_setting(SettingSpec(setting=3, M=100, n_per_client=200, seed=6064))
+    assert_trained_undiverged(run_unrolled_experiment(cfg, shards), 30)
+
+
+def test_thousand_clients_train_undiverged():
+    # at M = 1000 one gradient step on unconstrained weights once sent
+    # the layers' weight sums to 1e6 and the loss to 1e116 in round 2
+    cfg = ExperimentConfig(seed=42, setting=1, M=1000, n_per_client=20, rounds=3)
+    shards = generate_setting(SettingSpec(setting=1, M=1000, n_per_client=20, seed=42))
+    assert_trained_undiverged(run_unrolled_experiment(cfg, shards), 3)

@@ -8,6 +8,7 @@ from conftest import count_calls, make_shards, make_uneven_shards, random_params
 
 from fedunroll.errors import LayoutMismatch, NonFiniteGradient, TapeMismatch
 from fedunroll.learner import (
+    PARAM_FIELDS,
     backward,
     fd_gradient,
     init_optimizer,
@@ -32,7 +33,7 @@ def near_kink(field: str, value: float) -> bool:
     clamp kink for a central difference to be one-sided-safe."""
     if field == "lam_raw":
         return abs(value) < KINK_MARGIN
-    if field in ("rho_raw", "gam_raw"):
+    if field == "rho_raw":
         return abs(value - 1e-6) < KINK_MARGIN
     return False
 
@@ -45,7 +46,7 @@ def check_against_fd(shards, params, seed, rel_tol=1e-5, mode="linear",
     )
     grads = backward(tape, shards)
     worst = 0.0
-    for field in ("lam_raw", "rho_raw", "p", "gam_raw"):
+    for field in PARAM_FIELDS:
         arr = getattr(params, field)
         flat_n = arr.size
         for pos in rng.choice(flat_n, size=min(probe_per_field, flat_n), replace=False):
@@ -64,8 +65,8 @@ def check_against_fd(shards, params, seed, rel_tol=1e-5, mode="linear",
 
 def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
     """The reverse pass with a client mask: only the kept clients' chains
-    carry adjoints through the aggregation boundary, while the p and
-    gamma edges are accumulated for every client."""
+    carry adjoints through the aggregation boundary, while the
+    aggregation-logit edge is accumulated for every client."""
     m, k = tape.m_active, tape.k
     idx = tape.client_indices
     zbar = np.zeros((m, k))
@@ -80,19 +81,15 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
         sw = rec.step_w[:, None]
         a = rec.alpha / sw
 
-        # phi4
+        # phi4: w = sum(omega_i u_i), d w / d theta_i = omega_i (u_i - w)
         u = rec.v - rec.z - a
-        q = rec.p * rec.gam_eff
-        S = float(q.sum())
-        contrib = (q / S)[:, None] * wbar[None, :]
+        contrib = rec.omega[:, None] * wbar[None, :]
         contrib = np.where(km, contrib, 0.0)
         vbar += contrib
         zbar -= contrib
         albar -= contrib / sw
         abar = -contrib
-        qbar = (u - rec.w[None, :]) @ wbar / S
-        grads.p[s, idx] += qbar * rec.gam_eff
-        grads.gam_raw[s, idx] += qbar * rec.p * rec.gam_on
+        grads.p[s, idx] += rec.omega * ((u - rec.w[None, :]) @ wbar)
         wbar = np.zeros(k)
 
         # phi3
@@ -157,7 +154,6 @@ def _oracle_federated_local(tape, shards):
         lam_raw=np.zeros((S_slots, tape.M_total, tape.k)),
         rho_raw=np.zeros((S_slots, tape.M_total)),
         p=np.zeros((S_slots, tape.M_total)),
-        gam_raw=np.zeros((S_slots, tape.M_total)),
         L=tape.L,
         tied=tape.tied,
     )
@@ -171,7 +167,6 @@ def _oracle_federated_local(tape, shards):
         grads.lam_raw[:, ci] += gi.lam_raw[:, ci]
         grads.rho_raw[:, ci] += gi.rho_raw[:, ci]
         grads.p += gi.p
-        grads.gam_raw += gi.gam_raw
     return grads
 
 
@@ -223,8 +218,22 @@ class TestBackwardVsFiniteDifferences:
         grads = backward(tape, shards)
         assert np.array_equal(grads.lam_raw[-1], np.zeros_like(grads.lam_raw[-1]))
         assert np.array_equal(grads.p[-1], np.zeros_like(grads.p[-1]))
-        assert np.array_equal(grads.gam_raw[-1], np.zeros_like(grads.gam_raw[-1]))
         assert np.any(grads.rho_raw[-1] != 0.0)
+
+    @pytest.mark.parametrize("policy", ["exact", "federated_local"])
+    def test_logit_gradients_sum_to_zero_over_active_clients(self, policy):
+        # a common shift of the active clients' logits leaves every weight
+        # unchanged, so their gradients sum to zero in each slot; inactive
+        # clients' logits get none
+        rng = np.random.default_rng(15)
+        shards = make_shards(M=5, seed=16)
+        params = random_params(5, 4, 4, rng)
+        idx = np.array([0, 2, 3])
+        _, tape = forward_network(shards, params, L=4, seed=16, client_indices=idx)
+        g = backward(tape, shards, policy=policy).p
+        assert np.all(np.abs(g[:, idx].sum(axis=1)) <= 1e-12 * np.abs(g).max())
+        assert np.any(g[:-1, idx] != 0.0)
+        assert np.array_equal(g[:, [1, 4]], np.zeros((4, 2)))
 
     def test_rectified_off_coordinate_gets_zero_gradient(self):
         rng = np.random.default_rng(16)
@@ -274,7 +283,7 @@ class TestFederatedLocalPolicy:
         _, tape = forward_network(shards, params, L=3, seed=21)
         ge = backward(tape, shards, policy="exact")
         gf = backward(tape, shards, policy="federated_local")
-        for field in ("lam_raw", "rho_raw", "p", "gam_raw"):
+        for field in PARAM_FIELDS:
             assert np.allclose(
                 getattr(ge, field), getattr(gf, field), rtol=0, atol=1e-15
             )
@@ -288,7 +297,7 @@ class TestFederatedLocalPolicy:
         _, tape = forward_network(shards, params, L=1, seed=23)
         ge = backward(tape, shards, policy="exact")
         gf = backward(tape, shards, policy="federated_local")
-        for field in ("lam_raw", "rho_raw", "p", "gam_raw"):
+        for field in PARAM_FIELDS:
             assert np.allclose(
                 getattr(ge, field), getattr(gf, field), rtol=0, atol=1e-12
             )
@@ -334,7 +343,7 @@ class TestFederatedLocalOnePass:
         want = _oracle_federated_local(tape, shards)
         for field in ("lam_raw", "rho_raw"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        for field in ("lam_raw", "rho_raw", "p", "gam_raw"):
+        for field in PARAM_FIELDS:
             g, w = getattr(got, field), getattr(want, field)
             assert np.any(w != 0.0), field
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), field

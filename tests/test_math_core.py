@@ -20,7 +20,6 @@ from fedunroll.math_core import (
     clamp_positive,
     design_matrix,
     minibatch_rows,
-    poly_features,
     rectify,
     spd_cholesky,
     stack_rows,
@@ -134,30 +133,12 @@ class TestCholesky:
             spd_cholesky(A)
 
 
-class TestPolyFeatures:
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(-3, 3, allow_nan=False), st.integers(0, 8))
-    def test_matches_powers(self, x, degree):
-        got = poly_features(x, degree)
-        want = np.array([x**d for d in range(degree + 1)])
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_degree_zero(self):
-        assert np.array_equal(poly_features(0.3, 0), np.array([1.0]))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NonFiniteInput):
-            poly_features(float("nan"), 2)
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(DimensionMismatch):
-            poly_features(1.0, -1)
-
-    def test_design_matrix_rows(self):
+class TestDesignMatrix:
+    def test_rows_are_monomials(self):
         xs = np.array([-0.5, 0.0, 2.0])
         D = design_matrix(xs, 3)
         for i, x in enumerate(xs):
-            assert np.array_equal(D[i], poly_features(x, 3))
+            assert np.array_equal(D[i], np.array([1.0, x, x * x, x * x * x]))
 
 
 class TestRowStack:

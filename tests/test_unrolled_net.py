@@ -5,18 +5,17 @@ re-implementation below that uses plain per-coordinate loops and
 numpy.linalg.solve instead of the package's vectorized/Cholesky path.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, make_shards, make_uneven_shards, random_params
+from conftest import count_calls, make_shards, make_uneven_shards, random_params, replay_tape
 
-from fedunroll.errors import (
-    DegenerateWeights,
-    DimensionMismatch,
-    NonFiniteInput,
-)
+from fedunroll.errors import DimensionMismatch, NonFiniteInput
 from fedunroll.unrolled_net import (
     CellState,
     GRAD_LR_DEFAULT,
@@ -30,11 +29,10 @@ from fedunroll.unrolled_net import (
     phi2_v_linear,
     phi3_aux,
     phi4_global,
-    replay_tape,
 )
 
 
-def straight_line_cell(Xs, Ys, v0, z0, a0, w0, lam, rho, p, gam,
+def straight_line_cell(Xs, Ys, v0, z0, a0, w0, lam, rho, theta,
                        dual="rho_step", mode="linear",
                        lr=GRAD_LR_DEFAULT, steps=GRAD_STEPS_DEFAULT):
     """Slow, loop-based transcription of one cell."""
@@ -63,14 +61,13 @@ def straight_line_cell(Xs, Ys, v0, z0, a0, w0, lam, rho, p, gam,
         for j in range(k):
             lam_j = lam[i, j] if lam[i, j] > 0 else 0.0
             z1[i, j] = rho_i * (v1[i, j] - w0[j] - sa[i, j]) / (lam_j + rho_i)
-    qs = []
-    for i in range(M):
-        g = gam[i] if gam[i] > 1e-6 else 1e-6
-        qs.append(p[i] * g)
-    S = sum(qs)
+    # softmax of the logits, shifted by the largest
+    top = max(theta)
+    es = [math.exp(theta[i] - top) for i in range(M)]
+    S = sum(es)
     w1 = np.zeros(k)
     for i in range(M):
-        w1 += (qs[i] / S) * (v1[i] - z1[i] - sa[i])
+        w1 += (es[i] / S) * (v1[i] - z1[i] - sa[i])
     return a1, v1, z1, w1
 
 
@@ -164,37 +161,59 @@ class TestLayerOps:
     def test_aggregation_single_client_exact(self):
         rng = np.random.default_rng(5)
         v, z, a = (rng.normal(size=4) for _ in range(3))
-        w = phi4_global([v], [z], [a], [0.37], [2.2])
+        w = phi4_global([v], [z], [a], [0.37])
         assert np.array_equal(w, v - z - a)
 
-    def test_aggregation_weight_scale_invariance(self):
+    def test_aggregation_weights_are_a_softmax_on_every_active_subset(self):
+        # positive and summing to one over whichever clients are active,
+        # and unchanged by a common shift of the logits; the logits are
+        # dyadic, so the shift and the max-shift are exact, and exp(950)
+        # would overflow without the max-shift
         rng = np.random.default_rng(6)
-        vs, zs, As = (rng.normal(size=(3, 4)) for _ in range(3))
-        p = np.array([0.2, 0.3, 0.5])
-        g = np.array([1.0, 2.0, 0.5])
-        w1 = phi4_global(vs, zs, As, p, g)
-        w2 = phi4_global(vs, zs, As, 7.0 * p, g)
-        assert np.allclose(w1, w2, atol=1e-13)
+        M, k = 5, 4
+        shards = make_shards(M=M, k=k, n=12, seed=6)
+        params = random_params(M, k, 1, rng)
+        params.p[0] = [-40.0, 0.375, 700.0, 2.0, -1.5]
+        shifted = params.copy()
+        shifted.p += 250.0
+        for r in range(1, M + 1):
+            for subset in itertools.combinations(range(M), r):
+                idx = np.array(subset)
+                state = CellState(
+                    v=rng.normal(size=(r, k)),
+                    z=rng.normal(size=(r, k)),
+                    alpha=rng.normal(size=(r, k)),
+                    w=rng.normal(size=k),
+                )
+                _, tape = forward_network(shards, params, state0=state, client_indices=idx)
+                _, moved = forward_network(shards, shifted, state0=state, client_indices=idx)
+                omega = tape.cells[0].omega
+                assert omega.shape == (r,) and np.all(omega > 0.0)
+                assert abs(omega.sum() - 1.0) <= 1e-15
+                assert np.array_equal(moved.cells[0].omega, omega)
+                assert np.array_equal(moved.cells[0].w, tape.cells[0].w)
+
+    def test_zero_logits_weigh_active_clients_equally(self):
+        shards = make_shards(M=5, seed=9)
+        idx = np.array([0, 3, 4])
+        _, tape = forward_network(shards, init_params(5, 4, 2), L=2, client_indices=idx)
+        for rec in tape.cells:
+            assert np.array_equal(rec.omega, np.full(3, 1.0 / 3.0))
 
     def test_aggregation_is_convex_combination(self):
         rng = np.random.default_rng(7)
         vs, zs, As = (rng.normal(size=(4, 3)) for _ in range(3))
         u = vs - zs - As
-        w = phi4_global(vs, zs, As, np.full(4, 0.25), np.ones(4))
+        w = phi4_global(vs, zs, As, rng.normal(size=4))
         assert np.all(w <= u.max(axis=0) + 1e-12)
         assert np.all(w >= u.min(axis=0) - 1e-12)
-
-    def test_aggregation_degenerate_weights(self):
-        vs = np.zeros((2, 3))
-        with pytest.raises(DegenerateWeights):
-            phi4_global(vs, vs, vs, np.array([1.0, -1.0]), np.ones(2))
 
     def test_aggregation_shape_checks(self):
         vs = np.zeros((2, 3))
         with pytest.raises(DimensionMismatch):
-            phi4_global(vs, vs, np.zeros((3, 3)), np.ones(2), np.ones(2))
+            phi4_global(vs, vs, np.zeros((3, 3)), np.ones(2))
         with pytest.raises(DimensionMismatch):
-            phi4_global(vs, vs, vs, np.ones(3), np.ones(2))
+            phi4_global(vs, vs, vs, np.ones(3))
 
     def test_batched_calls_match_one_client_calls_bitwise(self):
         rng = np.random.default_rng(8)
@@ -238,8 +257,7 @@ class TestCellAgainstStraightLine:
                 [sh.X_train for sh in shards],
                 [sh.Y_train for sh in shards],
                 state.v, state.z, state.alpha, state.w,
-                params.lam_raw[0], params.rho_raw[0],
-                params.p[0], params.gam_raw[0],
+                params.lam_raw[0], params.rho_raw[0], params.p[0],
                 dual=dual, mode=mode,
             )
             assert np.max(np.abs(got.alpha - a1)) <= 1e-12
@@ -266,7 +284,7 @@ class TestCellAgainstStraightLine:
                 [sh.Y_train for sh in shards],
                 state.v, state.z, state.alpha, state.w,
                 params.lam_raw[0], params.rho_raw[0],
-                params.p[0], params.gam_raw[0], mode=mode,
+                params.p[0], mode=mode,
             )
             for g, o in zip((got.alpha, got.v, got.z, got.w), want):
                 assert np.max(np.abs(g - o)) <= 1e-12
