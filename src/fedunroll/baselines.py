@@ -21,10 +21,9 @@ The gradient-descent methods train every client at once on the
 client-batched engine of math_core: a run stacks the standardized
 training rows once (each shard standardized before stacking, so the
 padding rows stay zero), and each step is one array operation over the
-clients. Only the minibatch draws visit the clients one by one, each
-from its own generator and in the order the per-client methods define
-(ditto draws its global epochs, then its personal ones). The
-evaluation rows, too, are stacked once per run.
+clients. A run draws its minibatches from one generator, one call per
+gradient step for all clients (ditto draws its global epochs, then its
+personal ones). The evaluation rows, too, are stacked once per run.
 """
 
 from __future__ import annotations
@@ -135,7 +134,12 @@ def run_baseline(
     cfg: ExperimentConfig,
     keep_trajectory: bool = False,
 ) -> BaselineResult:
-    """Train one reference method on the given client shards."""
+    """Train one reference method on the given client shards.
+
+    With `cfg.baseline_batch` set, each gradient step draws every
+    client's minibatch at once (math_core.minibatch_rows) from one
+    generator per run, seeded by `cfg.seed`.
+    """
     if method not in ALL_METHODS:
         raise InvalidSetting(f"unknown baseline method {method!r}")
     M = len(shards)
@@ -187,18 +191,14 @@ def run_baseline(
     rows = stack_rows([std.apply(sh.X_train) for sh in shards], [sh.Y_train for sh in shards])
     agg_w = rows.counts / rows.counts.sum()
 
-    seed = int(cfg.seed or 0)
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence([seed, i, 0xBA7C]))
-        for i in range(M)
-    ]
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed or 0), 0xBA7C]))
 
     def gd(V: np.ndarray, epochs: int, pull: float = 0.0, anchor=None) -> np.ndarray:
         """`epochs` gradient steps of every client's model (rows of V, in
         place) on its minibatch mean squared error, plus
         pull/2 * ||v - anchor||^2 when an anchor is given."""
         for _ in range(epochs):
-            _, b = minibatch_rows(rows, cfg.baseline_batch, rngs)
+            _, b = minibatch_rows(rows, cfg.baseline_batch, rng)
             g = (2.0 / b.counts)[:, None] * b.xt(b.residuals(V))
             if anchor is not None:
                 g = g + pull * (V - anchor)

@@ -244,11 +244,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = _run_method(method, tcfg, shards)
         all_records.extend(result.records)
         last_result = result
-        marker = " [DIVERGED]" if getattr(result, "diverged", False) else ""
-        print(
-            f"{method} trial {trial}: mean test rmse "
-            f"{format_value(result.mean_test_rmse)}{marker}"
-        )
+        # a diverged trial's NaN error prints as DIVERGED
+        print(f"{method} trial {trial}: mean test rmse {format_value(result.mean_test_rmse)}")
         if method == "unrolled":
             if cfg.transcript and result.transcripts:
                 _write_transcripts(
@@ -286,12 +283,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         for method in cfg.methods:
             result = _run_method(method, tcfg, shards)
-            diverged = getattr(result, "diverged", False)
             finals[method].append(result.mean_test_rmse)
             print(
                 f"setting {cfg.setting} trial {trial} {method}: "
                 f"mean test rmse {format_value(result.mean_test_rmse)}"
-                f"{' [DIVERGED]' if diverged else ''}"
             )
     for method in cfg.methods:
         for trial, val in enumerate(finals[method]):

@@ -174,38 +174,50 @@ def stack_rows(Xs: Sequence, Ys: Sequence) -> RowStack:
 def minibatch_rows(
     rows: RowStack,
     batch_size: Optional[int],
-    rngs: Optional[Sequence[np.random.Generator]] = None,
+    rng: Optional[np.random.Generator] = None,
     preset: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> Tuple[List[Optional[np.ndarray]], RowStack]:
     """Each client's minibatch of `rows`, and the batch rows stacked.
 
     Client i's batch is `preset[i]` when replaying earlier draws, else
-    `batch_size` of its row indices drawn without replacement by
-    `rngs[i]`; it is None where the size is None or covers the client's
-    rows. Clients draw in order, so a generator shared by every client
-    gives one stream for any client batching. A client without a batch
-    keeps all its rows in the returned stack; when no client has a
-    batch, that stack is `rows` itself.
+    `batch_size` of its row indices drawn without replacement; it is
+    None where the size is None or covers the client's rows. The draw
+    is one `rng.random` call per call of this helper: every row of every
+    drawing client gets a uniform key, client by client in order, and a
+    client's batch is its rows of the `batch_size` smallest keys, in key
+    order. A client without a batch consumes no keys and keeps all its
+    rows in the returned stack; when no client has a batch, that stack
+    is `rows` itself.
     """
-    batches: List[Optional[np.ndarray]] = []
-    for i, n in enumerate(rows.counts.tolist()):
-        if preset is not None:
-            batches.append(preset[i])
-        elif batch_size is None or batch_size >= n:
-            batches.append(None)
-        elif rngs is None:
-            raise ValueError("batch_size given without generators")
-        else:
-            batches.append(rngs[i].choice(n, size=batch_size, replace=False))
-    if all(b is None for b in batches):
-        return batches, rows
     m, width = rows.X.shape[:2]
-    take = np.tile(np.arange(width), (m, 1))
-    counts = rows.counts.copy()
-    for i, batch in enumerate(batches):
-        if batch is not None:
-            counts[i] = batch.shape[0]
-            take[i, :counts[i]] = batch
+    counts = rows.counts
+    col = np.arange(width)
+    if preset is not None:
+        batches = list(preset)
+        drawn = np.array([b is not None for b in batches])
+        if not drawn.any():
+            return batches, rows
+        take = np.tile(col, (m, 1))
+        for i in np.flatnonzero(drawn):
+            take[i, :batches[i].shape[0]] = batches[i]
+        counts = np.array([n if b is None else b.shape[0] for n, b in zip(counts.tolist(), batches)])
+    else:
+        drawn = np.zeros(m, dtype=bool) if batch_size is None else counts > batch_size
+        if not drawn.any():
+            return [None] * m, rows
+        if rng is None:
+            raise ValueError("batch_size given without a generator")
+        # keys: uniform on a drawing client's rows, the row index on the
+        # other clients' rows, +inf on padding rows
+        own = col < counts[:, None]
+        keys = np.where(own, col.astype(np.float64), np.inf)
+        drawing = own & drawn[:, None]
+        keys[drawing] = rng.random(int(counts[drawn].sum()))
+        # a copy, so the returned batches (kept on the tape) do not hold
+        # every row's order alive
+        take = np.argsort(keys, axis=1)[:, :batch_size].copy()
+        counts = np.where(drawn, batch_size, counts)
+        batches = [take[i] if d else None for i, d in enumerate(drawn.tolist())]
     take = take[:, :counts.max()]
     pad = np.arange(take.shape[1]) >= counts[:, None]
     client = np.arange(m)[:, None]

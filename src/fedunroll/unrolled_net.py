@@ -3,8 +3,7 @@
 One iteration of the underlying splitting scheme is modeled as a
 four-layer cell. Each layer is one array operation over the batch of
 active clients, which carry a leading client axis; only linear mode's
-factorizations and grad mode's minibatch draw visit the clients one by
-one:
+factorizations visit the clients one by one:
 
   phi1  dual ascent on the consensus multiplier alpha
   phi2  personalized-model update v (closed form, or a few gradient steps)
@@ -18,7 +17,8 @@ rows it stacks and validates once for all its cells; the tape keeps
 those rows for the loss and the reverse pass. Linear mode factors each
 client's G + rho I with its own Cholesky call and solves all clients'
 systems in one batched solve per cell; grad mode takes gradient steps
-on each client's minibatch Gram matrix, with the batches drawn by
+on each client's minibatch Gram matrix. Each grad-mode cell draws every
+active client's batch with one call of its generator, through
 math_core.minibatch_rows, the helper the baselines use too. Clients may
 hold different numbers of rows.
 
@@ -385,10 +385,8 @@ def client_stats(shards: Sequence, client_indices) -> ClientStats:
 def _minibatch_stats(stats, batch_rng, batch_size, preset_batches):
     """Grad mode: each client's minibatch Gram matrix and X'Y, and the
     drawn row indices (None, and the full-shard statistics, where no
-    batch is drawn). One generator serves every client in turn."""
-    m = stats.rows.counts.shape[0]
-    rngs = None if batch_rng is None else [batch_rng] * m
-    batches, b = minibatch_rows(stats.rows, batch_size, rngs, preset_batches)
+    batch is drawn). One draw from `batch_rng` serves every client."""
+    batches, b = minibatch_rows(stats.rows, batch_size, batch_rng, preset_batches)
     if b is stats.rows:
         return stats.gram, stats.xty, batches
     drawn = np.array([batch is not None for batch in batches])

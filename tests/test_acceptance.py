@@ -8,6 +8,9 @@ nothing minimizes, so the network lands on per-client least squares
 pooled. It is implemented exactly as stated and left to fail rather
 than weakened. The sibling test next to criterion 3 runs the same
 configuration under the unit dual-step convention.
+
+The criteria that train for minutes (4a, 4b and 6 on their shared
+fixture, 5 and 9) are marked `slow`; `pytest -m "not slow"` skips them.
 """
 
 import math
@@ -267,6 +270,7 @@ def setting1_runs():
     }
 
 
+@pytest.mark.slow
 def test_criterion_4a_method_ordering_on_setting_1(setting1_runs):
     m = setting1_runs["mean"]
     elapsed = setting1_runs["elapsed"]
@@ -284,6 +288,7 @@ def test_criterion_4a_method_ordering_on_setting_1(setting1_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4b_unrolled_absolute_error_level(setting1_runs):
     m = setting1_runs["mean"]["unrolled"]
     ok = m <= 0.01
@@ -295,6 +300,7 @@ def test_criterion_4b_unrolled_absolute_error_level(setting1_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_consensus_weight_shrinkage_pattern(setting1_runs):
     hits = 0
     profiles = []
@@ -315,6 +321,7 @@ def test_criterion_6_consensus_weight_shrinkage_pattern(setting1_runs):
 # ---------------------------------------------------------------- 5
 
 
+@pytest.mark.slow
 def test_criterion_5_unrolled_beats_local_on_settings_2_and_3():
     t0 = time.perf_counter()
     details = []
@@ -427,6 +434,7 @@ def test_criterion_8_degenerate_configurations_reduce_exactly():
 # ---------------------------------------------------------------- 9
 
 
+@pytest.mark.slow
 def test_criterion_9_compare_pipeline_byte_deterministic(tmp_path):
     t0 = time.perf_counter()
 

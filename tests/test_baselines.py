@@ -204,11 +204,18 @@ def _oracle_mean_grad(X, Y, v):
     return (2.0 / X.shape[0]) * (X.T @ (X @ v - Y))
 
 
-def _oracle_minibatch(rng, X, Y, batch):
-    if batch is None or batch >= X.shape[0]:
-        return X, Y
-    b = rng.choice(X.shape[0], size=batch, replace=False)
-    return X[b], Y[b]
+def _oracle_minibatches(rng, Xs, Ys, batch):
+    """Every client's minibatch for one gradient step: clients in order,
+    each drawing client keys its rows by uniforms from the one stream
+    and takes its rows of the `batch` smallest keys."""
+    out = []
+    for X, Y in zip(Xs, Ys):
+        if batch is None or batch >= X.shape[0]:
+            out.append((X, Y))
+        else:
+            b = np.argsort(rng.random(X.shape[0]))[:batch]
+            out.append((X[b], Y[b]))
+    return out
 
 
 def _oracle_run(method, shards, cfg):
@@ -223,8 +230,7 @@ def _oracle_run(method, shards, cfg):
     Ys = [sh.Y_train for sh in shards]
     n = np.array([x.shape[0] for x in Xs], dtype=np.float64)
     agg_w = n / n.sum()
-    seed = int(cfg.seed or 0)
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i, 0xBA7C])) for i in range(M)]
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed or 0), 0xBA7C]))
     batch, lr = cfg.baseline_batch, cfg.baseline_lr
     w = np.zeros(k)
     v = np.zeros((M, k))
@@ -234,38 +240,30 @@ def _oracle_run(method, shards, cfg):
             return np.stack([std.to_raw(v[i]) for i in range(M)])
         return np.tile(std.to_raw(w), (M, 1))
 
+    def gd(V, epochs, pull=0.0, anchor=None):
+        for _ in range(epochs):
+            for i, (Xb, Yb) in enumerate(_oracle_minibatches(rng, Xs, Ys, batch)):
+                g = _oracle_mean_grad(Xb, Yb, V[i])
+                if anchor is not None:
+                    g = g + pull * (V[i] - anchor)
+                V[i] -= lr * g
+
     history, traj = [], []
     for rnd in range(1, cfg.rounds + 1):
         if method == "local":
-            for i in range(M):
-                for _ in range(cfg.local_epochs):
-                    Xb, Yb = _oracle_minibatch(rngs[i], Xs[i], Ys[i], batch)
-                    v[i] -= lr * _oracle_mean_grad(Xb, Yb, v[i])
+            gd(v, cfg.local_epochs)
         else:
-            updated = np.empty((M, k))
-            for i in range(M):
-                u = w.copy()
-                for _ in range(cfg.local_epochs):
-                    Xb, Yb = _oracle_minibatch(rngs[i], Xs[i], Ys[i], batch)
-                    g = _oracle_mean_grad(Xb, Yb, u)
-                    if method in ("fedprox", "fedprox_ft"):
-                        g = g + cfg.mu * (u - w)
-                    u -= lr * g
-                updated[i] = u
-                if method == "ditto":
-                    for _ in range(cfg.local_epochs):
-                        Xb, Yb = _oracle_minibatch(rngs[i], Xs[i], Ys[i], batch)
-                        g = _oracle_mean_grad(Xb, Yb, v[i]) + cfg.lambda_ditto * (v[i] - w)
-                        v[i] -= lr * g
+            updated = np.tile(w, (M, 1))
+            prox = method in ("fedprox", "fedprox_ft")
+            gd(updated, cfg.local_epochs, cfg.mu, w if prox else None)
+            if method == "ditto":
+                gd(v, cfg.local_epochs, cfg.lambda_ditto, w)
             w = agg_w @ updated
         history.append((rnd, cfg.local_epochs, models()))
         traj.append(models())
     if method in ("fedavg_ft", "fedprox_ft"):
-        for i in range(M):
-            v[i] = w.copy()
-            for _ in range(cfg.ft_epochs):
-                Xb, Yb = _oracle_minibatch(rngs[i], Xs[i], Ys[i], batch)
-                v[i] -= lr * _oracle_mean_grad(Xb, Yb, v[i])
+        v = np.tile(w, (M, 1))
+        gd(v, cfg.ft_epochs)
         final = np.stack([std.to_raw(v[i]) for i in range(M)])
         history[-1:] = [(cfg.rounds, cfg.local_epochs + cfg.ft_epochs, final)]
         return final, history, traj + [final]

@@ -194,7 +194,7 @@ class TestRun:
         monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", failing)
         assert main(tiny_run_args(tmp_path)) == 0
         line = capsys.readouterr().out.splitlines()[0]
-        assert line == "unrolled trial 0: mean test rmse DIVERGED [DIVERGED]"
+        assert line == "unrolled trial 0: mean test rmse DIVERGED"
         rows = (tmp_path / "metrics_unrolled.csv").read_text().splitlines()[1:]
         assert rows[1].split(",")[5] == "DIVERGED"
 
@@ -262,9 +262,10 @@ class TestCompare:
             "--epochs", "2", "--out", str(out),
         ])
         assert rc == 0
-        printed = capsys.readouterr().out
-        assert "unrolled: mean test rmse" in printed and "[DIVERGED]" in printed
-        assert "local: mean test rmse" in printed
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "setting 1 trial 0 unrolled: mean test rmse DIVERGED"
+        assert printed[1].startswith("setting 1 trial 0 local: mean test rmse ")
+        assert np.isfinite(float(printed[1].rsplit(" ", 1)[1]))
         trials = (out / "final_rmse.csv").read_text().splitlines()
         assert trials[1].split(",")[:4] == ["unrolled", "0", "3", "DIVERGED"]
         assert np.isfinite(float(trials[2].split(",")[3]))

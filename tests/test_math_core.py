@@ -202,16 +202,16 @@ class TestMinibatchRows:
     def test_no_batch_where_the_size_covers_the_shard(self):
         rows = _rows_of(make_uneven_shards([30, 6, 12], seed=1))
         for size in (None, 30, 31):
-            batches, b = minibatch_rows(rows, size, [np.random.default_rng(0)] * 3)
+            batches, b = minibatch_rows(rows, size, np.random.default_rng(0))
             assert batches == [None, None, None]
             assert b is rows
-        batches, b = minibatch_rows(rows, 12, [np.random.default_rng(0)] * 3)
+        batches, b = minibatch_rows(rows, 12, np.random.default_rng(0))
         assert batches[0].shape == (12,) and batches[1] is None and batches[2] is None
         assert b.counts.tolist() == [12, 6, 12]
 
     def test_batch_rows_are_the_drawn_rows_with_zero_padding(self):
         shards = make_uneven_shards([30, 6, 12], seed=2)
-        batches, b = minibatch_rows(_rows_of(shards), 8, [np.random.default_rng(i) for i in range(3)])
+        batches, b = minibatch_rows(_rows_of(shards), 8, np.random.default_rng(2))
         assert b.X.shape == (3, 8, 4)
         for i, sh in enumerate(shards):
             sel = np.arange(sh.X_train.shape[0]) if batches[i] is None else batches[i]
@@ -221,33 +221,65 @@ class TestMinibatchRows:
             assert np.array_equal(b.Y[i, :n], sh.Y_train[sel])
             assert not np.any(b.X[i, n:]) and not np.any(b.Y[i, n:])
 
-    def test_per_client_generators_draw_in_their_own_streams(self):
-        rows = _rows_of(make_shards(M=3, n=20, seed=3))
-        batches, _ = minibatch_rows(rows, 5, [np.random.default_rng(10 + i) for i in range(3)])
-        for i in range(3):
-            want = np.random.default_rng(10 + i).choice(20, size=5, replace=False)
-            assert np.array_equal(batches[i], want)
+    def test_indices_are_distinct_and_lie_in_the_shard(self):
+        rows = _rows_of(make_uneven_shards([30, 9, 12, 200], seed=3))
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            batches, _ = minibatch_rows(rows, 9, rng)
+            assert batches[1] is None
+            for n, batch in zip(rows.counts.tolist(), batches):
+                if batch is not None:
+                    assert batch.shape == (9,)
+                    assert np.unique(batch).shape == (9,)
+                    assert batch.min() >= 0 and batch.max() < n
+
+    def test_every_row_is_drawn_with_probability_batch_over_rows(self):
+        rows = _rows_of(make_uneven_shards([30, 6, 12], seed=4))
+        rng = np.random.default_rng(4)
+        draws, size = 4000, 8
+        hits = np.zeros(rows.X.shape[:2])
+        for _ in range(draws):
+            batches, _ = minibatch_rows(rows, size, rng)
+            for i in (0, 2):
+                hits[i, batches[i]] += 1
+        for i in (0, 2):
+            n = rows.counts[i]
+            p = size / n
+            sigma = np.sqrt(draws * p * (1.0 - p))
+            assert np.all(np.abs(hits[i, :n] - draws * p) <= 5.0 * sigma)
+
+    def test_a_client_without_a_batch_consumes_no_generator_output(self):
+        rows = _rows_of(make_uneven_shards([30, 6, 12], seed=5))
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        minibatch_rows(rows, 8, rng)
+        ref.random(30 + 12)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        minibatch_rows(rows, 30, rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_batches_are_the_smallest_keys_of_one_stream_in_client_order(self):
+        shards = make_uneven_shards([30, 6, 12], seed=6)
+        batches, _ = minibatch_rows(_rows_of(shards), 8, np.random.default_rng(9))
+        ref = np.random.default_rng(9)
+        assert np.array_equal(batches[0], np.argsort(ref.random(30))[:8])
+        assert batches[1] is None
+        assert np.array_equal(batches[2], np.argsort(ref.random(12))[:8])
 
     def test_a_repeated_generator_reproduces_grad_modes_stream(self):
-        # grad mode draws client by client in order from one generator
+        # grad mode draws once per cell from its one generator
         shards = make_uneven_shards([30, 6, 12], seed=4)
-        rng = np.random.default_rng(9)
-        batches, _ = minibatch_rows(_rows_of(shards), 8, [rng] * 3)
-        ref = np.random.default_rng(9)
-        assert np.array_equal(batches[0], ref.choice(30, size=8, replace=False))
-        assert batches[1] is None
-        assert np.array_equal(batches[2], ref.choice(12, size=8, replace=False))
         _, tape = forward_network(shards, init_params(3, 4, 2), L=2, mode="grad", seed=4,
                                   batch_rng=np.random.default_rng(9), batch_size=8)
         rng = np.random.default_rng(9)
         for rec in tape.cells:
-            drawn, _ = minibatch_rows(_rows_of(shards), 8, [rng] * 3)
-            for got, want in zip(rec.batch_idx, drawn):
-                assert (got is None and want is None) or np.array_equal(got, want)
+            drawn, _ = minibatch_rows(_rows_of(shards), 8, rng)
+            assert rec.batch_idx[1] is None and drawn[1] is None
+            for i in (0, 2):
+                assert np.array_equal(rec.batch_idx[i], drawn[i])
 
     def test_preset_batches_replay(self):
         rows = _rows_of(make_uneven_shards([30, 6, 12], seed=5))
-        drawn, first = minibatch_rows(rows, 8, [np.random.default_rng(1)] * 3)
+        drawn, first = minibatch_rows(rows, 8, np.random.default_rng(1))
         again, second = minibatch_rows(rows, None, preset=drawn)
         assert again == drawn
         assert np.array_equal(first.X, second.X) and np.array_equal(first.Y, second.Y)

@@ -464,3 +464,33 @@ def test_validation_counts_do_not_grow_with_clients(monkeypatch, mode):
         monkeypatch.undo()
         assert counts["spd_cholesky"] == (M * L if mode == "linear" else 0)
     assert seen[0]["as_vector"] == seen[1]["as_vector"] <= L
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the method calls made on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def test_grad_mode_draws_once_per_cell_at_any_number_of_clients():
+    L = 3
+    for M in (10, 40):
+        shards = make_shards(M=M, n=20, seed=M)
+        rng = _CountingGenerator(np.random.default_rng(M))
+        _, tape = forward_network(shards, init_params(M, 4, L), L=L, mode="grad", seed=1,
+                                  batch_rng=rng, batch_size=8)
+        assert all(b.shape == (8,) for rec in tape.cells for b in rec.batch_idx)
+        assert rng.calls == L
