@@ -207,6 +207,9 @@ def _write_lambda_report(path: str, params) -> None:
 
 
 def _diag_summary(cfg: ExperimentConfig, shards, result) -> str:
+    # the network as trained: grad mode's step size, step count and batch
+    # size, with the minibatches drawn from the trial seed
+    grad = cfg.mode == "grad"
     _, tape = forward_network(
         shards,
         result.params,
@@ -214,6 +217,10 @@ def _diag_summary(cfg: ExperimentConfig, shards, result) -> str:
         mode=cfg.mode,
         dual_update=cfg.dual_update,
         seed=int(cfg.seed or 0),
+        batch_rng=np.random.default_rng(int(cfg.seed or 0)) if grad else None,
+        batch_size=cfg.batch_size if grad else None,
+        grad_lr=cfg.grad_lr,
+        grad_steps=cfg.grad_steps,
     )
     trace = trace_from_tape(tape, params_trained=True)
     rep = check_descent(trace)

@@ -103,6 +103,10 @@ class ExperimentConfig:
             raise ConfigError("learning rates must be positive")
         if self.ft_epochs < 0 or self.local_epochs < 1 or self.grad_steps < 1:
             raise ConfigError("epoch/step counts out of range")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.baseline_batch is not None and self.baseline_batch < 1:
+            raise ConfigError("baseline batch must be >= 1 (or none for full batch)")
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)

@@ -67,20 +67,29 @@ def spd_cholesky(A: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix, or of
     every matrix of a stack [..., k, k] in one batched factorization.
 
-    Raises NotPD when the factorization hits a non-positive pivot and
-    NonFiniteInput / DimensionMismatch on malformed input. Symmetry is
-    required to 1e-12 (relative to each matrix's largest entry).
+    The checks run in this order, and the first that fails raises:
+    DimensionMismatch unless square, EmptyData for 0 x 0, NonFiniteInput
+    for a NaN or infinite entry, NotPD for asymmetry beyond 1e-12 times
+    max(1, max|A|) of that matrix, and NotPD for a non-positive pivot.
+    Stacked and single matrices go through the same lines. A call costs
+    about one np.linalg.cholesky plus two reductions: one over |A| gives
+    each matrix's scale and, since NaN and inf propagate into a max, its
+    finiteness; one over A - A' gives its asymmetry. An infinite entry
+    can make numpy warn of inf - inf in that subtraction before
+    NonFiniteInput is raised.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"spd_cholesky: matrix must be square, got {A.shape}")
     if A.shape[-1] < 1:
         raise EmptyData("spd_cholesky: needs at least one row and one column")
-    if not np.all(np.isfinite(A)):
-        raise NonFiniteInput("spd_cholesky: contains non-finite entries")
-    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
-    asym = np.abs(A - np.swapaxes(A, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    if np.any(asym > 1e-12 * scale):
+    scale = np.maximum.reduce(np.abs(A), axis=(-2, -1), initial=1.0)
+    # A - A' is antisymmetric, so its largest entry is its largest magnitude
+    asym = np.maximum.reduce(A - A.swapaxes(-1, -2), axis=(-2, -1))
+    ok = (asym <= 1e-12 * scale) & (scale < np.inf)
+    if np.count_nonzero(ok) != ok.size:
+        if not np.isfinite(scale).all():
+            raise NonFiniteInput("spd_cholesky: contains non-finite entries")
         raise NotPD("spd_cholesky: matrix is not symmetric")
     try:
         return np.linalg.cholesky(A)

@@ -114,11 +114,9 @@ def phi2_v_linear(G, c, alpha, z_prev, w_prev, rho) -> Tuple[np.ndarray, np.ndar
     rho = np.asarray(rho, dtype=np.float64)
     A = G + rho[..., None, None] * np.eye(k)
     # each client factors its own matrix, one checked call per client and
-    # cell (the per-client work the benchmark's factorization count
-    # records); the solves run batched
-    chol = np.empty_like(A)
-    for i in np.ndindex(A.shape[:-2]):
-        chol[i] = spd_cholesky(A[i])
+    # cell, because the benchmark pins that factorization count; the
+    # solves run batched. A single [k, k] client is a stack of one.
+    chol = np.stack([spd_cholesky(a) for a in A.reshape(-1, k, k)]).reshape(A.shape)
     return chol_solve(chol, rho[..., None] * (w_prev + z_prev + alpha) + c), chol
 
 

@@ -10,9 +10,12 @@ import pytest
 from fedunroll import unrolled_net
 from fedunroll.cli import main, parse_config_file
 from fedunroll.config import ExperimentConfig
-from fedunroll.datagen import ingest_delimited
+from fedunroll.datagen import SettingSpec, generate_setting, ingest_delimited
+from fedunroll.diagnostics import check_descent, trace_from_tape
 from fedunroll.errors import ConfigError, NonFiniteInput
+from fedunroll.federation import run_unrolled_experiment
 from fedunroll.metrics import COLUMNS
+from fedunroll.unrolled_net import forward_network
 
 
 GOOD_INI = """\
@@ -142,6 +145,26 @@ class TestUsageErrors:
         rc = main(tiny_run_args(tmp_path, extra=["--participation", "1.5"]))
         assert rc == 2
 
+    @pytest.mark.parametrize("section, line", [
+        ("unrolled", "batch_size = 0"),
+        ("unrolled", "batch_size = -5"),
+        ("baselines", "batch = 0"),
+    ])
+    def test_batch_below_one_exits_2(self, tmp_path, capsys, section, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        for method in ("unrolled", "fedavg"):
+            rc = main(tiny_run_args(tmp_path, method=method, extra=["--config", str(path)]))
+            assert rc == 2
+            assert "batch" in capsys.readouterr().err
+
+    def test_batch_sizes_are_validated(self):
+        ExperimentConfig(seed=1, batch_size=1, baseline_batch=1).validate()
+        ExperimentConfig(seed=1, baseline_batch=None).validate()
+        for kw in ({"batch_size": 0}, {"batch_size": -5}, {"baseline_batch": 0}):
+            with pytest.raises(ConfigError, match="batch"):
+                ExperimentConfig(seed=1, **kw).validate()
+
 
 class TestRun:
     def test_writes_metrics_csv(self, tmp_path, capsys):
@@ -197,6 +220,35 @@ class TestRun:
         assert line == "unrolled trial 0: mean test rmse DIVERGED"
         rows = (tmp_path / "metrics_unrolled.csv").read_text().splitlines()[1:]
         assert rows[1].split(",")[5] == "DIVERGED"
+
+    def test_grad_mode_diagnostics_describe_the_trained_network(self, tmp_path, capsys):
+        # the summary's forward takes the trained step size, step count
+        # and minibatches drawn from the trial seed
+        path = tmp_path / "grad.ini"
+        path.write_text(
+            "[experiment]\nsetting = 3\nm = 4\nn_per_client = 40\nseed = 3\n"
+            "rounds = 2\ndiagnostics = true\n"
+            "[unrolled]\nlayers = 4\nmode = grad\nbatch_size = 16\n"
+            "grad_lr = 0.005\ngrad_steps = 3\n"
+        )
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        printed = [ln for ln in capsys.readouterr().out.splitlines() if "descent check" in ln]
+
+        cfg = ExperimentConfig(**parse_config_file(str(path)))
+        shards = generate_setting(SettingSpec(
+            setting=3, M=4, n_per_client=40, noise_std=cfg.noise_std, seed=3,
+        ))
+        result = run_unrolled_experiment(cfg, shards)
+        _, tape = forward_network(
+            shards, result.params, L=4, mode="grad", dual_update=cfg.dual_update, seed=3,
+            batch_rng=np.random.default_rng(3), batch_size=16, grad_lr=0.005, grad_steps=3,
+        )
+        rep = check_descent(trace_from_tape(tape, params_trained=True))
+        assert printed == [
+            f"  descent check: {len(rep.violations)} violation(s) over "
+            f"{rep.n_transitions} transitions ({rep.classification}), "
+            f"min penalty {rep.rho_min:.3g}"
+        ]
 
     def test_multi_trial_concatenates(self, tmp_path):
         args = tiny_run_args(tmp_path)

@@ -132,6 +132,74 @@ class TestCholesky:
         with pytest.raises(NotPD):
             spd_cholesky(A)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "strict_upper", "one_of_a_stack"])
+    # an infinite diagonal entry makes inf - inf in the asymmetry, which
+    # numpy reports before the error is raised
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_non_finite_entry_raises_non_finite_not_notpd(self, bad, where):
+        # the strict upper triangle is never read by LAPACK's factorization
+        A = _spd_stack(3, 4, seed=5)
+        if where == "diagonal":
+            A = A[0]
+            A[1, 1] = bad
+        elif where == "strict_upper":
+            A = A[0]
+            A[0, 2] = bad
+        else:
+            A[1, 2, 3] = bad
+        with pytest.raises(NonFiniteInput):
+            spd_cholesky(A)
+
+    @pytest.mark.parametrize("size", [0.5, 1e6])
+    def test_symmetry_tolerance_is_relative_to_max_one_and_largest_entry(self, size):
+        A = size * np.array([[1.0, 0.5], [0.5, 1.0]])
+        tol = 1e-12 * max(1.0, size)
+        inside, outside = A.copy(), A.copy()
+        inside[0, 1] += 0.5 * tol
+        outside[0, 1] += 2.0 * tol
+        assert np.array_equal(spd_cholesky(inside), np.linalg.cholesky(inside))
+        with pytest.raises(NotPD, match="not symmetric"):
+            spd_cholesky(outside)
+        # each matrix of a stack is held to its own scale
+        small = np.eye(2)
+        small[0, 1] += 2e-12
+        with pytest.raises(NotPD, match="not symmetric"):
+            spd_cholesky(np.stack([inside, small]))
+
+    def test_malformed_shapes_raise(self):
+        with pytest.raises(DimensionMismatch):
+            spd_cholesky(np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            spd_cholesky(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            spd_cholesky(np.ones((4, 2, 3)))
+        with pytest.raises(EmptyData):
+            spd_cholesky(np.ones((0, 0)))
+
+    def test_checks_raise_in_order(self):
+        # shape before emptiness, non-finite before asymmetry, asymmetry
+        # before the pivot
+        with pytest.raises(DimensionMismatch):
+            spd_cholesky(np.ones((0, 1)))
+        both = np.array([[np.nan, 1.0], [0.0, -1.0]])
+        with pytest.raises(NonFiniteInput):
+            spd_cholesky(both)
+        indefinite_and_asymmetric = np.array([[1.0, 2.0], [0.0, -1.0]])
+        with pytest.raises(NotPD, match="not symmetric"):
+            spd_cholesky(indefinite_and_asymmetric)
+
+    def test_factor_is_lapack_factor_bitwise(self):
+        A = _spd_stack(5, 4, seed=6)
+        assert np.array_equal(spd_cholesky(A), np.linalg.cholesky(A))
+        assert np.array_equal(spd_cholesky(A[2]), np.linalg.cholesky(A[2]))
+
+
+def _spd_stack(m: int, k: int, seed: int) -> np.ndarray:
+    """m random symmetric positive definite k x k matrices, [m, k, k]."""
+    B = np.random.default_rng(seed).normal(size=(m, k, k))
+    return B @ np.swapaxes(B, 1, 2) + k * np.eye(k)
+
 
 class TestDesignMatrix:
     def test_rows_are_monomials(self):

@@ -234,6 +234,22 @@ class TestLayerOps:
             assert np.array_equal(v1[i], vi) and np.array_equal(chol[i], Li)
             assert np.array_equal(z1[i], phi3_aux(alpha[i], v[i], w, rho[i], lam[i]))
 
+    def test_linear_update_factors_are_each_clients_lapack_factor(self):
+        rng = np.random.default_rng(9)
+        m, k = 5, 4
+        X = rng.normal(size=(m, 10, k))
+        G = np.swapaxes(X, 1, 2) @ X
+        c, alpha, z = (rng.normal(size=(m, k)) for _ in range(3))
+        w = rng.normal(size=k)
+        rho = rng.uniform(0.5, 2.0, m)
+        _, chol = phi2_v_linear(G, c, alpha, z, w, rho)
+        assert chol.shape == (m, k, k)
+        for i in range(m):
+            want = np.linalg.cholesky(G[i] + rho[i] * np.eye(k))
+            assert np.array_equal(chol[i], want)
+            _, one = phi2_v_linear(G[i], c[i], alpha[i], z[i], w, rho[i])
+            assert one.shape == (k, k) and np.array_equal(one, want)
+
 
 class TestCellAgainstStraightLine:
     @pytest.mark.parametrize("mode", ["linear", "grad"])
