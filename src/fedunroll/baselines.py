@@ -138,8 +138,10 @@ def run_baseline(
 
     With `cfg.baseline_batch` set, each gradient step draws every
     client's minibatch at once (math_core.minibatch_rows) from one
-    generator per run, seeded by `cfg.seed`.
+    generator per run, seeded by `cfg.seed`. Raises ConfigError for an
+    invalid `cfg`.
     """
+    cfg.validate()
     if method not in ALL_METHODS:
         raise InvalidSetting(f"unknown baseline method {method!r}")
     M = len(shards)
@@ -191,7 +193,7 @@ def run_baseline(
     rows = stack_rows([std.apply(sh.X_train) for sh in shards], [sh.Y_train for sh in shards])
     agg_w = rows.counts / rows.counts.sum()
 
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed or 0), 0xBA7C]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C]))
 
     def gd(V: np.ndarray, epochs: int, pull: float = 0.0, anchor=None) -> np.ndarray:
         """`epochs` gradient steps of every client's model (rows of V, in

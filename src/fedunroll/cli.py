@@ -216,8 +216,8 @@ def _diag_summary(cfg: ExperimentConfig, shards, result) -> str:
         L=cfg.L,
         mode=cfg.mode,
         dual_update=cfg.dual_update,
-        seed=int(cfg.seed or 0),
-        batch_rng=np.random.default_rng(int(cfg.seed or 0)) if grad else None,
+        seed=cfg.seed,
+        batch_rng=np.random.default_rng(cfg.seed) if grad else None,
         batch_size=cfg.batch_size if grad else None,
         grad_lr=cfg.grad_lr,
         grad_steps=cfg.grad_steps,

@@ -1,16 +1,20 @@
 """Message-structured round execution and the experiment driver.
 
 One communication round runs the L-cell forward over the active
-clients, with every vector that crosses the client/server boundary
-recorded as a RoundMessage: per layer, one client_vector per active
-client (u_i = v_i - z_i - alpha_i / step_i, with step_i the dual step of
-unrolled_net.dual_step_weights; exactly the array the server
-aggregates) followed by one global_broadcast (the new w); after the
-last layer, one loss_report per active client and a single
+clients. Its transcript lists every vector that crosses the
+client/server boundary as a RoundMessage: per layer, one client_vector
+per active client (u_i = v_i - z_i - alpha_i / step_i, with step_i the
+dual step of unrolled_net.dual_step_weights; exactly the array the
+server aggregates) followed by one global_broadcast (the new w); after
+the last layer, one loss_report per active client and a single
 loss_sum_broadcast. The transcript is the complete inter-party
 exchange: the aggregated w is bit-for-bit recomputable from the
 client_vector payloads, and nothing else about a client's state or
 data appears in it.
+
+The forward records no messages: round_transcript rebuilds them bit for
+bit from the round's tape and verifies them, on the first read of
+RoundResult.transcript. A round nobody asks about builds no message.
 
 The experiment driver keeps per-client iterates across rounds and
 epochs: inactive clients keep their stale (v, z, alpha) and rejoin with
@@ -25,6 +29,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -38,6 +43,7 @@ from .metrics import MetricsRecord
 from .unrolled_net import (
     CellState,
     LearnableParams,
+    Tape,
     forward_network,
     init_params,
     init_state,
@@ -104,55 +110,53 @@ class Transcript:
         return out
 
     def verify(self, n_active: int, L: int) -> None:
-        """Check counts and canonical ordering; raise ProtocolViolation."""
-        c = self.counts()
-        expect = {
-            "client_vector": n_active * L,
-            "global_broadcast": L,
-            "loss_report": n_active,
-            "loss_sum_broadcast": 1,
-        }
-        for kind, want in expect.items():
-            if c[kind] != want:
-                raise ProtocolViolation(
-                    f"round {self.round_index}: {kind} count {c[kind]} != {want}"
-                )
-        pos = 0
+        """Check each message's kind and layer against the canonical
+        order, which also fixes the counts; raise ProtocolViolation."""
+        canonical = []
         for layer in range(1, L + 1):
-            for _ in range(n_active):
-                m = self.messages[pos]
-                if m.kind != "client_vector" or m.layer != layer:
-                    raise ProtocolViolation(
-                        f"round {self.round_index}: expected client_vector "
-                        f"for layer {layer} at position {pos}"
-                    )
-                pos += 1
-            m = self.messages[pos]
-            if m.kind != "global_broadcast" or m.layer != layer:
-                raise ProtocolViolation(
-                    f"round {self.round_index}: expected global_broadcast "
-                    f"for layer {layer} at position {pos}"
-                )
-            pos += 1
-        for _ in range(n_active):
-            if self.messages[pos].kind != "loss_report":
-                raise ProtocolViolation(
-                    f"round {self.round_index}: expected loss_report at position {pos}"
-                )
-            pos += 1
-        if self.messages[pos].kind != "loss_sum_broadcast":
+            canonical += [("client_vector", layer)] * n_active + [("global_broadcast", layer)]
+        canonical += [("loss_report", None)] * n_active + [("loss_sum_broadcast", None)]
+        got = [(m.kind, m.layer) for m in self.messages]
+        if got != canonical:
+            # the first position where the two differ, or where one ends
+            pos = next(i for i, (g, w) in enumerate(zip(got + [None], canonical + [None])) if g != w)
+            want = canonical[pos] if pos < len(canonical) else "no further message"
             raise ProtocolViolation(
-                f"round {self.round_index}: expected loss_sum_broadcast at position {pos}"
+                f"round {self.round_index}: expected {want} at position {pos} of {len(got)} messages"
             )
+
+
+def round_transcript(tape: Tape, losses: Sequence[float], round_index: int, epoch: int) -> Transcript:
+    """One round's transcript, rebuilt from its tape and verified: per
+    cell, each active client's u_i = v_i - z_i - alpha_i / step_i by the
+    same operations as the array the server aggregated, then w; then
+    the active clients' `losses` and the sum of exactly those floats."""
+    ids = (tape.client_indices + 1).tolist()
+    t = Transcript(round_index=round_index, epoch=epoch)
+    for c in tape.cells:
+        u = c.v - c.z - c.alpha / c.step_w[:, None]
+        t.messages.extend(RoundMessage("client_vector", c.layer, cid, ui) for cid, ui in zip(ids, u))
+        t.messages.append(RoundMessage("global_broadcast", c.layer, None, c.w.copy()))
+    t.messages.extend(RoundMessage("loss_report", None, cid, F) for cid, F in zip(ids, losses))
+    t.messages.append(RoundMessage("loss_sum_broadcast", None, None, float(sum(losses))))
+    t.verify(n_active=len(ids), L=tape.L)
+    return t
 
 
 @dataclass
 class RoundResult:
     params: LearnableParams
-    transcript: Transcript
     loss_sum: float
     lagrangian_final: float
-    tape: object
+    tape: Tape
+    losses: List[float]            # the active clients' loss reports, in order
+    round_index: int
+    epoch: int
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        """The round's messages, built and verified on first access."""
+        return round_transcript(self.tape, self.losses, self.round_index, self.epoch)
 
 
 def run_round(
@@ -169,19 +173,13 @@ def run_round(
 
     `state` holds the full-population carried iterates and is updated
     in place for the active rows (and the shared w); `opt_state` is
-    advanced by one step. Returns the updated parameters.
+    advanced by one step. Returns the updated parameters with the
+    round's tape and loss reports; its transcript is built from them
+    only when read.
     """
     idx = plan.indices
     if idx.size == 0:
         raise DimensionMismatch("run_round: no active clients")
-    transcript = Transcript(round_index=round_index, epoch=epoch)
-
-    def sink(kind: str, layer: int, client_index: Optional[int], payload: np.ndarray):
-        cid = None if client_index is None else int(client_index) + 1
-        transcript.messages.append(
-            RoundMessage(kind=kind, layer=layer, client_id=cid, payload=np.array(payload, copy=True))
-        )
-
     sub = CellState(
         v=state.v[idx].copy(),
         z=state.z[idx].copy(),
@@ -205,19 +203,8 @@ def run_round(
         batch_size=cfg.batch_size if cfg.mode == "grad" else None,
         grad_lr=cfg.grad_lr,
         grad_steps=cfg.grad_steps,
-        message_sink=sink,
     )
-
     losses = tape.rows.sse(v_final).tolist()
-    for ci, F in zip(idx, losses):
-        transcript.messages.append(
-            RoundMessage(kind="loss_report", layer=None, client_id=int(ci) + 1, payload=F)
-        )
-    loss_sum = sum(losses)
-    transcript.messages.append(
-        RoundMessage(kind="loss_sum_broadcast", layer=None, client_id=None, payload=float(loss_sum))
-    )
-    transcript.verify(n_active=idx.size, L=cfg.L)
 
     final = tape.cells[-1]
     lag = lagrangian(final, tape.rows)
@@ -232,10 +219,12 @@ def run_round(
 
     return RoundResult(
         params=new_params,
-        transcript=transcript,
-        loss_sum=float(loss_sum),
+        loss_sum=float(sum(losses)),
         lagrangian_final=float(lag),
         tape=tape,
+        losses=losses,
+        round_index=round_index,
+        epoch=epoch,
     )
 
 
@@ -259,13 +248,15 @@ def run_unrolled_experiment(
 ) -> ExperimentResult:
     """Train the unrolled network: rounds x epochs, carried state,
     per-round aggregate metrics over the full population (stale models
-    for clients that sat a round out)."""
+    for clients that sat a round out). Round transcripts are built only
+    when `cfg.transcript` is set. Raises ConfigError for an invalid
+    `cfg`."""
+    cfg.validate()
     M = len(shards)
     k = shards[0].X_train.shape[1]
-    seed = int(cfg.seed or 0)
     params = init_params(M, k, cfg.L, tied=cfg.tied)
     opt_state = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
-    state = init_state(M, k, seed=seed)
+    state = init_state(M, k, seed=cfg.seed)
 
     records: List[MetricsRecord] = []
     transcripts: List[Transcript] = []
@@ -286,7 +277,7 @@ def run_unrolled_experiment(
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-    part_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAC71]))
+    part_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xAC71]))
     for rnd in range(1, cfg.rounds + 1):
         if cfg.participation < 1.0:
             plan = sample_participants(M, cfg.participation, part_rng)

@@ -418,7 +418,6 @@ def forward_cell(
     grad_lr: float = GRAD_LR_DEFAULT,
     grad_steps: int = GRAD_STEPS_DEFAULT,
     preset_batches: Optional[List[Optional[np.ndarray]]] = None,
-    message_sink: Optional[Callable[[str, int, Optional[int], np.ndarray], None]] = None,
     stats: Optional[ClientStats] = None,
 ) -> CellState:
     """Apply one cell (phi1..phi4) and return the new state.
@@ -429,12 +428,11 @@ def forward_cell(
     computed here when not given. Appends a CellRecord to `tape` when
     given. `preset_batches` replays previously drawn minibatch indices.
 
-    `message_sink(kind, layer, client_index_or_None, payload)` is called
-    with every vector that crosses the client/server boundary: one
-    "client_vector" per client carrying u_i = v_i - z_i - alpha_i / step_i
-    (the exact array the aggregation consumes; step_i is the dual step,
-    see dual_step_weights), then one "global_broadcast" carrying the
-    aggregated w.
+    The record keeps v, z, alpha, step_w and w, so the vectors that
+    cross the client/server boundary can be rebuilt from it bit for bit
+    when asked for (federation.round_transcript): u_i = v_i - z_i -
+    alpha_i / step_i, the exact array the aggregation consumes (step_i
+    is the dual step, see dual_step_weights), and the aggregated w.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -471,13 +469,7 @@ def forward_cell(
         )
     z = phi3_aux(a, v, state.w, rho_eff, lam_eff)
 
-    u = v - z - a
-    if message_sink is not None:
-        for j, ci in enumerate(idx):
-            message_sink("client_vector", layer, int(ci), u[j])
-    omega, w = _aggregate_client_vectors(u, params.p[s, idx])
-    if message_sink is not None:
-        message_sink("global_broadcast", layer, None, w)
+    omega, w = _aggregate_client_vectors(v - z - a, params.p[s, idx])
     new_state = CellState(v=v, z=z, alpha=alpha, w=w)
     if not (
         np.all(np.isfinite(v))
@@ -530,7 +522,6 @@ def forward_network(
     batch_size: Optional[int] = None,
     grad_lr: float = GRAD_LR_DEFAULT,
     grad_steps: int = GRAD_STEPS_DEFAULT,
-    message_sink: Optional[Callable[[str, int, Optional[int], np.ndarray], None]] = None,
 ) -> Tuple[np.ndarray, Tape]:
     """Run L cells and return (final per-client models [m, k], tape).
 
@@ -569,7 +560,6 @@ def forward_network(
             batch_size=batch_size,
             grad_lr=grad_lr,
             grad_steps=grad_steps,
-            message_sink=message_sink,
             stats=stats,
         )
     return state.v, tape

@@ -1,0 +1,32 @@
+"""tools/bench_pairs.py: the seed list it pairs runs over."""
+
+import argparse
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_ranges_and_lists_parse_in_order():
+    assert bench_pairs.parse_seeds("71-73") == [71, 72, 73]
+    assert bench_pairs.parse_seeds("71, 75,80-81") == [71, 75, 80, 81]
+    assert bench_pairs.parse_seeds("9-9") == [9]
+
+
+@pytest.mark.parametrize("text", ["80-71", "71-73,72", "5,5", "x", "71-", ""])
+def test_empty_reversed_repeated_or_malformed_seeds_are_rejected(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.parse_seeds(text)
+
+
+def test_bad_seeds_are_a_usage_error_before_any_run(capsys):
+    # argparse rejects the list before a worktree is made or a run starts
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "HEAD", "--workload", "s1-m10-compare", "--seeds", "80-71"])
+    assert exc.value.code == 2
+    assert "empty seed range" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fedunroll import unrolled_net
+from fedunroll.baselines import run_baseline
 from fedunroll.cli import main, parse_config_file
 from fedunroll.config import ExperimentConfig
 from fedunroll.datagen import SettingSpec, generate_setting, ingest_delimited
@@ -164,6 +165,23 @@ class TestUsageErrors:
         for kw in ({"batch_size": 0}, {"batch_size": -5}, {"baseline_batch": 0}):
             with pytest.raises(ConfigError, match="batch"):
                 ExperimentConfig(seed=1, **kw).validate()
+
+    @pytest.mark.parametrize("method, kw", [
+        ("unrolled", {"mode": "grad", "batch_size": 0}),
+        ("fedavg", {"baseline_batch": 0}),
+        ("unrolled", {"seed": None}),
+        ("fedavg", {"seed": None}),
+    ])
+    def test_library_drivers_validate_their_config(self, method, kw):
+        # a library caller gets the CLI's ConfigError, not a "trained"
+        # result or a numerical error from deep inside the run
+        shards = generate_setting(SettingSpec(setting=3, M=5, n_per_client=60, seed=1))
+        cfg = ExperimentConfig(seed=1, setting=3, M=5, n_per_client=60, rounds=2).replace(**kw)
+        with pytest.raises(ConfigError):
+            if method == "unrolled":
+                run_unrolled_experiment(cfg, shards)
+            else:
+                run_baseline(method, shards, cfg)
 
 
 class TestRun:

@@ -7,7 +7,7 @@ import pytest
 from conftest import client_sse, count_calls, make_shards
 
 from fedunroll.config import ExperimentConfig
-from fedunroll import unrolled_net
+from fedunroll import federation, unrolled_net
 from fedunroll.datagen import SettingSpec, generate_setting
 from fedunroll.errors import NonFiniteInput, ProtocolViolation
 from fedunroll.federation import (
@@ -175,6 +175,43 @@ class TestTranscript:
         assert final.payload == pytest.approx(total, rel=1e-15)
         assert rr.loss_sum == final.payload
 
+    @pytest.mark.parametrize("mode", ["linear", "grad"])
+    @pytest.mark.parametrize("dual_update", ["rho_step", "unit_step"])
+    def test_payloads_are_what_the_aggregation_consumed(self, monkeypatch, mode, dual_update):
+        # the transcript is rebuilt from the tape; its client vectors must
+        # be, bit for bit and in order, the rows the server aggregated,
+        # and each broadcast the w it returned
+        seen = []
+        original = unrolled_net._aggregate_client_vectors
+
+        def recording(u, theta):
+            omega, w = original(u, theta)
+            seen.append((u.copy(), w.copy()))
+            return omega, w
+
+        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", recording)
+        shards = make_shards(M=6, n=30, seed=22)
+        cfg = round_cfg(mode=mode, dual_update=dual_update, batch_size=8)
+        M, k = 6, 4
+        params = init_params(M, k, cfg.L)
+        rng = np.random.default_rng(23)
+        params.rho_raw = rng.uniform(0.5, 2.0, params.rho_raw.shape)
+        params.p = rng.normal(0.0, 1.0, params.p.shape)
+        plan = ParticipationPlan(active_ids=[2, 3, 5], fraction=0.5)
+        rr = run_round(shards, params, init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr),
+                       init_state(M, k, seed=0), plan, cfg, 1, 1)
+        assert len(seen) == cfg.L
+        msgs = iter(rr.transcript.messages)
+        for layer, (u, w) in enumerate(seen, start=1):
+            for cid, row in zip(plan.active_ids, u):
+                m = next(msgs)
+                assert (m.kind, m.layer, m.client_id) == ("client_vector", layer, cid)
+                assert m.payload.tobytes() == row.tobytes()
+            m = next(msgs)
+            assert (m.kind, m.layer) == ("global_broadcast", layer)
+            assert m.payload.tobytes() == w.tobytes()
+        assert [m.kind for m in msgs] == ["loss_report"] * 3 + ["loss_sum_broadcast"]
+
     def test_digest_stable_and_sensitive(self):
         m1 = RoundMessage("client_vector", 1, 1, np.array([1.0, 2.0]))
         m2 = RoundMessage("client_vector", 1, 1, np.array([1.0, 2.0]))
@@ -265,6 +302,29 @@ class TestExperimentDriver:
         assert len(res.transcripts) == 2 * 2  # rounds x epochs
         res2 = run_unrolled_experiment(round_cfg(rounds=2), shards)
         assert res2.transcripts == []
+
+    def test_transcript_off_builds_no_message(self, monkeypatch):
+        # off costs nothing: no message object and no verification unless
+        # the run asks for transcripts; on, one full round's worth per epoch
+        counts = {"messages": 0, "verify": 0}
+        message, verify = federation.RoundMessage, federation.Transcript.verify
+
+        def counted_message(*args, **kwargs):
+            counts["messages"] += 1
+            return message(*args, **kwargs)
+
+        def counted_verify(self, *args, **kwargs):
+            counts["verify"] += 1
+            return verify(self, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "RoundMessage", counted_message)
+        monkeypatch.setattr(federation.Transcript, "verify", counted_verify)
+        shards = make_shards(M=3, n=20, seed=15)
+        run_unrolled_experiment(round_cfg(rounds=2), shards)
+        assert counts == {"messages": 0, "verify": 0}
+        run_unrolled_experiment(round_cfg(rounds=2, transcript=True), shards)
+        m, L, epochs = 3, 4, 2 * 2
+        assert counts == {"messages": epochs * (m * L + L + m + 1), "verify": epochs}
 
     def test_federated_local_policy_trains(self):
         shards = make_shards(M=3, n=30, seed=16)

@@ -34,11 +34,22 @@ SIDES = ("base", "change")
 
 
 def parse_seeds(text: str) -> List[int]:
-    """'71-80' or '71,73,75' (or a mix) to a list of seeds."""
+    """'71-80' or '71,73,75' (or a mix) to a list of seeds. A malformed
+    part, an empty or reversed range and a seed given twice raise
+    argparse.ArgumentTypeError: each pair must be one distinct run."""
     seeds: List[int] = []
     for part in text.split(","):
-        lo, _, hi = part.strip().partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, dash, hi = part.strip().partition("-")
+        try:
+            first, last = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad seed or range {part.strip()!r}") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"empty seed range {part.strip()!r}")
+        seeds.extend(range(first, last + 1))
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"seeds given more than once: {repeated}")
     return seeds
 
 
@@ -75,10 +86,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git ref of the base side")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="e.g. 71-80 or 71,72,75")
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 71-80 or 71,72,75")
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
 
     same = subprocess.run(["git", "diff", "--quiet", args.base, "--", "benchmarks", "BENCHMARK.json"], cwd=ROOT)
     if same.returncode != 0:
