@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -28,19 +29,13 @@ import numpy as np
 
 from .baselines import run_baseline
 from .config import FIELD_TYPES, METHODS, ExperimentConfig, coerce_field
-from .datagen import SettingSpec, export_delimited, generate_setting
+from .datagen import SETTINGS, SettingSpec, export_delimited, generate_setting
 from .diagnostics import check_descent, lambda_report, trace_from_tape
-from .errors import ConfigError, FedunrollError
+from .errors import ConfigError, FedunrollError, MissingColumn
 from .federation import run_unrolled_experiment
-from .learner import PARAM_FIELDS, backward, fd_gradient
-from .metrics import (
-    MetricsRecord,
-    SummaryRow,
-    format_value,
-    summary_to_csv,
-    write_csv,
-)
-from .unrolled_net import forward_network, init_params
+from .learner import OPTIMIZERS, PARAM_FIELDS, POLICIES, backward, fd_gradient
+from .metrics import COLUMNS, DIVERGED, format_value, write_csv
+from .unrolled_net import DUAL_UPDATES, MODES, forward_network, init_params
 
 _EXPERIMENT_KEYS = {
     "setting", "m", "n_per_client", "noise_std", "trials", "seed",
@@ -84,7 +79,7 @@ def parse_config_file(path: str) -> dict:
 
 def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="INI config file")
-    sp.add_argument("--setting", type=int, choices=(1, 2, 3))
+    sp.add_argument("--setting", type=int, choices=SETTINGS)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--rounds", type=int)
@@ -96,11 +91,11 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
                     help="dump per-round message transcripts")
     sp.add_argument("--diagnostics", action="store_true", default=None,
                     help="write consensus-weight report and descent summary")
-    sp.add_argument("--policy", choices=("exact", "federated_local"))
+    sp.add_argument("--policy", choices=POLICIES)
     sp.add_argument("--participation", type=float)
-    sp.add_argument("--mode", choices=("linear", "grad"))
-    sp.add_argument("--dual-update", dest="dual_update", choices=("rho_step", "unit_step"))
-    sp.add_argument("--optimizer", choices=("adam", "gd"))
+    sp.add_argument("--mode", choices=MODES)
+    sp.add_argument("--dual-update", dest="dual_update", choices=DUAL_UPDATES)
+    sp.add_argument("--optimizer", choices=OPTIMIZERS)
     sp.add_argument("--lr", type=float)
     sp.add_argument("--epochs", dest="epochs_per_round", type=int)
     sp.add_argument("--tied", action="store_true", default=None)
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--tolerance", type=float, default=1e-5)
 
     dg = sub.add_parser("datagen", help="write benchmark shards as CSV")
-    dg.add_argument("--setting", type=int, choices=(1, 2, 3), required=True)
+    dg.add_argument("--setting", type=int, choices=SETTINGS, required=True)
     dg.add_argument("--seed", type=int, required=True)
     dg.add_argument("--clients", type=int, default=10)
     dg.add_argument("--samples", type=int, default=200)
@@ -151,14 +146,25 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "method", None):
         values["methods"] = [args.method]
     elif getattr(args, "methods", None):
-        values["methods"] = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
+        values["methods"] = coerce_field("methods", args.methods)
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
 
-def _trial_config(cfg: ExperimentConfig, trial: int) -> ExperimentConfig:
-    return cfg.replace(seed=int(cfg.seed) + trial)
+def _trials(cfg: ExperimentConfig):
+    """Yield (trial, the trial's config, its shards); trial t runs on
+    seed + t."""
+    for trial in range(cfg.trials):
+        tcfg = cfg.replace(seed=cfg.seed + trial)
+        spec = SettingSpec(
+            setting=tcfg.setting,
+            M=tcfg.M,
+            n_per_client=tcfg.n_per_client,
+            noise_std=tcfg.noise_std,
+            seed=tcfg.seed,
+        )
+        yield trial, tcfg, generate_setting(spec)
 
 
 def _run_method(method: str, cfg: ExperimentConfig, shards):
@@ -167,43 +173,19 @@ def _run_method(method: str, cfg: ExperimentConfig, shards):
     return run_baseline(method, shards, cfg)
 
 
-def _write_transcripts(path: str, transcripts) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("round,epoch,layer,kind,client_id,digest\n")
-        for t in transcripts:
-            for m in t.messages:
-                fh.write(
-                    ",".join(
-                        [
-                            str(t.round_index),
-                            str(t.epoch),
-                            "" if m.layer is None else str(m.layer),
-                            m.kind,
-                            "" if m.client_id is None else str(m.client_id),
-                            m.digest(),
-                        ]
-                    )
-                    + "\n"
-                )
+def _transcript_rows(transcripts):
+    for t in transcripts:
+        for m in t.messages:
+            yield t.round_index, t.epoch, m.layer, m.kind, m.client_id, m.digest()
 
 
 def _write_lambda_report(path: str, params) -> None:
     rep = lambda_report(params)
     M, k = rep.final_layer.shape
-    with open(path, "w", newline="") as fh:
-        cols = ["client"]
-        cols += [f"final_c{j}" for j in range(k)]
-        cols += [f"mean_c{j}" for j in range(k)]
-        fh.write(",".join(cols) + "\n")
-        for i in range(M):
-            row = [str(i + 1)]
-            row += [format_value(x) for x in rep.final_layer[i]]
-            row += [format_value(x) for x in rep.layer_mean[i]]
-            fh.write(",".join(row) + "\n")
-        tail = ["cross_client"]
-        tail += [format_value(x) for x in rep.cross_client_final]
-        tail += [format_value(x) for x in rep.cross_client_mean]
-        fh.write(",".join(tail) + "\n")
+    header = ["client"] + [f"final_c{j}" for j in range(k)] + [f"mean_c{j}" for j in range(k)]
+    rows = [[i + 1, *rep.final_layer[i], *rep.layer_mean[i]] for i in range(M)]
+    rows.append(["cross_client", *rep.cross_client_final, *rep.cross_client_mean])
+    write_csv(path, header, rows)
 
 
 def _diag_summary(cfg: ExperimentConfig, shards, result) -> str:
@@ -235,29 +217,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     method = cfg.methods[0]
     os.makedirs(cfg.out_dir, exist_ok=True)
-    all_records: List[MetricsRecord] = []
-    last_result = None
-    for trial in range(cfg.trials):
-        tcfg = _trial_config(cfg, trial)
-        shards = generate_setting(
-            SettingSpec(
-                setting=tcfg.setting,
-                M=tcfg.M,
-                n_per_client=tcfg.n_per_client,
-                noise_std=tcfg.noise_std,
-                seed=int(tcfg.seed),
-            )
-        )
+    records = []
+    for trial, tcfg, shards in _trials(cfg):
         result = _run_method(method, tcfg, shards)
-        all_records.extend(result.records)
-        last_result = result
+        records.extend(result.records)
         # a diverged trial's NaN error prints as DIVERGED
         print(f"{method} trial {trial}: mean test rmse {format_value(result.mean_test_rmse)}")
         if method == "unrolled":
             if cfg.transcript and result.transcripts:
-                _write_transcripts(
+                write_csv(
                     os.path.join(cfg.out_dir, f"transcript_{method}_trial{trial}.csv"),
-                    result.transcripts,
+                    ("round", "epoch", "layer", "kind", "client_id", "digest"),
+                    _transcript_rows(result.transcripts),
                 )
             if cfg.diagnostics:
                 _write_lambda_report(
@@ -267,7 +238,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 if not result.diverged:
                     print("  " + _diag_summary(tcfg, shards, result))
     out_path = os.path.join(cfg.out_dir, f"metrics_{method}.csv")
-    write_csv(out_path, all_records, include_wall=True)
+    write_csv(out_path, COLUMNS, map(dataclasses.astuple, records))
     print(f"wrote {out_path}")
     return 0
 
@@ -276,18 +247,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     finals: dict = {m: [] for m in cfg.methods}
-    lines = ["method,trial,seed,mean_rmse,client_std"]
-    for trial in range(cfg.trials):
-        tcfg = _trial_config(cfg, trial)
-        shards = generate_setting(
-            SettingSpec(
-                setting=tcfg.setting,
-                M=tcfg.M,
-                n_per_client=tcfg.n_per_client,
-                noise_std=tcfg.noise_std,
-                seed=int(tcfg.seed),
-            )
-        )
+    for trial, tcfg, shards in _trials(cfg):
         for method in cfg.methods:
             result = _run_method(method, tcfg, shards)
             finals[method].append(result.mean_test_rmse)
@@ -295,37 +255,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"setting {cfg.setting} trial {trial} {method}: "
                 f"mean test rmse {format_value(result.mean_test_rmse)}"
             )
-    for method in cfg.methods:
-        for trial, val in enumerate(finals[method]):
-            lines.append(
-                ",".join(
-                    [
-                        method,
-                        str(trial),
-                        str(int(cfg.seed) + trial),
-                        format_value(val),
-                        "",
-                    ]
-                )
-            )
-    rows = []
-    for method in cfg.methods:
-        vals = np.asarray(finals[method], dtype=np.float64)
-        rows.append(
-            SummaryRow(
-                method=method,
-                setting=cfg.setting,
-                trials=cfg.trials,
-                mean_rmse=float(np.nanmean(vals)) if np.all(np.isfinite(vals)) else float("nan"),
-                std_rmse=float(np.nanstd(vals)) if np.all(np.isfinite(vals)) else float("nan"),
-            )
-        )
+    # a diverged trial's NaN carries through to its method's mean and std
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        fh.write(summary_to_csv(rows))
+    write_csv(
+        summary_path,
+        ("method", "setting", "trials", "mean_rmse", "std_rmse"),
+        [(m, cfg.setting, cfg.trials, np.mean(v), np.std(v)) for m, v in finals.items()],
+    )
     trials_path = os.path.join(cfg.out_dir, "final_rmse.csv")
-    with open(trials_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        trials_path,
+        ("method", "trial", "seed", "mean_rmse", "client_std"),
+        [(m, t, cfg.seed + t, val, None) for m, v in finals.items() for t, val in enumerate(v)],
+    )
     print(f"wrote {summary_path} and {trials_path}")
     return 0
 
@@ -401,12 +343,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not rows:
         print("empty metrics file")
         return 1
+    missing = [c for c in ("round", "method", "test_rmse") if c not in reader.fieldnames]
+    if missing:
+        raise MissingColumn(f"{args.csv} is not a metrics CSV: no column(s) {', '.join(missing)}")
     last: dict = {}
     diverged = set()
     for row in rows:
         m = row["method"]
         last[m] = row
-        if any(row.get(c) == "DIVERGED" for c in ("train_rmse", "test_rmse")):
+        if any(row.get(c) == DIVERGED for c in ("train_rmse", "test_rmse")):
             diverged.add(m)
     for m, row in sorted(last.items()):
         note = " DIVERGED" if m in diverged else ""

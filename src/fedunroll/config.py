@@ -11,7 +11,10 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .errors import ConfigError
+from .datagen import SETTINGS, SettingSpec
+from .errors import ConfigError, InvalidSetting
+from .learner import OPTIMIZERS, POLICIES
+from .unrolled_net import DUAL_UPDATES, MODES
 
 METHODS = (
     "unrolled",
@@ -23,8 +26,6 @@ METHODS = (
     "fedprox_ft",
     "ditto",
 )
-
-OPTIMIZERS = ("adam", "gd")
 
 
 @dataclass
@@ -72,10 +73,25 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("seed is required (set it in [experiment] or pass --seed)")
-        if self.setting not in (1, 2, 3):
-            raise ConfigError(f"setting must be 1, 2 or 3, got {self.setting}")
-        if self.M < 1:
-            raise ConfigError("M must be >= 1")
+        if not self.methods:
+            raise ConfigError("methods must name at least one method")
+        # each set of allowed values is owned by the module that implements it
+        choices = [
+            ("setting", self.setting, SETTINGS),
+            ("optimizer", self.optimizer, OPTIMIZERS),
+            ("policy", self.policy, POLICIES),
+            ("mode", self.mode, MODES),
+            ("dual_update", self.dual_update, DUAL_UPDATES),
+        ]
+        choices += [("method", m, METHODS) for m in self.methods]
+        for name, value, allowed in choices:
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+        try:
+            # the benchmark's own bounds (at least 2 clients, noise_std >= 0)
+            SettingSpec(setting=self.setting, M=self.M, noise_std=self.noise_std)
+        except InvalidSetting as exc:
+            raise ConfigError(str(exc)) from exc
         if self.n_per_client < 2:
             raise ConfigError("n_per_client must be >= 2")
         if self.trials < 1:
@@ -88,17 +104,6 @@ class ExperimentConfig:
             raise ConfigError("epochs_per_round must be >= 1")
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError("participation must lie in (0, 1]")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.policy not in ("exact", "federated_local"):
-            raise ConfigError("policy must be 'exact' or 'federated_local'")
-        if self.mode not in ("linear", "grad"):
-            raise ConfigError("mode must be 'linear' or 'grad'")
-        if self.dual_update not in ("rho_step", "unit_step"):
-            raise ConfigError("dual_update must be 'rho_step' or 'unit_step'")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
         if self.lr <= 0 or self.baseline_lr <= 0 or self.grad_lr <= 0:
             raise ConfigError("learning rates must be positive")
         if self.ft_epochs < 0 or self.local_epochs < 1 or self.grad_steps < 1:

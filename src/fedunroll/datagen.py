@@ -27,6 +27,7 @@ from .math_core import design_matrix
 
 DEGREE = 3
 K = DEGREE + 1
+SETTINGS = (1, 2, 3)
 
 
 @dataclass
@@ -61,8 +62,7 @@ class SettingSpec:
     train_ratio: float = 0.9
 
     def __post_init__(self):
-        if self.setting not in (1, 2, 3):
-            raise InvalidSetting(f"unknown setting {self.setting!r}")
+        n_personal_coeffs(self.setting)
         if self.M < 2:
             raise InvalidSetting("need at least 2 clients for shared coefficients")
         if self.noise_std < 0:
@@ -70,10 +70,10 @@ class SettingSpec:
 
 
 def n_personal_coeffs(setting: int) -> int:
-    try:
-        return {1: 1, 2: 2, 3: 3}[setting]
-    except KeyError:
-        raise InvalidSetting(f"unknown setting {setting!r}") from None
+    """Setting s keeps its top s coefficients personal."""
+    if setting not in SETTINGS:
+        raise InvalidSetting(f"unknown setting {setting!r}")
+    return setting
 
 
 def split(X: np.ndarray, Y: np.ndarray, ratio: float, seed: int) -> Tuple:

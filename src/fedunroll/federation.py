@@ -75,7 +75,6 @@ class ParticipationPlan:
     """Which clients take part in one round (1-based ids, ascending)."""
 
     active_ids: List[int]
-    fraction: float = 1.0
 
     @property
     def indices(self) -> np.ndarray:
@@ -83,7 +82,7 @@ class ParticipationPlan:
 
 
 def full_participation(M: int) -> ParticipationPlan:
-    return ParticipationPlan(active_ids=list(range(1, M + 1)), fraction=1.0)
+    return ParticipationPlan(active_ids=list(range(1, M + 1)))
 
 
 def sample_participants(M: int, fraction: float, rng: np.random.Generator) -> ParticipationPlan:
@@ -92,7 +91,7 @@ def sample_participants(M: int, fraction: float, rng: np.random.Generator) -> Pa
         raise ValueError("participation fraction must lie in (0, 1]")
     count = math.ceil(fraction * M)
     picked = rng.choice(M, size=count, replace=False)
-    return ParticipationPlan(active_ids=sorted(int(i) + 1 for i in picked), fraction=fraction)
+    return ParticipationPlan(active_ids=sorted(int(i) + 1 for i in picked))
 
 
 @dataclass

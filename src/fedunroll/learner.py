@@ -40,15 +40,9 @@ from .math_core import chol_solve, rowdot
 from .unrolled_net import CellState, LearnableParams, Tape, client_rows, forward_network
 
 POLICIES = ("exact", "federated_local")
+OPTIMIZERS = ("adam", "gd")
 
 PARAM_FIELDS = ("lam_raw", "rho_raw", "p")
-
-
-def gradient_boundary_policy(mode: str) -> str:
-    """Validate and return a gradient boundary policy token."""
-    if mode not in POLICIES:
-        raise ValueError(f"unknown boundary policy {mode!r}; expected one of {POLICIES}")
-    return mode
 
 
 @dataclass
@@ -178,7 +172,8 @@ def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradie
     The losses are read from the rows the tape's forward stacked;
     `shards` must be the clients it was recorded on.
     """
-    gradient_boundary_policy(policy)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown boundary policy {policy!r}; expected one of {POLICIES}")
     if len(shards) != tape.M_total:
         raise TapeMismatch(
             f"tape recorded {tape.M_total} clients, got {len(shards)} shards"
@@ -262,7 +257,7 @@ def init_optimizer(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> OptimizerState:
-    if kind not in ("adam", "gd"):
+    if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     state = OptimizerState(kind=kind, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     for name in PARAM_FIELDS:

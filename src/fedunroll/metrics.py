@@ -1,35 +1,29 @@
-"""Metrics rows and deterministic CSV serialization.
+"""Metrics rows and the one deterministic CSV writer.
 
-One row per (round, method) aggregate. Floats are serialized with
-repr(), which is the shortest round-tripping decimal form, so equal
-runs produce byte-identical files; non-finite values are emitted as the
-literal marker DIVERGED; absent values as the empty string. Lines are
-joined with a fixed "\n" regardless of platform.
+Every CSV the CLI writes (metrics_<method>.csv, summary.csv,
+final_rmse.csv, lambda_*.csv and transcript_*.csv) goes through
+`write_csv`, so one set of rules covers them all: floats are serialized
+with repr(), the shortest round-tripping decimal form, so equal runs
+produce byte-identical files; ints with str(); strings unchanged;
+non-finite values as the literal marker DIVERGED; absent values (None)
+as the empty string. Lines end with a fixed "\n" regardless of
+platform.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
-
-COLUMNS = (
-    "round",
-    "epoch",
-    "method",
-    "client_id",
-    "train_rmse",
-    "test_rmse",
-    "loss_sum",
-    "lagrangian_final_cell",
-    "wall_ms",
-)
+from typing import Iterable, Optional, Sequence, Union
 
 DIVERGED = "DIVERGED"
 
 
 @dataclass
 class MetricsRecord:
+    """One row per (round, method) aggregate."""
+
     round: int
     epoch: int
     method: str
@@ -41,12 +35,15 @@ class MetricsRecord:
     wall_ms: Optional[float] = None
 
 
+COLUMNS = tuple(f.name for f in dataclasses.fields(MetricsRecord))
+
+
 def format_value(x) -> str:
     if x is None:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (int,)) and not isinstance(x, bool):
+    if isinstance(x, int) and not isinstance(x, bool):
         return str(x)
     xf = float(x)
     if not math.isfinite(xf):
@@ -54,45 +51,9 @@ def format_value(x) -> str:
     return repr(xf)
 
 
-def record_row(rec: MetricsRecord, columns: Sequence[str]) -> str:
-    return ",".join(format_value(getattr(rec, c)) for c in columns)
-
-
-def rows_to_csv(records: Sequence[MetricsRecord], include_wall: bool = True) -> str:
-    cols = COLUMNS if include_wall else COLUMNS[:-1]
-    lines = [",".join(cols)]
-    lines.extend(record_row(r, cols) for r in records)
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path, records: Sequence[MetricsRecord], include_wall: bool = True) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header` and `rows` to `path`, each value through format_value."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format_value(x) for x in row) for row in rows)
     with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(records, include_wall=include_wall))
-
-
-@dataclass
-class SummaryRow:
-    """One Table-style line: per-method mean and spread across trials."""
-
-    method: str
-    setting: int
-    trials: int
-    mean_rmse: float
-    std_rmse: float
-
-
-def summary_to_csv(rows: Sequence[SummaryRow]) -> str:
-    lines = ["method,setting,trials,mean_rmse,std_rmse"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    str(r.setting),
-                    str(r.trials),
-                    format_value(r.mean_rmse),
-                    format_value(r.std_rmse),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        fh.write("\n".join(lines) + "\n")

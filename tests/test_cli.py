@@ -159,6 +159,20 @@ class TestUsageErrors:
             assert rc == 2
             assert "batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, ini, flags, message", [
+        ("run", "", ["--clients", "1"], "at least 2 clients"),
+        ("run", "[experiment]\nnoise_std = -1\n", [], "noise_std"),
+        ("compare", "[experiment]\nmethods = ,\n", [], "at least one method"),
+    ])
+    def test_bad_benchmark_config_exits_2(self, tmp_path, capsys, command, ini, flags, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(ini)
+        rc = main([command, "--config", str(path), "--setting", "1", "--seed", "1",
+                   "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_batch_sizes_are_validated(self):
         ExperimentConfig(seed=1, batch_size=1, baseline_batch=1).validate()
         ExperimentConfig(seed=1, baseline_batch=None).validate()
@@ -219,6 +233,14 @@ class TestRun:
         llines = lpath.read_text().splitlines()
         assert llines[0].startswith("client,final_c0")
         assert len(llines) == 1 + 3 + 1  # header, one per client, cross-client row
+
+    def test_transcript_and_diagnostics_are_deterministic(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            args = tiny_run_args(out, extra=["--transcript", "--diagnostics"])
+            assert main(args) == 0
+        for name in ("transcript_unrolled_trial0.csv", "lambda_unrolled_trial0.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_diverged_trial_prints_no_value(self, tmp_path, monkeypatch, capsys):
         # the aggregation turns non-finite in round 2: the trial line
@@ -391,6 +413,14 @@ class TestReport:
         rc = main(["report", str(tmp_path / "absent.csv")])
         assert rc == 1
         assert "i/o error" in capsys.readouterr().err
+
+    def test_compare_summary_is_not_a_metrics_csv(self, tmp_path, capsys):
+        assert TestCompare().run_compare(tmp_path) == 0
+        capsys.readouterr()
+        rc = main(["report", str(tmp_path / "summary.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "round" in err
 
     def test_empty_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -101,7 +101,7 @@ class TestTranscript:
 
     def test_counts_partial_participation(self):
         shards = make_shards(M=6, seed=1)
-        plan = ParticipationPlan(active_ids=[2, 5, 6], fraction=0.5)
+        plan = ParticipationPlan(active_ids=[2, 5, 6])
         rr, _, _ = one_round(shards, round_cfg(), plan)
         c = rr.transcript.counts()
         assert c["client_vector"] == 3 * 4
@@ -197,7 +197,7 @@ class TestTranscript:
         rng = np.random.default_rng(23)
         params.rho_raw = rng.uniform(0.5, 2.0, params.rho_raw.shape)
         params.p = rng.normal(0.0, 1.0, params.p.shape)
-        plan = ParticipationPlan(active_ids=[2, 3, 5], fraction=0.5)
+        plan = ParticipationPlan(active_ids=[2, 3, 5])
         rr = run_round(shards, params, init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr),
                        init_state(M, k, seed=0), plan, cfg, 1, 1)
         assert len(seen) == cfg.L
@@ -229,7 +229,7 @@ class TestRoundStateAndLearning:
         opt = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
         state = init_state(M, k, seed=0)
         before = state.copy()
-        plan = ParticipationPlan(active_ids=[1, 3], fraction=0.4)
+        plan = ParticipationPlan(active_ids=[1, 3])
         run_round(shards, params, opt, state, plan, cfg, 1, 1)
         assert not np.array_equal(state.v[0], before.v[0])
         assert not np.array_equal(state.v[2], before.v[2])
