@@ -318,15 +318,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
+    spec = SettingSpec(setting=args.setting, M=args.clients, n_per_client=args.samples,
+                       seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    shards = generate_setting(
-        SettingSpec(
-            setting=args.setting,
-            M=args.clients,
-            n_per_client=args.samples,
-            seed=args.seed,
-        )
-    )
+    shards = generate_setting(spec)
     for sh in shards:
         path = os.path.join(args.out, f"client_{sh.client_id:02d}.csv")
         export_delimited(sh, path)

@@ -88,12 +88,11 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         try:
-            # the benchmark's own bounds (at least 2 clients, noise_std >= 0)
-            SettingSpec(setting=self.setting, M=self.M, noise_std=self.noise_std)
+            # the benchmark's own bounds (clients, samples, noise_std)
+            SettingSpec(setting=self.setting, M=self.M, n_per_client=self.n_per_client,
+                        noise_std=self.noise_std)
         except InvalidSetting as exc:
             raise ConfigError(str(exc)) from exc
-        if self.n_per_client < 2:
-            raise ConfigError("n_per_client must be >= 2")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.L < 1:

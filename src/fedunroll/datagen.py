@@ -62,18 +62,15 @@ class SettingSpec:
     train_ratio: float = 0.9
 
     def __post_init__(self):
-        n_personal_coeffs(self.setting)
+        if self.setting not in SETTINGS:
+            raise InvalidSetting(f"unknown setting {self.setting!r}")
         if self.M < 2:
             raise InvalidSetting("need at least 2 clients for shared coefficients")
+        if self.n_per_client < 2:
+            # a single sample would leave a client without a train row
+            raise InvalidSetting("n_per_client must be >= 2")
         if self.noise_std < 0:
             raise InvalidSetting("noise_std must be >= 0")
-
-
-def n_personal_coeffs(setting: int) -> int:
-    """Setting s keeps its top s coefficients personal."""
-    if setting not in SETTINGS:
-        raise InvalidSetting(f"unknown setting {setting!r}")
-    return setting
 
 
 def split(X: np.ndarray, Y: np.ndarray, ratio: float, seed: int) -> Tuple:
@@ -100,7 +97,7 @@ def generate_setting(spec: SettingSpec) -> List[DataShard]:
     All randomness (coefficients, abscissae, noise, splits) derives from
     spec.seed, so equal specs give identical shards.
     """
-    s = n_personal_coeffs(spec.setting)
+    s = spec.setting  # setting s keeps its top s coefficients personal
     root = np.random.SeedSequence(spec.seed)
     coeff_seq, data_seq = root.spawn(2)
     coeff_rng = np.random.default_rng(coeff_seq)

@@ -66,10 +66,11 @@ def trace_from_tape(tape: Tape, params_trained: bool = False) -> CellTrace:
     dw = np.empty(L)
     rho_min = np.inf
     for li, rec in enumerate(tape.cells):
+        prev = tape.inputs(li)
         lags[li] = lagrangian(rec, tape.rows)
-        dv[li] = np.linalg.norm(rec.v - rec.v_prev, axis=1)
-        da[li] = np.linalg.norm(rec.alpha - rec.alpha_prev, axis=1)
-        dw[li] = np.linalg.norm(rec.w - rec.w_prev)
+        dv[li] = np.linalg.norm(rec.v - prev.v, axis=1)
+        da[li] = np.linalg.norm(rec.alpha - prev.alpha, axis=1)
+        dw[li] = np.linalg.norm(rec.w - prev.w)
         rho_min = min(rho_min, float(rec.rho_eff.min()))
     return CellTrace(
         lagrangians=lags,

@@ -179,12 +179,8 @@ def run_round(
     idx = plan.indices
     if idx.size == 0:
         raise DimensionMismatch("run_round: no active clients")
-    sub = CellState(
-        v=state.v[idx].copy(),
-        z=state.z[idx].copy(),
-        alpha=state.alpha[idx].copy(),
-        w=state.w.copy(),
-    )
+    # fancy indexing copies the active rows; w is replaced, never written
+    sub = CellState(v=state.v[idx], z=state.z[idx], alpha=state.alpha[idx], w=state.w)
     batch_rng = None
     if cfg.mode == "grad":
         batch_rng = np.random.default_rng(
@@ -214,7 +210,7 @@ def run_round(
     state.v[idx] = final.v
     state.z[idx] = final.z
     state.alpha[idx] = final.alpha
-    state.w = final.w.copy()
+    state.w = final.w
 
     return RoundResult(
         params=new_params,

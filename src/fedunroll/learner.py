@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import LayoutMismatch, NonFiniteGradient, NonFiniteInput, TapeMismatch
 from .math_core import chol_solve, rowdot
-from .unrolled_net import CellState, LearnableParams, Tape, client_rows, forward_network
+from .unrolled_net import CellState, LearnableParams, Tape, forward_network
 
 POLICIES = ("exact", "federated_local")
 OPTIMIZERS = ("adam", "gd")
@@ -61,12 +61,6 @@ class ParamGradients:
                 )
 
 
-def pb_loss(v_final: np.ndarray, shards: Sequence, client_indices=None) -> float:
-    """Sum of local training losses at the final-cell models."""
-    idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
-    return float(client_rows(shards, idx).sse(v_final).sum())
-
-
 def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_client: bool):
     """Walk the tape backwards from the seed adjoint `vbar` of the final
     models, accumulating adjoints into `grads`.
@@ -85,7 +79,8 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     def to_w(rows):  # per-client [m, k] adjoint terms, in wbar's shape
         return rows if per_client else rows.sum(axis=0)
 
-    for rec in reversed(tape.cells):
+    for i in reversed(range(len(tape.cells))):
+        rec, prev = tape.cells[i], tape.inputs(i)
         s = rec.slot
         rho = rec.rho_eff
         # phi2-phi4 read the scaled multiplier a = alpha / step_w. `abar`
@@ -108,7 +103,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         wbar = np.zeros_like(wbar)
 
         # ---- phi3: z = rho * d / (lam + rho), d = v - w_prev - a ----
-        d = rec.v - rec.w_prev[None, :] - a
+        d = rec.v - prev.w[None, :] - a
         denom = rec.lam_eff + rho[:, None]
         sfac = rho[:, None] / denom
         sz = sfac * zbar
@@ -122,7 +117,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
 
         # ---- phi2: `anchor_bar` is the adjoint of
         # anchor = w_prev + z_prev + a, `rho_bar` the direct rho edge ----
-        anchor = rec.w_prev + rec.z_prev + a
+        anchor = prev.w + prev.z + a
         rho_k = rho[:, None]
         if tape.mode == "linear":
             # v = A^{-1}(rho * anchor + X'Y), A = X'X + rho I
@@ -132,11 +127,11 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
             vbar = np.zeros((m, k))  # the closed form does not read v_prev
         else:
             # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2
-            lr = rec.grad_lr
+            lr = tape.grad_lr
             H = 2.0 * rec.gram
             anchor_bar = np.zeros((m, k))
             rho_bar = np.zeros(m)
-            for t in range(rec.grad_steps - 1, -1, -1):
+            for t in range(tape.grad_steps - 1, -1, -1):
                 rho_bar += -lr * rowdot(vbar, rec.v_iterates[t] - anchor)
                 anchor_bar += lr * rho_k * vbar
                 vbar = vbar - lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
@@ -159,7 +154,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         zbar += sw * albar
         wbar += to_w(sw * albar)
         if tape.dual_update == "rho_step":
-            resid = rec.z_prev - rec.v_prev + rec.w_prev[None, :]
+            resid = prev.z - prev.v + prev.w[None, :]
             grads.rho_raw[s, idx] += (albar * resid).sum(axis=1) * rec.rho_on
         # albar itself passes through unchanged to alpha_prev
 
@@ -208,9 +203,11 @@ def fd_gradient(
     """Central finite difference of P_b along one raw parameter coordinate.
 
     `which` is (field_name, index_tuple) into the raw parameter arrays,
-    e.g. ("lam_raw", (0, 2, 3)). The forward must be deterministic: use
-    full batches (or preset ones) and pass the same state0 the original
-    forward used.
+    e.g. ("lam_raw", (0, 2, 3)). The two probes must run the same
+    forward: pass the state0 the original forward used, and in grad mode
+    full batches, since a generator shared by the probes would give them
+    different minibatches. Each probe's loss is read from the rows its
+    tape stacked.
     """
     if h <= 0:
         raise ValueError("fd_gradient: h must be positive")
@@ -222,7 +219,7 @@ def fd_gradient(
         p2 = params.copy()
         getattr(p2, name)[index] += delta
         v, tape = forward_network(shards, p2, state0=state0, **forward_kwargs)
-        return pb_loss(v, shards, tape.client_indices)
+        return float(tape.rows.sse(v).sum())
 
     hi, lo = probe(+h), probe(-h)
     if not (np.isfinite(hi) and np.isfinite(lo)):

@@ -184,51 +184,35 @@ def minibatch_rows(
     rows: RowStack,
     batch_size: Optional[int],
     rng: Optional[np.random.Generator] = None,
-    preset: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> Tuple[List[Optional[np.ndarray]], RowStack]:
     """Each client's minibatch of `rows`, and the batch rows stacked.
 
-    Client i's batch is `preset[i]` when replaying earlier draws, else
-    `batch_size` of its row indices drawn without replacement; it is
-    None where the size is None or covers the client's rows. The draw
-    is one `rng.random` call per call of this helper: every row of every
-    drawing client gets a uniform key, client by client in order, and a
-    client's batch is its rows of the `batch_size` smallest keys, in key
-    order. A client without a batch consumes no keys and keeps all its
-    rows in the returned stack; when no client has a batch, that stack
-    is `rows` itself.
+    Client i's batch is `batch_size` of its row indices drawn without
+    replacement; it is None where the size is None or covers the
+    client's rows. The draw is one `rng.random` call per call of this
+    helper: every row of every drawing client gets a uniform key, client
+    by client in order, and a client's batch is its rows of the
+    `batch_size` smallest keys, in key order. A client without a batch
+    consumes no keys and keeps all its rows in the returned stack; when
+    no client has a batch, that stack is `rows` itself.
     """
     m, width = rows.X.shape[:2]
     counts = rows.counts
+    drawn = np.zeros(m, dtype=bool) if batch_size is None else counts > batch_size
+    if not drawn.any():
+        return [None] * m, rows
+    if rng is None:
+        raise ValueError("batch_size given without a generator")
+    # keys: uniform on a drawing client's rows, the row index on the
+    # other clients' rows, +inf on padding rows
     col = np.arange(width)
-    if preset is not None:
-        batches = list(preset)
-        drawn = np.array([b is not None for b in batches])
-        if not drawn.any():
-            return batches, rows
-        take = np.tile(col, (m, 1))
-        for i in np.flatnonzero(drawn):
-            take[i, :batches[i].shape[0]] = batches[i]
-        counts = np.array([n if b is None else b.shape[0] for n, b in zip(counts.tolist(), batches)])
-    else:
-        drawn = np.zeros(m, dtype=bool) if batch_size is None else counts > batch_size
-        if not drawn.any():
-            return [None] * m, rows
-        if rng is None:
-            raise ValueError("batch_size given without a generator")
-        # keys: uniform on a drawing client's rows, the row index on the
-        # other clients' rows, +inf on padding rows
-        own = col < counts[:, None]
-        keys = np.where(own, col.astype(np.float64), np.inf)
-        drawing = own & drawn[:, None]
-        keys[drawing] = rng.random(int(counts[drawn].sum()))
-        # a copy, so the returned batches (kept on the tape) do not hold
-        # every row's order alive
-        take = np.argsort(keys, axis=1)[:, :batch_size].copy()
-        counts = np.where(drawn, batch_size, counts)
-        batches = [take[i] if d else None for i, d in enumerate(drawn.tolist())]
-    take = take[:, :counts.max()]
-    pad = np.arange(take.shape[1]) >= counts[:, None]
+    own = col < counts[:, None]
+    keys = np.where(own, col.astype(np.float64), np.inf)
+    keys[own & drawn[:, None]] = rng.random(int(counts[drawn].sum()))
+    take = np.argsort(keys, axis=1)[:, :batch_size]
+    counts = np.where(drawn, batch_size, counts)
+    batches = [take[i] if d else None for i, d in enumerate(drawn.tolist())]
+    pad = np.arange(batch_size) >= counts[:, None]
     client = np.arange(m)[:, None]
     X = np.where(pad[:, :, None], 0.0, rows.X[client, take])
     Y = np.where(pad, 0.0, rows.Y[client, take])

@@ -27,7 +27,10 @@ scheme (consensus weights, penalty scalars and aggregation weights) is
 a trainable parameter. A client's aggregation weight is the softmax of
 its logit over the round's active clients, so the weights are positive
 and sum to one on any subset of clients. The forward pass records a
-Tape with everything the reverse pass needs.
+Tape with everything the reverse pass needs, each value once: a cell's
+record holds what the cell computed, and its inputs are the previous
+cell's outputs, or the tape's initial state for the first cell
+(Tape.inputs).
 
 Two dual-step conventions are provided; both are consensus ADMM with
 fixed parameters. phi1 adds step * (z - v + w) to alpha, and phi2,
@@ -44,7 +47,7 @@ coincide bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -292,16 +295,13 @@ def init_state(M: int, k: int, seed: int = 0) -> CellState:
 
 @dataclass
 class CellRecord:
-    """Everything one cell's backward needs, in forward order."""
+    """What one cell computed, in forward order. The cell's inputs are
+    not repeated here: they are the previous cell's outputs, or the
+    tape's initial state for the first cell (Tape.inputs)."""
 
     layer: int
     slot: int
-    # inputs ([m, k] over the active clients, [k] for w)
-    v_prev: np.ndarray
-    z_prev: np.ndarray
-    alpha_prev: np.ndarray
-    w_prev: np.ndarray
-    # outputs
+    # outputs ([m, k] over the active clients, [k] for w)
     v: np.ndarray
     z: np.ndarray
     alpha: np.ndarray
@@ -317,20 +317,19 @@ class CellRecord:
     step_w: np.ndarray
     # linear mode: cached Cholesky factors of X'X + rho I, [m, k, k]
     chol: Optional[np.ndarray] = None
-    # grad mode: iterates [steps+1, m, k], the minibatch Gram matrices
-    # X_b'X_b the steps ran on [m, k, k], per-client batch row indices
+    # grad mode: iterates [steps+1, m, k] and the minibatch Gram
+    # matrices X_b'X_b the steps ran on [m, k, k]
     v_iterates: Optional[np.ndarray] = None
     gram: Optional[np.ndarray] = None
-    grad_lr: float = GRAD_LR_DEFAULT
-    grad_steps: int = GRAD_STEPS_DEFAULT
-    batch_idx: Optional[List[np.ndarray]] = None
 
 
 @dataclass
 class Tape:
-    """Forward recording: initial state, per-cell records, and the
-    client subset the pass ran over (0-based indices into the full
-    client list)."""
+    """Forward recording: initial state, per-cell records, the client
+    subset the pass ran over (0-based indices into the full client
+    list) and grad mode's step size and step count. Cell i's inputs
+    live in cell i-1's record, or in `init` for cell 0: read them
+    through `inputs`."""
 
     mode: str
     dual_update: str
@@ -343,10 +342,17 @@ class Tape:
     tied: bool = False
     # the active clients' training rows, stacked once for the pass
     rows: Optional[RowStack] = None
+    grad_lr: float = GRAD_LR_DEFAULT
+    grad_steps: int = GRAD_STEPS_DEFAULT
 
     @property
     def m_active(self) -> int:
         return self.client_indices.shape[0]
+
+    def inputs(self, i: int) -> Union[CellState, CellRecord]:
+        """The v, z, alpha and w cell i started from: cell i-1's record,
+        or the initial state for cell 0."""
+        return self.cells[i - 1] if i > 0 else self.init
 
     def final_v(self) -> np.ndarray:
         return self.cells[-1].v if self.cells else self.init.v
@@ -380,17 +386,17 @@ def client_stats(shards: Sequence, client_indices) -> ClientStats:
     return ClientStats(rows=rows, gram=rows.gram(), xty=rows.xt(rows.Y))
 
 
-def _minibatch_stats(stats, batch_rng, batch_size, preset_batches):
-    """Grad mode: each client's minibatch Gram matrix and X'Y, and the
-    drawn row indices (None, and the full-shard statistics, where no
-    batch is drawn). One draw from `batch_rng` serves every client."""
-    batches, b = minibatch_rows(stats.rows, batch_size, batch_rng, preset_batches)
+def _minibatch_stats(stats, batch_rng, batch_size):
+    """Grad mode: each client's minibatch Gram matrix and X'Y (the
+    full-shard statistics where no batch is drawn). One draw from
+    `batch_rng` serves every client."""
+    batches, b = minibatch_rows(stats.rows, batch_size, batch_rng)
     if b is stats.rows:
-        return stats.gram, stats.xty, batches
+        return stats.gram, stats.xty
     drawn = np.array([batch is not None for batch in batches])
     gram = np.where(drawn[:, None, None], b.gram(), stats.gram)
     xty = np.where(drawn[:, None], b.xt(b.Y), stats.xty)
-    return gram, xty, batches
+    return gram, xty
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +423,6 @@ def forward_cell(
     batch_size: Optional[int] = None,
     grad_lr: float = GRAD_LR_DEFAULT,
     grad_steps: int = GRAD_STEPS_DEFAULT,
-    preset_batches: Optional[List[Optional[np.ndarray]]] = None,
     stats: Optional[ClientStats] = None,
 ) -> CellState:
     """Apply one cell (phi1..phi4) and return the new state.
@@ -426,7 +431,8 @@ def forward_cell(
     selects which parameter/data columns this pass runs over (defaults
     to all clients). `stats` are those clients' sufficient statistics,
     computed here when not given. Appends a CellRecord to `tape` when
-    given. `preset_batches` replays previously drawn minibatch indices.
+    given; the record holds the cell's outputs and shares their arrays
+    with the returned state, which nothing mutates.
 
     The record keeps v, z, alpha, step_w and w, so the vectors that
     cross the client/server boundary can be rebuilt from it bit for bit
@@ -456,11 +462,11 @@ def forward_cell(
 
     alpha = phi1_dual(state.alpha, state.v, state.z, state.w, step_w)
     a = alpha / step_w[:, None]
-    chol = iterates = gram = batches = None
+    chol = iterates = gram = None
     if mode == "linear":
         v, chol = phi2_v_linear(stats.gram, stats.xty, a, state.z, state.w, rho_eff)
     else:
-        gram, xty, batches = _minibatch_stats(stats, batch_rng, batch_size, preset_batches)
+        gram, xty = _minibatch_stats(stats, batch_rng, batch_size)
         iterates = np.empty((grad_steps + 1,) + state.v.shape)
         v = phi2_v_grad(
             lambda u: 2.0 * ((gram @ u[:, :, None])[:, :, 0] - xty),
@@ -484,26 +490,19 @@ def forward_cell(
             CellRecord(
                 layer=layer,
                 slot=s,
-                v_prev=state.v.copy(),
-                z_prev=state.z.copy(),
-                alpha_prev=state.alpha.copy(),
-                w_prev=state.w.copy(),
-                v=v.copy(),
-                z=z.copy(),
-                alpha=alpha.copy(),
-                w=w.copy(),
-                rho_eff=rho_eff.copy(),
+                v=v,
+                z=z,
+                alpha=alpha,
+                w=w,
+                rho_eff=rho_eff,
                 rho_on=(rho_raw > EPS),
-                lam_eff=lam_eff.copy(),
+                lam_eff=lam_eff,
                 lam_on=(lam_raw > 0.0),
                 omega=omega,
-                step_w=step_w.copy(),
+                step_w=step_w,
                 chol=chol,
                 v_iterates=iterates,
                 gram=gram,
-                grad_lr=grad_lr,
-                grad_steps=grad_steps,
-                batch_idx=batches,
             )
         )
     return new_state
@@ -526,7 +525,8 @@ def forward_network(
     """Run L cells and return (final per-client models [m, k], tape).
 
     The initial state defaults to init_state(seed); pass `state0` to
-    continue from carried-over iterates.
+    continue from carried-over iterates. The tape keeps `state0` itself
+    as its initial state, so its arrays must not be changed afterwards.
     """
     L = params.L if L is None else L
     if L < 1:
@@ -534,7 +534,7 @@ def forward_network(
     idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
     stats = client_stats(shards, idx)
     k = stats.xty.shape[1]
-    state = init_state(idx.shape[0], k, seed) if state0 is None else state0.copy()
+    state = init_state(idx.shape[0], k, seed) if state0 is None else state0
     tape = Tape(
         mode=mode,
         dual_update=dual_update,
@@ -542,9 +542,11 @@ def forward_network(
         M_total=len(shards),
         k=k,
         client_indices=idx.copy(),
-        init=state.copy(),
+        init=state,
         tied=params.tied,
         rows=stats.rows,
+        grad_lr=grad_lr,
+        grad_steps=grad_steps,
     )
     for layer in range(1, L + 1):
         state = forward_cell(

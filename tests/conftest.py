@@ -93,10 +93,12 @@ def count_calls(monkeypatch, names):
     return counts
 
 
-def replay_tape(tape, shards, params) -> bool:
+def replay_tape(tape, shards, params, batch_rng=None, batch_size=None) -> bool:
     """Re-run the forward from the tape's initial state and confirm the
-    recorded per-cell outputs are reproduced bit for bit."""
-    state = tape.init.copy()
+    recorded per-cell outputs are reproduced bit for bit. A grad-mode
+    tape drawn on minibatches replays from a generator seeded like the
+    recording's, with the recording's batch size."""
+    state = tape.init
     stats = client_stats(shards, tape.client_indices)
     for rec in tape.cells:
         state = forward_cell(
@@ -107,9 +109,10 @@ def replay_tape(tape, shards, params) -> bool:
             mode=tape.mode,
             dual_update=tape.dual_update,
             client_indices=tape.client_indices,
-            grad_lr=rec.grad_lr,
-            grad_steps=rec.grad_steps,
-            preset_batches=rec.batch_idx,
+            batch_rng=batch_rng,
+            batch_size=batch_size,
+            grad_lr=tape.grad_lr,
+            grad_steps=tape.grad_steps,
             stats=stats,
         )
         if not all(

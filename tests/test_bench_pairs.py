@@ -1,8 +1,10 @@
-"""tools/bench_pairs.py: the seed list it pairs runs over."""
+"""tools/bench_pairs.py: the seed list it pairs runs over and the
+export of the base commit."""
 
 import argparse
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -25,8 +27,22 @@ def test_empty_reversed_repeated_or_malformed_seeds_are_rejected(text):
 
 
 def test_bad_seeds_are_a_usage_error_before_any_run(capsys):
-    # argparse rejects the list before a worktree is made or a run starts
+    # argparse rejects the list before the base is exported or a run starts
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--base", "HEAD", "--workload", "s1-m10-compare", "--seeds", "80-71"])
     assert exc.value.code == 2
     assert "empty seed range" in capsys.readouterr().err
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=bench_pairs.ROOT, capture_output=True, text=True)
+
+
+@pytest.mark.skipif(_git("rev-parse", "--verify", "HEAD").returncode != 0,
+                    reason="needs a git checkout with a commit")
+def test_the_base_is_exported_without_a_worktree(tmp_path):
+    before = _git("worktree", "list", "--porcelain").stdout
+    bench_pairs.export_tree("HEAD", str(tmp_path / "base"))
+    assert (tmp_path / "base" / "benchmarks" / "run.py").is_file()
+    assert (tmp_path / "base" / "src" / "fedunroll" / "__init__.py").is_file()
+    assert _git("worktree", "list", "--porcelain").stdout == before

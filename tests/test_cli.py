@@ -162,6 +162,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, ini, flags, message", [
         ("run", "", ["--clients", "1"], "at least 2 clients"),
         ("run", "[experiment]\nnoise_std = -1\n", [], "noise_std"),
+        ("compare", "[experiment]\nn_per_client = 1\n", [], "n_per_client must be >= 2"),
         ("compare", "[experiment]\nmethods = ,\n", [], "at least one method"),
     ])
     def test_bad_benchmark_config_exits_2(self, tmp_path, capsys, command, ini, flags, message):
@@ -397,6 +398,19 @@ class TestDatagen:
         assert skipped == 0
         assert shard.X_train.shape == (36, 4)
         assert shard.X_test.shape == (4, 4)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--samples", "1"], "n_per_client must be >= 2"),
+        (["--samples", "0"], "n_per_client must be >= 2"),
+        (["--clients", "1"], "at least 2 clients"),
+    ])
+    def test_bad_spec_exits_1_and_writes_no_shard(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        rc = main(["datagen", "--setting", "1", "--seed", "1", "--out", str(out), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 class TestReport:

@@ -9,7 +9,6 @@ from fedunroll.datagen import (
     export_delimited,
     generate_setting,
     ingest_delimited,
-    n_personal_coeffs,
     split,
 )
 from fedunroll.errors import (
@@ -29,12 +28,11 @@ class TestSettingSpec:
         with pytest.raises(InvalidSetting):
             SettingSpec(setting=1, noise_std=-0.1)
 
-    def test_personal_counts(self):
-        assert n_personal_coeffs(1) == 1
-        assert n_personal_coeffs(2) == 2
-        assert n_personal_coeffs(3) == 3
-        with pytest.raises(InvalidSetting):
-            n_personal_coeffs(0)
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_fewer_than_two_samples_rejected(self, n):
+        # one sample would leave each client a test row and no train row
+        with pytest.raises(InvalidSetting, match="n_per_client"):
+            SettingSpec(setting=1, n_per_client=n)
 
 
 class TestGeneration:

@@ -193,9 +193,15 @@ class TestWeightReport:
         assert trace.dv_norms.shape == (3, 2)
         assert trace.dalpha_norms.shape == (3, 2)
         assert trace.dw_norms.shape == (3,)
-        rec = tape.cells[1]
-        want = np.linalg.norm(rec.v - rec.v_prev, axis=1)
-        assert np.allclose(trace.dv_norms[1], want, atol=1e-15)
+        # cell 0 starts from the tape's initial state, later cells from
+        # the record before them
+        for li, prev in ((0, tape.init), (1, tape.cells[0])):
+            rec = tape.cells[li]
+            want = np.linalg.norm(rec.v - prev.v, axis=1)
+            assert np.allclose(trace.dv_norms[li], want, atol=1e-15)
+            want = np.linalg.norm(rec.alpha - prev.alpha, axis=1)
+            assert np.allclose(trace.dalpha_norms[li], want, atol=1e-15)
+            assert np.isclose(trace.dw_norms[li], np.linalg.norm(rec.w - prev.w), atol=1e-15)
 
     def test_trace_reads_the_tapes_rows(self, monkeypatch):
         shards = make_shards(M=3, n=15, seed=331)

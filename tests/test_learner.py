@@ -13,7 +13,6 @@ from fedunroll.learner import (
     fd_gradient,
     init_optimizer,
     optimizer_step,
-    pb_loss,
 )
 from fedunroll.datagen import SettingSpec, generate_setting
 from fedunroll.math_core import chol_solve, rowdot
@@ -75,7 +74,8 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
     km = keep_mask[:, None]
     kept = np.flatnonzero(keep_mask)
 
-    for rec in reversed(tape.cells):
+    for i in reversed(range(len(tape.cells))):
+        rec, prev = tape.cells[i], tape.inputs(i)
         s = rec.slot
         rho = rec.rho_eff
         sw = rec.step_w[:, None]
@@ -93,7 +93,7 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
         wbar = np.zeros(k)
 
         # phi3
-        d = rec.v - rec.w_prev[None, :] - a
+        d = rec.v - prev.w[None, :] - a
         denom = rec.lam_eff + rho[:, None]
         sfac = rho[:, None] / denom
         sz = sfac * zbar
@@ -106,7 +106,7 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
         zbar = np.zeros((m, k))
 
         # phi2, on the kept clients
-        anchor = rec.w_prev + rec.z_prev[kept] + a[kept]
+        anchor = prev.w + prev.z[kept] + a[kept]
         vb = vbar[kept]
         rho_k = rho[kept, None]
         if tape.mode == "linear":
@@ -115,11 +115,11 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
             rho_bar = rowdot(t, anchor - rec.v[kept])
             vb = np.zeros_like(vb)
         else:
-            lr = rec.grad_lr
+            lr = tape.grad_lr
             H = 2.0 * rec.gram[kept]
             anchor_bar = np.zeros_like(vb)
             rho_bar = np.zeros(kept.shape[0])
-            for t in range(rec.grad_steps - 1, -1, -1):
+            for t in range(tape.grad_steps - 1, -1, -1):
                 rho_bar += -lr * rowdot(vb, rec.v_iterates[t, kept] - anchor)
                 anchor_bar += lr * rho_k * vb
                 vb = vb - lr * ((H @ vb[:, :, None])[:, :, 0] + rho_k * vb)
@@ -138,7 +138,7 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
         zbar += sw * albar
         wbar += (sw * albar).sum(axis=0)
         if tape.dual_update == "rho_step":
-            resid = rec.z_prev - rec.v_prev + rec.w_prev[None, :]
+            resid = prev.z - prev.v + prev.w[None, :]
             grads.rho_raw[s, idx] += (albar * resid).sum(axis=1) * rec.rho_on
 
 
@@ -267,7 +267,7 @@ class TestBackwardVsFiniteDifferences:
         shards = make_shards(M=3, seed=18)
         params = init_params(3, 4, 2)
         v, tape = forward_network(shards, params, L=2, seed=18)
-        total = pb_loss(v, shards)
+        total = tape.rows.sse(v).sum()
         manual = 0.0
         for i, sh in enumerate(shards):
             r = sh.X_train @ v[i] - sh.Y_train

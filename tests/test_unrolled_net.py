@@ -20,6 +20,7 @@ from fedunroll.unrolled_net import (
     CellState,
     GRAD_LR_DEFAULT,
     GRAD_STEPS_DEFAULT,
+    client_stats,
     forward_cell,
     forward_network,
     init_params,
@@ -384,8 +385,9 @@ class TestNetwork:
             shards, params, L=3, mode="grad", seed=6,
             batch_rng=np.random.default_rng(7), batch_size=8,
         )
-        assert tape.cells[0].batch_idx[0].shape == (8,)
-        assert replay_tape(tape, shards, params)
+        assert replay_tape(tape, shards, params, np.random.default_rng(7), 8)
+        # other minibatches give other iterates, so the replay is no tautology
+        assert not replay_tape(tape, shards, params, np.random.default_rng(8), 8)
 
     def test_replay_detects_changed_params(self):
         shards = make_shards(M=2, seed=7)
@@ -461,9 +463,12 @@ class TestNetwork:
             shards, params, L=3, mode="grad", seed=14,
             batch_rng=np.random.default_rng(9), batch_size=8,
         )
-        batches = tape.cells[0].batch_idx
-        assert batches[0].shape == (8,) and batches[1] is None and batches[2].shape == (8,)
-        assert replay_tape(tape, shards, params)
+        full = client_stats(shards, np.arange(3)).gram
+        for rec in tape.cells:
+            assert np.array_equal(rec.gram[1], full[1])
+            assert not np.array_equal(rec.gram[0], full[0])
+            assert not np.array_equal(rec.gram[2], full[2])
+        assert replay_tape(tape, shards, params, np.random.default_rng(9), 8)
 
 
 @pytest.mark.parametrize("mode", ["linear", "grad"])
@@ -508,5 +513,7 @@ def test_grad_mode_draws_once_per_cell_at_any_number_of_clients():
         rng = _CountingGenerator(np.random.default_rng(M))
         _, tape = forward_network(shards, init_params(M, 4, L), L=L, mode="grad", seed=1,
                                   batch_rng=rng, batch_size=8)
-        assert all(b.shape == (8,) for rec in tape.cells for b in rec.batch_idx)
+        full = client_stats(shards, np.arange(M)).gram
+        assert not any(np.array_equal(rec.gram[i], full[i])
+                       for rec in tape.cells for i in range(M))
         assert rng.calls == L

@@ -2,8 +2,9 @@
 
     python3 tools/bench_pairs.py --base HEAD --workload s2-m100-fedlocal --seeds 71-80
 
-Checks the base commit out with `git worktree add --detach` into a
-temporary directory (removed on exit) and runs `benchmarks/run.py` on
+Exports the base commit's files with `git archive` into a temporary
+directory (removed on exit; nothing is written under `.git`, so a killed
+run leaves no worktree registered) and runs `benchmarks/run.py` on
 it and on the working tree once per seed, each pair with the same seed
 and length, alternating which side runs first. It refuses to run when
 `benchmarks/` or `BENCHMARK.json` differ between the two, since the
@@ -20,12 +21,14 @@ result, and exits 1 if there was any. Standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
@@ -51,6 +54,14 @@ def parse_seeds(text: str) -> List[int]:
     if repeated:
         raise argparse.ArgumentTypeError(f"seeds given more than once: {repeated}")
     return seeds
+
+
+def export_tree(ref: str, dest: str) -> None:
+    """Write the files of commit `ref` into the directory `dest`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> Tuple[int, Optional[dict]]:
@@ -102,8 +113,7 @@ def main(argv=None) -> int:
     base_tree = os.path.join(tmp, "base")
     runs: List[Tuple[int, str, int, Optional[dict]]] = []  # seed, side, exit code, result
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", base_tree, args.base],
-                       cwd=ROOT, check=True, capture_output=True)
+        export_tree(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
         for i, seed in enumerate(seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
@@ -112,7 +122,6 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {side}: exit {code}, round_ms_p50 {_metrics(result).get('round_ms_p50')}",
                       file=sys.stderr, flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base_tree], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     by_side: Dict[str, Dict[int, dict]] = {side: {} for side in SIDES}
