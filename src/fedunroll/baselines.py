@@ -43,6 +43,7 @@ GD_METHODS = ("local", "fedavg", "fedprox", "fedavg_ft", "fedprox_ft", "ditto")
 ALL_METHODS = GD_METHODS + ("local_exact",)
 
 _CONST_TOL = 1e-12
+_JITTER = 1e-10  # local_exact's ridge, relative to the Gram's mean diagonal
 
 
 @dataclass
@@ -98,14 +99,14 @@ class BaselineResult:
     trajectory: Optional[np.ndarray] = None  # [rounds, M, k] raw-space
 
 
-def local_exact(shard, jitter: float = 1e-10) -> np.ndarray:
+def local_exact(shard) -> np.ndarray:
     """Per-client least-squares solve of the local regression."""
     X, Y = shard.X_train, shard.Y_train
     k = X.shape[1]
     A = X.T @ X
     scale = max(1.0, float(np.trace(A)) / k)
     try:
-        L = spd_cholesky(A + jitter * scale * np.eye(k))
+        L = spd_cholesky(A + _JITTER * scale * np.eye(k))
     except NotPD:
         L = spd_cholesky(A + 1e-6 * scale * np.eye(k))
     return chol_solve(L, X.T @ Y)
@@ -200,7 +201,7 @@ def run_baseline(
         place) on its minibatch mean squared error, plus
         pull/2 * ||v - anchor||^2 when an anchor is given."""
         for _ in range(epochs):
-            _, b = minibatch_rows(rows, cfg.baseline_batch, rng)
+            b = minibatch_rows(rows, cfg.baseline_batch, rng)
             g = (2.0 / b.counts)[:, None] * b.xt(b.residuals(V))
             if anchor is not None:
                 g = g + pull * (V - anchor)

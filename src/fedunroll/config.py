@@ -14,7 +14,7 @@ from typing import List, Optional
 from .datagen import SETTINGS, SettingSpec
 from .errors import ConfigError, InvalidSetting
 from .learner import OPTIMIZERS, POLICIES
-from .unrolled_net import DUAL_UPDATES, MODES
+from .unrolled_net import DUAL_UPDATES, GRAD_LR_DEFAULT, GRAD_STEPS_DEFAULT, MODES
 
 METHODS = (
     "unrolled",
@@ -53,8 +53,8 @@ class ExperimentConfig:
     mode: str = "linear"
     dual_update: str = "rho_step"
     batch_size: int = 64           # grad mode only; linear mode is full batch
-    grad_lr: float = 0.01
-    grad_steps: int = 5
+    grad_lr: float = GRAD_LR_DEFAULT
+    grad_steps: int = GRAD_STEPS_DEFAULT
 
     # baselines
     local_epochs: int = 2

@@ -28,6 +28,7 @@ from .math_core import design_matrix
 DEGREE = 3
 K = DEGREE + 1
 SETTINGS = (1, 2, 3)
+TRAIN_RATIO = 0.9  # share of each client's samples in its training split
 
 
 @dataclass
@@ -45,21 +46,16 @@ class DataShard:
     def k(self) -> int:
         return self.X_train.shape[1]
 
-    @property
-    def n_train(self) -> int:
-        return self.X_train.shape[0]
-
 
 @dataclass
 class SettingSpec:
-    """Parameters of one synthetic benchmark instance."""
+    """Parameters of one synthetic benchmark instance (train share TRAIN_RATIO)."""
 
     setting: int
     M: int = 10
     n_per_client: int = 200
     noise_std: float = 0.1
     seed: int = 0
-    train_ratio: float = 0.9
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
@@ -116,7 +112,7 @@ def generate_setting(spec: SettingSpec) -> List[DataShard]:
         y_clean = X @ coeffs[i]
         y = y_clean + rng.normal(0.0, spec.noise_std, spec.n_per_client)
 
-        n_train = int(spec.train_ratio * spec.n_per_client)
+        n_train = int(TRAIN_RATIO * spec.n_per_client)
         perm = rng.permutation(spec.n_per_client)
         tr, te = perm[:n_train], perm[n_train:]
         shards.append(
@@ -151,7 +147,7 @@ def ingest_delimited(
     target_column: str,
     feature_columns: List[str],
     client_id: int = 1,
-    train_ratio: float = 0.9,
+    train_ratio: float = TRAIN_RATIO,
     seed: int = 0,
 ) -> Tuple[DataShard, int]:
     """Read a delimited text file into a DataShard.

@@ -32,6 +32,7 @@ from .unrolled_net import CellRecord, LearnableParams, Tape
 # genuine penalized-splitting iteration with a strongly convex
 # v-subproblem on the benchmark's design matrices).
 RHO_DESCENT_REGIME = 100.0
+DESCENT_SLACK = 1e-9  # an increase this small is rounding, still descent
 
 
 def lagrangian(rec: CellRecord, rows: RowStack) -> float:
@@ -90,14 +91,13 @@ class DescentReport:
     violations: List[Tuple[int, float]]  # (transition index, increase)
     classification: str                  # "none" | "expected" | "anomalous"
     rho_min: float
-    slack: float
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def check_descent(trace: CellTrace, slack: float = 1e-9) -> DescentReport:
+def check_descent(trace: CellTrace) -> DescentReport:
     """Check that the objective is non-increasing cell over cell.
 
     Violations under learned parameters or small penalties are expected
@@ -109,7 +109,7 @@ def check_descent(trace: CellTrace, slack: float = 1e-9) -> DescentReport:
     violations = []
     for t in range(1, lags.shape[0]):
         inc = lags[t] - lags[t - 1]
-        if inc > slack:
+        if inc > DESCENT_SLACK:
             violations.append((t, float(inc)))
     if not violations:
         cls = "none"
@@ -122,7 +122,6 @@ def check_descent(trace: CellTrace, slack: float = 1e-9) -> DescentReport:
         violations=violations,
         classification=cls,
         rho_min=trace.rho_min,
-        slack=slack,
     )
 
 

@@ -195,7 +195,7 @@ def run_round(
         state0=sub,
         client_indices=idx,
         batch_rng=batch_rng,
-        batch_size=cfg.batch_size if cfg.mode == "grad" else None,
+        batch_size=cfg.batch_size,
         grad_lr=cfg.grad_lr,
         grad_steps=cfg.grad_steps,
     )

@@ -42,6 +42,11 @@ from .unrolled_net import CellState, LearnableParams, Tape, forward_network
 POLICIES = ("exact", "federated_local")
 OPTIMIZERS = ("adam", "gd")
 
+# Adam's decay rates and offset: Kingma & Ba's defaults (ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 PARAM_FIELDS = ("lam_raw", "rho_raw", "p")
 
 
@@ -126,13 +131,15 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
             rho_bar = rowdot(t, anchor - rec.v)
             vbar = np.zeros((m, k))  # the closed form does not read v_prev
         else:
-            # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2
+            # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2;
+            # step t starts from v_t: the cell's input v for t = 0
             lr = tape.grad_lr
             H = 2.0 * rec.gram
             anchor_bar = np.zeros((m, k))
             rho_bar = np.zeros(m)
             for t in range(tape.grad_steps - 1, -1, -1):
-                rho_bar += -lr * rowdot(vbar, rec.v_iterates[t] - anchor)
+                v_t = rec.v_iterates[t - 1] if t > 0 else prev.v
+                rho_bar += -lr * rowdot(vbar, v_t - anchor)
                 anchor_bar += lr * rho_k * vbar
                 vbar = vbar - lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
         albar += anchor_bar / sw
@@ -233,30 +240,20 @@ def fd_gradient(
 
 @dataclass
 class OptimizerState:
-    """First/second-moment accumulators for the adaptive mode, plus the
-    step counter; the plain mode ignores the moment buffers."""
+    """Kind, step size, step counter and Adam's moment accumulators
+    (rates and offset: the ADAM_ constants); gd ignores the buffers."""
 
     kind: str = "adam"
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_optimizer(
-    params: LearnableParams,
-    kind: str = "adam",
-    lr: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
+def init_optimizer(params: LearnableParams, kind: str = "adam", lr: float = 0.01) -> OptimizerState:
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    state = OptimizerState(kind=kind, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    state = OptimizerState(kind=kind, lr=lr)
     for name in PARAM_FIELDS:
         arr = getattr(params, name)
         state.m[name] = np.zeros_like(arr)
@@ -283,11 +280,11 @@ def optimizer_step(
             continue
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        mhat = m / (1.0 - state.beta1**state.t)
-        vhat = v / (1.0 - state.beta2**state.t)
-        arr -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        mhat = m / (1.0 - ADAM_BETA1**state.t)
+        vhat = v / (1.0 - ADAM_BETA2**state.t)
+        arr -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return out

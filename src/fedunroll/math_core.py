@@ -11,7 +11,7 @@ losses run as array operations over the clients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,12 +55,12 @@ def rectify(raw: np.ndarray) -> np.ndarray:
     return np.maximum(raw, 0.0)
 
 
-def clamp_positive(raw, floor: float = EPS):
-    """Clamp a penalty scalar (or array) to [floor, inf).
+def clamp_positive(raw):
+    """Clamp a penalty scalar (or array) to [EPS, inf).
 
-    Gradient convention: identity where raw > floor, zero otherwise.
+    Gradient convention: identity where raw > EPS, zero otherwise.
     """
-    return np.maximum(raw, floor)
+    return np.maximum(raw, EPS)
 
 
 def spd_cholesky(A: np.ndarray) -> np.ndarray:
@@ -184,39 +184,35 @@ def minibatch_rows(
     rows: RowStack,
     batch_size: Optional[int],
     rng: Optional[np.random.Generator] = None,
-) -> Tuple[List[Optional[np.ndarray]], RowStack]:
-    """Each client's minibatch of `rows`, and the batch rows stacked.
+) -> RowStack:
+    """Each client's minibatch of `rows`, stacked.
 
-    Client i's batch is `batch_size` of its row indices drawn without
-    replacement; it is None where the size is None or covers the
-    client's rows. The draw is one `rng.random` call per call of this
-    helper: every row of every drawing client gets a uniform key, client
-    by client in order, and a client's batch is its rows of the
-    `batch_size` smallest keys, in key order. A client without a batch
-    consumes no keys and keeps all its rows in the returned stack; when
-    no client has a batch, that stack is `rows` itself.
+    A client whose rows outnumber `batch_size` draws `batch_size` of
+    them without replacement, so its count falls to `batch_size`; the
+    other clients keep all their rows, in order. When no client draws
+    (or the size is None), `rows` itself is returned. The draw is one
+    `rng.random` call per call of this helper: every row of every
+    drawing client gets a uniform key, client by client in order, and a
+    client's batch is its rows of the `batch_size` smallest keys, in key
+    order. A client that does not draw consumes no keys.
     """
-    m, width = rows.X.shape[:2]
+    width = rows.X.shape[1]
     counts = rows.counts
-    drawn = np.zeros(m, dtype=bool) if batch_size is None else counts > batch_size
+    drawn = np.zeros(counts.shape, dtype=bool) if batch_size is None else counts > batch_size
     if not drawn.any():
-        return [None] * m, rows
+        return rows
     if rng is None:
         raise ValueError("batch_size given without a generator")
     # keys: uniform on a drawing client's rows, the row index on the
-    # other clients' rows, +inf on padding rows
+    # other clients' rows (taken in order), +inf on the zero padding
     col = np.arange(width)
     own = col < counts[:, None]
     keys = np.where(own, col.astype(np.float64), np.inf)
     keys[own & drawn[:, None]] = rng.random(int(counts[drawn].sum()))
     take = np.argsort(keys, axis=1)[:, :batch_size]
-    counts = np.where(drawn, batch_size, counts)
-    batches = [take[i] if d else None for i, d in enumerate(drawn.tolist())]
-    pad = np.arange(batch_size) >= counts[:, None]
-    client = np.arange(m)[:, None]
-    X = np.where(pad[:, :, None], 0.0, rows.X[client, take])
-    Y = np.where(pad, 0.0, rows.Y[client, take])
-    return batches, RowStack(X=X, Y=Y, counts=counts)
+    client = np.arange(counts.shape[0])[:, None]
+    return RowStack(X=rows.X[client, take], Y=rows.Y[client, take],
+                    counts=np.where(drawn, batch_size, counts))
 
 
 def design_matrix(xs: np.ndarray, degree: int) -> np.ndarray:

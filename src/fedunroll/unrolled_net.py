@@ -132,13 +132,12 @@ def phi2_v_grad(
     rho,
     lr: float = GRAD_LR_DEFAULT,
     steps: int = GRAD_STEPS_DEFAULT,
-    iterates: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """v update by `steps` gradient steps on F(v) + rho/2 ||z+w+alpha-v||^2.
 
     `grad_of_F` maps the iterate (shaped like v_prev) to the gradient of
-    F. When `iterates`, shaped (steps + 1,) + v_prev.shape, is given it
-    receives v_0 ... v_steps.
+    F. Returns v_steps and the iterates in between, v_1 ... v_{steps-1},
+    shaped (steps - 1,) + v_prev.shape.
     """
     if lr <= 0:
         raise ValueError("phi2_v_grad: lr must be positive")
@@ -148,16 +147,15 @@ def phi2_v_grad(
     _check_operands("phi2_v_grad", w_prev, v, alpha, z_prev)
     rho = _column(rho)
     anchor = z_prev + w_prev + alpha
-    if iterates is not None:
-        iterates[0] = v
+    iterates = np.empty((steps - 1,) + v.shape)
     for t in range(steps):
+        if t > 0:
+            iterates[t - 1] = v
         g = np.asarray(grad_of_F(v), dtype=np.float64) + rho * (v - anchor)
         v = v - lr * g
         if not np.all(np.isfinite(v)):
             raise NonFiniteGradient("phi2_v_grad: iterate became non-finite")
-        if iterates is not None:
-            iterates[t + 1] = v
-    return v
+    return v, iterates
 
 
 def phi3_aux(alpha, v, w_prev, rho, lam) -> np.ndarray:
@@ -221,14 +219,6 @@ class LearnableParams:
     L: int
     tied: bool = False
 
-    @property
-    def M(self) -> int:
-        return self.lam_raw.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.lam_raw.shape[2]
-
     def slot(self, layer: int) -> int:
         """Parameter slot for a 1-based layer index."""
         return 0 if self.tied else layer - 1
@@ -267,14 +257,6 @@ class CellState:
 
     def copy(self) -> "CellState":
         return CellState(self.v.copy(), self.z.copy(), self.alpha.copy(), self.w.copy())
-
-    @property
-    def M(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.v.shape[1]
 
 
 def init_state(M: int, k: int, seed: int = 0) -> CellState:
@@ -317,8 +299,8 @@ class CellRecord:
     step_w: np.ndarray
     # linear mode: cached Cholesky factors of X'X + rho I, [m, k, k]
     chol: Optional[np.ndarray] = None
-    # grad mode: iterates [steps+1, m, k] and the minibatch Gram
-    # matrices X_b'X_b the steps ran on [m, k, k]
+    # grad mode: the iterates v_1 .. v_{steps-1} between the input and
+    # output v [steps-1, m, k], and the Gram matrices X_b'X_b [m, k, k]
     v_iterates: Optional[np.ndarray] = None
     gram: Optional[np.ndarray] = None
 
@@ -390,10 +372,10 @@ def _minibatch_stats(stats, batch_rng, batch_size):
     """Grad mode: each client's minibatch Gram matrix and X'Y (the
     full-shard statistics where no batch is drawn). One draw from
     `batch_rng` serves every client."""
-    batches, b = minibatch_rows(stats.rows, batch_size, batch_rng)
+    b = minibatch_rows(stats.rows, batch_size, batch_rng)
     if b is stats.rows:
         return stats.gram, stats.xty
-    drawn = np.array([batch is not None for batch in batches])
+    drawn = b.counts != stats.rows.counts
     gram = np.where(drawn[:, None, None], b.gram(), stats.gram)
     xty = np.where(drawn[:, None], b.xt(b.Y), stats.xty)
     return gram, xty
@@ -467,11 +449,9 @@ def forward_cell(
         v, chol = phi2_v_linear(stats.gram, stats.xty, a, state.z, state.w, rho_eff)
     else:
         gram, xty = _minibatch_stats(stats, batch_rng, batch_size)
-        iterates = np.empty((grad_steps + 1,) + state.v.shape)
-        v = phi2_v_grad(
+        v, iterates = phi2_v_grad(
             lambda u: 2.0 * ((gram @ u[:, :, None])[:, :, 0] - xty),
-            state.v, a, state.z, state.w, rho_eff,
-            lr=grad_lr, steps=grad_steps, iterates=iterates,
+            state.v, a, state.z, state.w, rho_eff, lr=grad_lr, steps=grad_steps,
         )
     z = phi3_aux(a, v, state.w, rho_eff, lam_eff)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -95,11 +96,13 @@ def count_calls(monkeypatch, names):
 
 def replay_tape(tape, shards, params, batch_rng=None, batch_size=None) -> bool:
     """Re-run the forward from the tape's initial state and confirm the
-    recorded per-cell outputs are reproduced bit for bit. A grad-mode
-    tape drawn on minibatches replays from a generator seeded like the
-    recording's, with the recording's batch size."""
+    recorded per-cell outputs, and grad mode's iterates in between, are
+    reproduced bit for bit. A grad-mode tape drawn on minibatches
+    replays from a generator seeded like the recording's, with the
+    recording's batch size."""
     state = tape.init
     stats = client_stats(shards, tape.client_indices)
+    replay = dataclasses.replace(tape, cells=[])
     for rec in tape.cells:
         state = forward_cell(
             state,
@@ -108,6 +111,7 @@ def replay_tape(tape, shards, params, batch_rng=None, batch_size=None) -> bool:
             rec.layer,
             mode=tape.mode,
             dual_update=tape.dual_update,
+            tape=replay,
             client_indices=tape.client_indices,
             batch_rng=batch_rng,
             batch_size=batch_size,
@@ -116,8 +120,8 @@ def replay_tape(tape, shards, params, batch_rng=None, batch_size=None) -> bool:
             stats=stats,
         )
         if not all(
-            np.array_equal(getattr(state, name), getattr(rec, name))
-            for name in ("v", "z", "alpha", "w")
+            np.array_equal(getattr(replay.cells[-1], name), getattr(rec, name))
+            for name in ("v", "z", "alpha", "w", "v_iterates")
         ):
             return False
     return True

@@ -205,7 +205,7 @@ def _descent_violations(dual_update: str, n_seeds: int = 20):
                 shards, params, L=20, dual_update=dual_update, seed=1000 + s
             )
             trace = trace_from_tape(tape)
-            rep = check_descent(trace, slack=1e-9)
+            rep = check_descent(trace)
             per_seed.append(len(rep.violations))
         except (NonFiniteInput, FloatingPointError, OverflowError):
             per_seed.append(-1)  # blow-up counts as a descent failure

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: the seed list it pairs runs over and the
-export of the base commit."""
+"""tools/bench_pairs.py: the seed list it pairs runs over, the export of
+the base commit and the bound check on the medians."""
 
 import argparse
 import importlib.util
@@ -46,3 +46,13 @@ def test_the_base_is_exported_without_a_worktree(tmp_path):
     assert (tmp_path / "base" / "benchmarks" / "run.py").is_file()
     assert (tmp_path / "base" / "src" / "fedunroll" / "__init__.py").is_file()
     assert _git("worktree", "list", "--porcelain").stdout == before
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_a_median_is_worse_only_beyond_the_relative_bound(lower):
+    sign = 1.0 if lower else -1.0  # +: the change's value is worse
+    worse = bench_pairs.worse_beyond_bound
+    assert worse(10.0, 10.0 + sign * 3.0, 0.25, lower)       # 30 % worse
+    assert not worse(10.0, 10.0 + sign * 2.0, 0.25, lower)   # 20 % worse, within the bound
+    assert not worse(10.0, 10.0 - sign * 5.0, 0.25, lower)   # better
+    assert not worse(10.0, 10.0, 0.25, lower)

@@ -373,6 +373,15 @@ class TestGradcheck:
         assert rc == 0
         assert "worst relative error" in capsys.readouterr().out
 
+    def test_a_gradient_below_the_default_steps_resolution_passes(self, capsys):
+        # instance 3 of seed 18 holds a gradient of about 7e-8 on a loss of
+        # 0.7, which the central difference at h = 1e-5 misses by 1.5e-4;
+        # the check retries at h = 1e-4
+        rc = main(["gradcheck", "--seed", "18"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "FAIL" not in out
+
     def test_fails_at_impossible_tolerance(self, capsys):
         rc = main(["gradcheck", "--seed", "0", "--instances", "1",
                    "--tolerance", "1e-300"])

@@ -97,7 +97,7 @@ class TestDescent:
                 shards, params, L=15, dual_update="unit_step", seed=seed
             )
             trace = trace_from_tape(tape)
-            report = check_descent(trace, slack=1e-9)
+            report = check_descent(trace)
             assert report.ok, f"seed {seed}: {report.violations}"
             assert report.classification == "none"
             assert trace.lagrangians[-1] < trace.lagrangians[0]
@@ -113,7 +113,7 @@ class TestDescent:
             dw_norms=np.ones(15),
             rho_min=RHO_DESCENT_REGIME,
         )
-        report = check_descent(trace, slack=1e-9)
+        report = check_descent(trace)
         assert not report.ok
         assert len(report.violations) == report.n_transitions == 14
         assert report.classification == "anomalous"
@@ -151,7 +151,7 @@ class TestDescent:
             dw_norms=np.ones(2),
             rho_min=100.0,
         )
-        assert check_descent(trace, slack=1e-9).ok
+        assert check_descent(trace).ok
 
     def test_monotone_trace_reports_none(self):
         trace = CellTrace(

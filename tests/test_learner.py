@@ -17,6 +17,8 @@ from fedunroll.learner import (
 from fedunroll.datagen import SettingSpec, generate_setting
 from fedunroll.math_core import chol_solve, rowdot
 from fedunroll.unrolled_net import (
+    DUAL_UPDATES,
+    MODES,
     CellState,
     LearnableParams,
     client_rows,
@@ -38,11 +40,10 @@ def near_kink(field: str, value: float) -> bool:
 
 
 def check_against_fd(shards, params, seed, rel_tol=1e-5, mode="linear",
-                     dual="rho_step", probe_per_field=4, rng=None):
+                     dual="rho_step", probe_per_field=4, rng=None, **forward_kwargs):
     rng = rng or np.random.default_rng(0)
-    _, tape = forward_network(
-        shards, params, L=params.L, mode=mode, dual_update=dual, seed=seed
-    )
+    forward_kwargs.update(mode=mode, dual_update=dual, seed=seed)
+    _, tape = forward_network(shards, params, L=params.L, **forward_kwargs)
     grads = backward(tape, shards)
     worst = 0.0
     for field in PARAM_FIELDS:
@@ -52,11 +53,16 @@ def check_against_fd(shards, params, seed, rel_tol=1e-5, mode="linear",
             idx = np.unravel_index(pos, arr.shape)
             if near_kink(field, float(arr[idx])):
                 continue
-            fd = fd_gradient(
-                shards, params, (field, idx), seed=seed, mode=mode, dual_update=dual
-            )
             an = float(getattr(grads, field)[idx])
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
+            # h = 1e-5 cannot resolve a component far below the loss scale:
+            # when it misses 5e-6, keep the better with h = 1e-4 (criterion
+            # 1's ladder; the tolerance is unchanged)
+            rel = np.inf
+            for h in (1e-5, 1e-4):
+                fd = fd_gradient(shards, params, (field, idx), h=h, **forward_kwargs)
+                rel = min(rel, abs(fd - an) / max(abs(fd), abs(an), 1e-8))
+                if rel <= 5e-6:
+                    break
             worst = max(worst, rel)
             assert rel <= rel_tol, f"{field}{idx}: fd={fd} analytic={an} rel={rel}"
     return worst
@@ -120,7 +126,8 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
             anchor_bar = np.zeros_like(vb)
             rho_bar = np.zeros(kept.shape[0])
             for t in range(tape.grad_steps - 1, -1, -1):
-                rho_bar += -lr * rowdot(vb, rec.v_iterates[t, kept] - anchor)
+                v_t = rec.v_iterates[t - 1, kept] if t > 0 else prev.v[kept]
+                rho_bar += -lr * rowdot(vb, v_t - anchor)
                 anchor_bar += lr * rho_k * vb
                 vb = vb - lr * ((H @ vb[:, :, None])[:, :, 0] + rho_k * vb)
         vbar = np.zeros((m, k))
@@ -174,7 +181,7 @@ class TestBackwardVsFiniteDifferences:
     @pytest.mark.parametrize("mode", ["linear", "grad"])
     @pytest.mark.parametrize("dual", ["rho_step", "unit_step"])
     def test_all_modes(self, mode, dual):
-        rng = np.random.default_rng(hash((mode, dual)) % 2**31)
+        rng = np.random.default_rng([7, MODES.index(mode), DUAL_UPDATES.index(dual)])
         for inst in range(3):
             M, k, L = 3, 4, 3
             shards = make_shards(M=M, k=k, n=20, seed=100 + inst)
@@ -182,6 +189,16 @@ class TestBackwardVsFiniteDifferences:
             check_against_fd(
                 shards, params, seed=inst, mode=mode, dual=dual, rng=rng
             )
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_grad_mode_at_few_steps(self, steps):
+        # at one step a record keeps no iterate and the reverse pass reads
+        # the step's start from the cell's input alone
+        rng = np.random.default_rng(17)
+        for inst in range(2):
+            shards = make_shards(M=3, n=20, seed=200 + inst)
+            params = random_params(3, 4, 3, rng)
+            check_against_fd(shards, params, seed=inst, mode="grad", rng=rng, grad_steps=steps)
 
     @pytest.mark.parametrize("mode", ["linear", "grad"])
     def test_clients_of_different_sizes(self, mode):

@@ -266,50 +266,64 @@ def _rows_of(shards):
     return stack_rows([sh.X_train for sh in shards], [sh.Y_train for sh in shards])
 
 
+def _indexed_rows(ns, seed):
+    """Rows of shards with `ns` rows whose column 0 (the intercept) is
+    replaced by each row's index in its shard."""
+    shards = make_uneven_shards(ns, seed=seed)
+    return stack_rows(
+        [np.column_stack([np.arange(sh.X_train.shape[0]), sh.X_train[:, 1:]]) for sh in shards],
+        [sh.Y_train for sh in shards],
+    )
+
+
+def _drawn(b, i):
+    """Client i's row indices in a batch of indexed rows, in batch order."""
+    return b.X[i, :b.counts[i], 0].astype(int)
+
+
 class TestMinibatchRows:
     def test_no_batch_where_the_size_covers_the_shard(self):
-        rows = _rows_of(make_uneven_shards([30, 6, 12], seed=1))
+        rows = _indexed_rows([30, 6, 12], seed=1)
         for size in (None, 30, 31):
-            batches, b = minibatch_rows(rows, size, np.random.default_rng(0))
-            assert batches == [None, None, None]
-            assert b is rows
-        batches, b = minibatch_rows(rows, 12, np.random.default_rng(0))
-        assert batches[0].shape == (12,) and batches[1] is None and batches[2] is None
+            assert minibatch_rows(rows, size, np.random.default_rng(0)) is rows
+        b = minibatch_rows(rows, 12, np.random.default_rng(0))
         assert b.counts.tolist() == [12, 6, 12]
+        # the clients the size covers keep all their rows, in order
+        assert np.array_equal(_drawn(b, 1), np.arange(6))
+        assert np.array_equal(_drawn(b, 2), np.arange(12))
 
     def test_batch_rows_are_the_drawn_rows_with_zero_padding(self):
-        shards = make_uneven_shards([30, 6, 12], seed=2)
-        batches, b = minibatch_rows(_rows_of(shards), 8, np.random.default_rng(2))
+        rows = _indexed_rows([30, 6, 12], seed=2)
+        b = minibatch_rows(rows, 8, np.random.default_rng(2))
         assert b.X.shape == (3, 8, 4)
-        for i, sh in enumerate(shards):
-            sel = np.arange(sh.X_train.shape[0]) if batches[i] is None else batches[i]
-            n = sel.shape[0]
-            assert b.counts[i] == n
-            assert np.array_equal(b.X[i, :n], sh.X_train[sel])
-            assert np.array_equal(b.Y[i, :n], sh.Y_train[sel])
+        assert b.counts.tolist() == [8, 6, 8]
+        for i in range(3):
+            n, sel = b.counts[i], _drawn(b, i)
+            assert np.array_equal(b.X[i, :n], rows.X[i, sel])
+            assert np.array_equal(b.Y[i, :n], rows.Y[i, sel])
             assert not np.any(b.X[i, n:]) and not np.any(b.Y[i, n:])
 
     def test_indices_are_distinct_and_lie_in_the_shard(self):
-        rows = _rows_of(make_uneven_shards([30, 9, 12, 200], seed=3))
+        rows = _indexed_rows([30, 9, 12, 200], seed=3)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            batches, _ = minibatch_rows(rows, 9, rng)
-            assert batches[1] is None
-            for n, batch in zip(rows.counts.tolist(), batches):
-                if batch is not None:
-                    assert batch.shape == (9,)
-                    assert np.unique(batch).shape == (9,)
-                    assert batch.min() >= 0 and batch.max() < n
+            b = minibatch_rows(rows, 9, rng)
+            assert b.counts.tolist() == [9, 9, 9, 9]
+            assert np.array_equal(_drawn(b, 1), np.arange(9))
+            for i, n in enumerate(rows.counts.tolist()):
+                sel = _drawn(b, i)
+                assert np.unique(sel).shape == (9,)
+                assert sel.min() >= 0 and sel.max() < n
 
     def test_every_row_is_drawn_with_probability_batch_over_rows(self):
-        rows = _rows_of(make_uneven_shards([30, 6, 12], seed=4))
+        rows = _indexed_rows([30, 6, 12], seed=4)
         rng = np.random.default_rng(4)
         draws, size = 4000, 8
         hits = np.zeros(rows.X.shape[:2])
         for _ in range(draws):
-            batches, _ = minibatch_rows(rows, size, rng)
+            b = minibatch_rows(rows, size, rng)
             for i in (0, 2):
-                hits[i, batches[i]] += 1
+                hits[i, _drawn(b, i)] += 1
         for i in (0, 2):
             n = rows.counts[i]
             p = size / n
@@ -317,7 +331,7 @@ class TestMinibatchRows:
             assert np.all(np.abs(hits[i, :n] - draws * p) <= 5.0 * sigma)
 
     def test_a_client_without_a_batch_consumes_no_generator_output(self):
-        rows = _rows_of(make_uneven_shards([30, 6, 12], seed=5))
+        rows = _indexed_rows([30, 6, 12], seed=5)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         minibatch_rows(rows, 8, rng)
         ref.random(30 + 12)
@@ -326,12 +340,11 @@ class TestMinibatchRows:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_batches_are_the_smallest_keys_of_one_stream_in_client_order(self):
-        shards = make_uneven_shards([30, 6, 12], seed=6)
-        batches, _ = minibatch_rows(_rows_of(shards), 8, np.random.default_rng(9))
+        b = minibatch_rows(_indexed_rows([30, 6, 12], seed=6), 8, np.random.default_rng(9))
         ref = np.random.default_rng(9)
-        assert np.array_equal(batches[0], np.argsort(ref.random(30))[:8])
-        assert batches[1] is None
-        assert np.array_equal(batches[2], np.argsort(ref.random(12))[:8])
+        assert np.array_equal(_drawn(b, 0), np.argsort(ref.random(30))[:8])
+        assert np.array_equal(_drawn(b, 1), np.arange(6))
+        assert np.array_equal(_drawn(b, 2), np.argsort(ref.random(12))[:8])
 
     def test_a_repeated_generator_reproduces_grad_modes_stream(self):
         # grad mode draws once per cell from its one generator
@@ -341,9 +354,9 @@ class TestMinibatchRows:
         rows = _rows_of(shards)
         rng = np.random.default_rng(9)
         for rec in tape.cells:
-            drawn, b = minibatch_rows(rows, 8, rng)
+            b = minibatch_rows(rows, 8, rng)
             # the 6-row client draws no batch and steps on all its rows
-            assert drawn[1] is None
+            assert b.counts[1] == 6
             assert np.array_equal(rec.gram[1], rows.gram()[1])
             for i in (0, 2):
                 assert np.array_equal(rec.gram[i], b.gram()[i])

@@ -17,6 +17,8 @@ from conftest import count_calls, make_shards, make_uneven_shards, random_params
 
 from fedunroll.errors import DimensionMismatch, NonFiniteInput
 from fedunroll.unrolled_net import (
+    DUAL_UPDATES,
+    MODES,
     CellState,
     GRAD_LR_DEFAULT,
     GRAD_STEPS_DEFAULT,
@@ -118,12 +120,17 @@ class TestLayerOps:
         def grad_of_F(v):
             return 2.0 * X.T @ (X @ v - Y)
 
-        got = phi2_v_grad(grad_of_F, v0, alpha, z, w, rho, lr=lr, steps=steps)
+        got, iterates = phi2_v_grad(grad_of_F, v0, alpha, z, w, rho, lr=lr, steps=steps)
         v = v0.copy()
         anchor = z + w + alpha
+        between = []
         for _ in range(steps):
             v = v - lr * (grad_of_F(v) + rho * (v - anchor))
+            between.append(v)
         assert np.allclose(got, v, atol=1e-14)
+        # the iterates between the start and the result, v_1 .. v_3
+        assert iterates.shape == (steps - 1, 3)
+        assert np.allclose(iterates, between[:-1], atol=1e-14)
 
     def test_gradient_update_default_constants(self):
         assert GRAD_LR_DEFAULT == 0.01
@@ -256,7 +263,7 @@ class TestCellAgainstStraightLine:
     @pytest.mark.parametrize("mode", ["linear", "grad"])
     @pytest.mark.parametrize("dual", ["rho_step", "unit_step"])
     def test_cell_matches_oracle(self, mode, dual):
-        rng = np.random.default_rng(hash((mode, dual)) % 2**31)
+        rng = np.random.default_rng([7, MODES.index(mode), DUAL_UPDATES.index(dual)])
         for _ in range(10):
             M = int(rng.integers(1, 5))
             k = int(rng.integers(2, 6))
@@ -388,6 +395,25 @@ class TestNetwork:
         assert replay_tape(tape, shards, params, np.random.default_rng(7), 8)
         # other minibatches give other iterates, so the replay is no tautology
         assert not replay_tape(tape, shards, params, np.random.default_rng(8), 8)
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_grad_records_keep_the_iterates_between_input_and_output(self, steps):
+        # a record keeps v_1 .. v_{steps-1}; v_0 is the cell's input v and
+        # v_steps its output, both read elsewhere on the tape
+        shards = make_shards(M=3, n=20, seed=15)
+        params = random_params(3, 4, 3, np.random.default_rng(5))
+        _, tape = forward_network(shards, params, L=3, mode="grad", seed=15, grad_steps=steps)
+        xty = client_stats(shards, np.arange(3)).xty
+        for i, rec in enumerate(tape.cells):
+            assert rec.v_iterates.shape == (steps - 1, 3, 4)
+            prev = tape.inputs(i)
+            v, iterates = phi2_v_grad(
+                lambda u: 2.0 * ((rec.gram @ u[:, :, None])[:, :, 0] - xty),
+                prev.v, rec.alpha / rec.step_w[:, None], prev.z, prev.w, rec.rho_eff,
+                lr=tape.grad_lr, steps=steps,
+            )
+            assert np.array_equal(v, rec.v)
+            assert np.array_equal(iterates, rec.v_iterates)
 
     def test_replay_detects_changed_params(self):
         shards = make_shards(M=2, seed=7)

@@ -13,9 +13,11 @@ comparison needs the same benchmark on both sides.
 For every end-to-end metric that BENCHMARK.json declares, it prints each
 side's median [first quartile, third quartile], the number of pairs the
 working tree won (strictly better in the metric's direction) and the
-number of exact ties, which count for neither side. It then lists every
-run that exited non-zero, printed `"correct": false` or printed no JSON
-result, and exits 1 if there was any. Standard library only.
+number of exact ties, which count for neither side, and marks it WORSE
+when the working tree's median is worse than the base's by more than the
+metric's relative `bound`. It then lists every run that exited non-zero,
+printed `"correct": false` or printed no JSON result, and exits 1 if
+there was any such run or any WORSE metric. Standard library only.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ def spread(values: List[float]) -> str:
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
+def worse_beyond_bound(base: float, change: float, bound: float, lower: bool) -> bool:
+    """True when `change` is worse than `base` in the metric's direction
+    by more than `bound` times the base."""
+    excess = change - base if lower else base - change
+    return excess > bound * abs(base)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git ref of the base side")
@@ -128,6 +137,7 @@ def main(argv=None) -> int:
     for seed, side, _, result in runs:
         by_side[side][seed] = _metrics(result)
     print(f"{args.workload}: {len(seeds)} pairs, --seconds {args.seconds:g}, base {args.base}")
+    any_worse = False
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [m[name] for m in by_side[side].values() if name in m] for side in SIDES}
@@ -135,8 +145,15 @@ def main(argv=None) -> int:
                  if name in by_side["base"].get(s, {}) and name in by_side["change"].get(s, {})]
         wins = sum((c < b) if lower else (c > b) for b, c in pairs)
         ties = sum(c == b for b, c in pairs)
+        flag = ""
+        if values["base"] and values["change"] and worse_beyond_bound(
+                statistics.median(values["base"]), statistics.median(values["change"]),
+                metric["bound"], lower):
+            flag = f"  WORSE (bound {metric['bound']:g})"
+            any_worse = True
         print(f"  {name} ({metric['unit']}): base {spread(values['base'])}  "
-              f"change {spread(values['change'])}  change wins {wins}/{len(pairs)}, ties {ties}")
+              f"change {spread(values['change'])}  "
+              f"change wins {wins}/{len(pairs)}, ties {ties}{flag}")
     for side in SIDES:
         attempted = sum(r["attempted"] for _, s, _, r in runs if s == side and r)
         failed = sum(r["failed"] for _, s, _, r in runs if s == side and r)
@@ -146,7 +163,7 @@ def main(argv=None) -> int:
     for seed, side, code, result in bad:
         correct = "no JSON result" if result is None else f'"correct": {json.dumps(result.get("correct"))}'
         print(f"  FAILED RUN: {side} seed {seed}: exit {code}, {correct}")
-    return 1 if bad else 0
+    return 1 if bad or any_worse else 0
 
 
 if __name__ == "__main__":
