@@ -23,24 +23,33 @@ training rows once (each shard standardized before stacking, so the
 padding rows stay zero), and each step is one array operation over the
 clients. A run draws its minibatches from one generator, one call per
 gradient step for all clients (ditto draws its global epochs, then its
-personal ones). The evaluation rows, too, are stacked once per run.
+personal ones).
+
+federation's unrolled driver shares this module's run scaffolding:
+`RunLog` stacks the evaluation rows once, keeps the clock, writes every
+MetricsRecord and holds the one divergence rule (`guard`); both drivers
+return a `RunResult`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DimensionMismatch, InvalidSetting, NotPD
+from .errors import DimensionMismatch, InvalidSetting, NonFiniteGradient, NonFiniteInput, NotPD
 from .math_core import RowStack, chol_solve, minibatch_rows, spd_cholesky, stack_rows
 from .metrics import MetricsRecord
 
 GD_METHODS = ("local", "fedavg", "fedprox", "fedavg_ft", "fedprox_ft", "ditto")
 ALL_METHODS = GD_METHODS + ("local_exact",)
+
+# numerical failures of a round: the run records it as diverged and stops
+NUMERICAL_FAILURES = (FloatingPointError, NonFiniteInput, NonFiniteGradient, NotPD)
 
 _CONST_TOL = 1e-12
 _JITTER = 1e-10  # local_exact's ridge, relative to the Gram's mean diagonal
@@ -88,17 +97,6 @@ class Standardizer:
         return cls(mu=np.zeros(k), sd=np.ones(k), intercept_col=None)
 
 
-@dataclass
-class BaselineResult:
-    method: str
-    models_raw: np.ndarray            # [M, k] final per-client models
-    per_client_test_rmse: np.ndarray  # [M]
-    mean_test_rmse: float
-    std_test_rmse: float
-    records: List[MetricsRecord]
-    trajectory: Optional[np.ndarray] = None  # [rounds, M, k] raw-space
-
-
 def local_exact(shard) -> np.ndarray:
     """Per-client least-squares solve of the local regression."""
     X, Y = shard.X_train, shard.Y_train
@@ -129,12 +127,77 @@ def evaluate_models(models_raw: np.ndarray, train: RowStack, test: RowStack) -> 
     )
 
 
+@dataclass
+class RunResult:
+    """One trained method, the unrolled network or a baseline."""
+
+    method: str
+    records: List[MetricsRecord]
+    models_raw: np.ndarray            # [M, k] final per-client models
+    per_client_test_rmse: np.ndarray  # [M]; NaN when the run diverged
+    diverged: bool = False
+    params: Optional[object] = None   # the unrolled network's LearnableParams
+    transcripts: list = field(default_factory=list)  # unrolled, with cfg.transcript
+    trajectory: Optional[np.ndarray] = None  # [rounds, M, k] raw-space, on request
+
+    @property
+    def mean_test_rmse(self) -> float:
+        return float(self.per_client_test_rmse.mean())
+
+    @property
+    def std_test_rmse(self) -> float:
+        return float(self.per_client_test_rmse.std())
+
+
+class RunLog:
+    """A run's evaluation rows (stacked once), clock and per-round
+    records. A non-finite input shard raises here, from the stacking."""
+
+    def __init__(self, method: str, shards: Sequence):
+        self.method = method
+        self.t0 = time.perf_counter()
+        self.train, self.test = evaluation_rows(shards)
+        self.records: List[MetricsRecord] = []
+        self.test_rmse: Optional[np.ndarray] = None
+        self.diverged = False
+
+    def record(self, rnd: int, epoch: int, models: Optional[np.ndarray],
+               loss_sum=None, lagrangian=None) -> None:
+        """Record the mean train and test RMSE of `models` [M, k] for
+        round `rnd`, or, with `models` None, the round as diverged."""
+        if models is None:
+            self.diverged = True
+            tr = te = np.full(self.test.counts.shape, np.nan)
+        else:
+            tr, te = evaluate_models(models, self.train, self.test)
+        self.test_rmse = te
+        self.records.append(MetricsRecord(
+            round=rnd, epoch=epoch, method=self.method, client_id="agg",
+            train_rmse=float(tr.mean()), test_rmse=float(te.mean()),
+            loss_sum=loss_sum, lagrangian_final_cell=lagrangian,
+            wall_ms=(time.perf_counter() - self.t0) * 1e3,
+        ))
+
+    @contextmanager
+    def guard(self, rnd: int, epoch: int, **nan_losses):
+        """Wrap one round's training and evaluation: a numerical failure ends
+        the block and records the round as diverged, with `nan_losses`."""
+        try:
+            yield
+        except NUMERICAL_FAILURES:
+            self.record(rnd, epoch, None, **nan_losses)
+
+    def result(self, models_raw: np.ndarray, **extra) -> RunResult:
+        return RunResult(method=self.method, records=self.records, models_raw=models_raw,
+                         per_client_test_rmse=self.test_rmse, diverged=self.diverged, **extra)
+
+
 def run_baseline(
     method: str,
     shards: Sequence,
     cfg: ExperimentConfig,
     keep_trajectory: bool = False,
-) -> BaselineResult:
+) -> RunResult:
     """Train one reference method on the given client shards.
 
     With `cfg.baseline_batch` set, each gradient step draws every
@@ -150,41 +213,11 @@ def run_baseline(
         raise DimensionMismatch("run_baseline: no client shards")
     k = shards[0].X_train.shape[1]
 
-    t0 = time.perf_counter()
-    train, test = evaluation_rows(shards)
-    records: List[MetricsRecord] = []
-
-    def evaluate(rnd: int, epoch: int, models: np.ndarray) -> np.ndarray:
-        """Record the mean train/test RMSE of `models`; return the
-        per-client test RMSE."""
-        tr, te = evaluate_models(models, train, test)
-        records.append(
-            MetricsRecord(
-                round=rnd,
-                epoch=epoch,
-                method=method,
-                client_id="agg",
-                train_rmse=float(tr.mean()),
-                test_rmse=float(te.mean()),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
-        return te
-
-    def result(models: np.ndarray, te: np.ndarray, traj=()) -> BaselineResult:
-        return BaselineResult(
-            method=method,
-            models_raw=models,
-            per_client_test_rmse=te,
-            mean_test_rmse=float(te.mean()),
-            std_test_rmse=float(te.std()),
-            records=records,
-            trajectory=np.stack(traj) if traj else None,
-        )
-
+    log = RunLog(method, shards)
     if method == "local_exact":
         models = np.stack([local_exact(sh) for sh in shards])
-        return result(models, evaluate(0, 0, models))
+        log.record(0, 0, models)
+        return log.result(models)
 
     if cfg.standardize:
         std = Standardizer.fit(np.vstack([sh.X_train for sh in shards]))
@@ -217,29 +250,32 @@ def run_baseline(
         return std.to_raw(V) if personal else np.tile(std.to_raw(w), (M, 1))
 
     models = current_models()
+    if cfg.rounds == 0:
+        log.record(0, 0, models)
     for rnd in range(1, cfg.rounds + 1):
-        if method == "local":
-            gd(V, cfg.local_epochs)
-        else:
-            prox = method in ("fedprox", "fedprox_ft")
-            U = gd(np.tile(w, (M, 1)), cfg.local_epochs, cfg.mu, w if prox else None)
-            if method == "ditto":
-                gd(V, cfg.local_epochs, cfg.lambda_ditto, w)
-            w = agg_w @ U
-        models = current_models()
-        if keep_trajectory:
-            traj.append(models)
-        te = evaluate(rnd, cfg.local_epochs, models)
+        with log.guard(rnd, cfg.local_epochs):
+            if method == "local":
+                gd(V, cfg.local_epochs)
+            else:
+                prox = method in ("fedprox", "fedprox_ft")
+                U = gd(np.tile(w, (M, 1)), cfg.local_epochs, cfg.mu, w if prox else None)
+                if method == "ditto":
+                    gd(V, cfg.local_epochs, cfg.lambda_ditto, w)
+                w = agg_w @ U
+            models = current_models()
+            if keep_trajectory:
+                traj.append(models)
+            log.record(rnd, cfg.local_epochs, models)
+        if log.diverged:
+            break
 
-    if method in ("fedavg_ft", "fedprox_ft"):
-        V = gd(np.tile(w, (M, 1)), cfg.ft_epochs)
-        models = std.to_raw(V)
-        if records:
-            records.pop()  # the fine-tuned evaluation stands in for the last round
-        te = evaluate(cfg.rounds, cfg.local_epochs + cfg.ft_epochs, models)
-        if keep_trajectory:
-            traj.append(models)
-    elif cfg.rounds == 0:
-        te = evaluate(0, 0, models)
+    if method in ("fedavg_ft", "fedprox_ft") and not log.diverged:
+        log.records.pop()  # the fine-tuned evaluation stands in for the last round's
+        epoch = cfg.local_epochs + cfg.ft_epochs
+        with log.guard(cfg.rounds, epoch):
+            models = std.to_raw(gd(np.tile(w, (M, 1)), cfg.ft_epochs))
+            if keep_trajectory:
+                traj.append(models)
+            log.record(cfg.rounds, epoch, models)
 
-    return result(models, te, traj)
+    return log.result(models, trajectory=np.stack(traj) if traj else None)

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="train one method, write metrics CSV")
-    run.add_argument("--method", choices=METHODS, default="unrolled")
+    run.add_argument("--method", choices=METHODS)
     _add_shared_flags(run)
 
     cmp_ = sub.add_parser("compare", help="train several methods across trials")
@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     dg = sub.add_parser("datagen", help="write benchmark shards as CSV")
     dg.add_argument("--setting", type=int, choices=SETTINGS, required=True)
     dg.add_argument("--seed", type=int, required=True)
-    dg.add_argument("--clients", type=int, default=10)
-    dg.add_argument("--samples", type=int, default=200)
+    dg.add_argument("--clients", type=int, default=SettingSpec.M)
+    dg.add_argument("--samples", type=int, default=SettingSpec.n_per_client)
     dg.add_argument("--out", default=".")
 
     rp = sub.add_parser("report", help="summarize a metrics CSV")
@@ -157,14 +157,7 @@ def _trials(cfg: ExperimentConfig):
     seed + t."""
     for trial in range(cfg.trials):
         tcfg = cfg.replace(seed=cfg.seed + trial)
-        spec = SettingSpec(
-            setting=tcfg.setting,
-            M=tcfg.M,
-            n_per_client=tcfg.n_per_client,
-            noise_std=tcfg.noise_std,
-            seed=tcfg.seed,
-        )
-        yield trial, tcfg, generate_setting(spec)
+        yield trial, tcfg, generate_setting(tcfg.setting_spec())
 
 
 def _run_method(method: str, cfg: ExperimentConfig, shards):

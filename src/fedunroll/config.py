@@ -32,9 +32,9 @@ METHODS = (
 class ExperimentConfig:
     # benchmark
     setting: int = 1
-    M: int = 10
-    n_per_client: int = 200
-    noise_std: float = 0.1
+    M: int = SettingSpec.M
+    n_per_client: int = SettingSpec.n_per_client
+    noise_std: float = SettingSpec.noise_std
     trials: int = 1
     seed: Optional[int] = None
 
@@ -88,9 +88,7 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         try:
-            # the benchmark's own bounds (clients, samples, noise_std)
-            SettingSpec(setting=self.setting, M=self.M, n_per_client=self.n_per_client,
-                        noise_std=self.noise_std)
+            self.setting_spec()  # the benchmark's own bounds (clients, samples, noise_std)
         except InvalidSetting as exc:
             raise ConfigError(str(exc)) from exc
         if self.trials < 1:
@@ -111,6 +109,11 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.baseline_batch is not None and self.baseline_batch < 1:
             raise ConfigError("baseline batch must be >= 1 (or none for full batch)")
+
+    def setting_spec(self) -> SettingSpec:
+        """The benchmark instance this config describes, on its seed."""
+        return SettingSpec(setting=self.setting, M=self.M, n_per_client=self.n_per_client,
+                           noise_std=self.noise_std, seed=self.seed)
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)

@@ -20,26 +20,25 @@ The experiment driver keeps per-client iterates across rounds and
 epochs: inactive clients keep their stale (v, z, alpha) and rejoin with
 them later, and each epoch's forward starts from the carried state
 (treated as constant by the reverse pass, i.e. backpropagation is
-truncated at round boundaries).
+truncated at round boundaries). It records through baselines.RunLog,
+divergence included, and returns a RunResult, as the baselines do.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .baselines import evaluate_models, evaluation_rows
+from .baselines import RunLog, RunResult
 from .config import ExperimentConfig
 from .diagnostics import lagrangian
-from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteInput, NotPD, ProtocolViolation
+from .errors import DimensionMismatch, ProtocolViolation
 from .learner import OptimizerState, backward, init_optimizer, optimizer_step
-from .metrics import MetricsRecord
 from .unrolled_net import (
     CellState,
     LearnableParams,
@@ -223,24 +222,11 @@ def run_round(
     )
 
 
-@dataclass
-class ExperimentResult:
-    method: str
-    records: List[MetricsRecord]
-    models_raw: np.ndarray
-    per_client_test_rmse: np.ndarray
-    mean_test_rmse: float
-    std_test_rmse: float
-    params: LearnableParams
-    diverged: bool = False
-    transcripts: List[Transcript] = field(default_factory=list)
-
-
 def run_unrolled_experiment(
     cfg: ExperimentConfig,
     shards: Sequence,
     method_name: str = "unrolled",
-) -> ExperimentResult:
+) -> RunResult:
     """Train the unrolled network: rounds x epochs, carried state,
     per-round aggregate metrics over the full population (stale models
     for clients that sat a round out). Round transcripts are built only
@@ -253,67 +239,23 @@ def run_unrolled_experiment(
     opt_state = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
     state = init_state(M, k, seed=cfg.seed)
 
-    records: List[MetricsRecord] = []
     transcripts: List[Transcript] = []
-    t0 = time.perf_counter()
-    diverged = False
-    train, test = evaluation_rows(shards)
-
+    log = RunLog(method_name, shards)
     if cfg.rounds == 0:
-        tr, te = evaluate_models(state.v, train, test)
-        records.append(
-            MetricsRecord(
-                round=0,
-                epoch=0,
-                method=method_name,
-                client_id="agg",
-                train_rmse=float(tr.mean()),
-                test_rmse=float(te.mean()),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        log.record(0, 0, state.v)
     part_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xAC71]))
     for rnd in range(1, cfg.rounds + 1):
-        if cfg.participation < 1.0:
-            plan = sample_participants(M, cfg.participation, part_rng)
-        else:
-            plan = full_participation(M)
-        try:
+        plan = (sample_participants(M, cfg.participation, part_rng)
+                if cfg.participation < 1.0 else full_participation(M))
+        with log.guard(rnd, cfg.epochs_per_round, loss_sum=math.nan, lagrangian=math.nan):
             for ep in range(1, cfg.epochs_per_round + 1):
                 rr = run_round(shards, params, opt_state, state, plan, cfg, rnd, ep)
                 params = rr.params
                 if cfg.transcript:
                     transcripts.append(rr.transcript)
-            tr, te = evaluate_models(state.v, train, test)
-            loss_sum, lag = rr.loss_sum, rr.lagrangian_final
-        except (FloatingPointError, NonFiniteInput, NonFiniteGradient, NotPD):
-            diverged = True
-            tr = te = np.full(M, np.nan)
-            loss_sum = lag = float("nan")
-        records.append(
-            MetricsRecord(
-                round=rnd,
-                epoch=cfg.epochs_per_round,
-                method=method_name,
-                client_id="agg",
-                train_rmse=float(tr.mean()),
-                test_rmse=float(te.mean()),
-                loss_sum=loss_sum,
-                lagrangian_final_cell=lag,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
-        if diverged:
+            log.record(rnd, cfg.epochs_per_round, state.v,
+                       loss_sum=rr.loss_sum, lagrangian=rr.lagrangian_final)
+        if log.diverged:
             break
 
-    return ExperimentResult(
-        method=method_name,
-        records=records,
-        models_raw=state.v.copy(),
-        per_client_test_rmse=te,
-        mean_test_rmse=float(te.mean()),
-        std_test_rmse=float(te.std()),
-        params=params,
-        diverged=diverged,
-        transcripts=transcripts,
-    )
+    return log.result(state.v.copy(), params=params, transcripts=transcripts)

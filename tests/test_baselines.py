@@ -1,15 +1,17 @@
 """Reference methods: standardization, exact solver, trainers and their
 defining equalities, and the client-batched trainers against a
-per-client training loop."""
+per-client training loop, and the divergence rule the baselines share
+with the unrolled driver."""
 
 import numpy as np
 import pytest
 
 from conftest import count_calls, make_shards, make_uneven_shards
 
+from fedunroll import baselines
 from fedunroll.baselines import (
     GD_METHODS,
-    BaselineResult,
+    RunResult,
     Standardizer,
     evaluate_models,
     evaluation_rows,
@@ -18,7 +20,7 @@ from fedunroll.baselines import (
 )
 from fedunroll.config import ExperimentConfig
 from fedunroll.datagen import DataShard
-from fedunroll.errors import InvalidSetting
+from fedunroll.errors import InvalidSetting, NonFiniteInput
 from fedunroll.math_core import design_matrix
 
 
@@ -85,7 +87,7 @@ class TestExactSolver:
     def test_result_record_shape(self):
         shards = make_shards(M=4, seed=7)
         res = run_baseline("local_exact", shards, small_cfg())
-        assert isinstance(res, BaselineResult)
+        assert isinstance(res, RunResult)
         assert res.models_raw.shape == (4, 4)
         assert len(res.records) == 1
         assert res.records[0].round == 0
@@ -312,3 +314,88 @@ class TestBatchedTrainersAgainstPerClientOracle:
                 monkeypatch.undo()
                 seen.append(counts["stack_rows"])
             assert seen[0] == seen[1], method
+
+
+# ---------------------------------------------------------------------------
+# the one divergence rule
+
+
+def fail_evaluation_from_call(monkeypatch, first):
+    """Make baselines.evaluate_models raise NonFiniteInput from its
+    `first`-th call on (one call per recorded round)."""
+    calls = []
+    original = baselines.evaluate_models
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) >= first:
+            raise NonFiniteInput("models contain non-finite entries")
+        return original(*args)
+
+    monkeypatch.setattr(baselines, "evaluate_models", failing)
+
+
+def assert_ends_diverged(res, rounds, epochs):
+    """The run stopped at rounds[-1], recorded as NaN, and its result is NaN."""
+    assert res.diverged
+    assert [r.round for r in res.records] == rounds
+    assert [r.epoch for r in res.records] == epochs
+    for r in res.records[:-1]:
+        assert np.isfinite(r.train_rmse) and np.isfinite(r.test_rmse)
+    last = res.records[-1]
+    assert np.isnan(last.train_rmse) and np.isnan(last.test_rmse)
+    assert last.loss_sum is None and last.lagrangian_final_cell is None
+    assert res.per_client_test_rmse.shape == (3,)
+    assert np.all(np.isnan(res.per_client_test_rmse))
+    assert np.isnan(res.mean_test_rmse) and np.isnan(res.std_test_rmse)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("method", GD_METHODS)
+    def test_failed_round_ends_the_run(self, monkeypatch, method):
+        # round 2's evaluation fails: the run stops there, and the
+        # fine-tuned variants never fine-tune
+        shards = make_shards(M=3, n=30, seed=25)
+        fail_evaluation_from_call(monkeypatch, 2)
+        res = run_baseline(method, shards, small_cfg(rounds=4))
+        assert_ends_diverged(res, [1, 2], [2, 2])
+
+    @pytest.mark.parametrize("method", ["fedavg_ft", "fedprox_ft"])
+    def test_failed_fine_tuning_replaces_the_last_round(self, monkeypatch, method):
+        shards = make_shards(M=3, n=30, seed=26)
+        fail_evaluation_from_call(monkeypatch, 3)
+        res = run_baseline(method, shards, small_cfg(rounds=2, ft_epochs=5))
+        assert_ends_diverged(res, [1, 2], [2, 2 + 5])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["local", "fedavg"])
+    def test_runaway_step_is_reported_not_raised(self, method):
+        # a step size of 10 on standardized cubic features overflows the
+        # models within a few hundred rounds
+        shards = make_shards(M=3, n=30, seed=27)
+        res = run_baseline(method, shards, small_cfg(rounds=400, baseline_lr=10.0))
+        assert res.diverged
+        assert len(res.records) < 400
+        assert np.isnan(res.records[-1].test_rmse) and np.isnan(res.mean_test_rmse)
+
+    def test_local_exact_failure_is_an_error(self, monkeypatch):
+        shards = make_shards(M=3, n=30, seed=28)
+        fail_evaluation_from_call(monkeypatch, 1)
+        with pytest.raises(NonFiniteInput):
+            run_baseline("local_exact", shards, small_cfg())
+
+    @pytest.mark.parametrize("method", ["fedavg", "local_exact"])
+    def test_non_finite_input_shard_is_an_error(self, method):
+        shards = make_shards(M=3, n=30, seed=29)
+        shards[1].X_test[0, 1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            run_baseline(method, shards, small_cfg(rounds=2))
+
+    @pytest.mark.parametrize("method", ["fedavg_ft", "fedprox_ft"])
+    def test_zero_rounds_fine_tuned_record(self, method):
+        shards = make_shards(M=3, n=30, seed=30)
+        res = run_baseline(method, shards, small_cfg(rounds=0, ft_epochs=5))
+        assert [(r.round, r.epoch) for r in res.records] == [(0, 2 + 5)]
+        _, te = evaluate_models(res.models_raw, *evaluation_rows(shards))
+        assert res.records[0].test_rmse == float(te.mean())
+        assert not res.diverged

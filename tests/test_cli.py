@@ -1,6 +1,7 @@
 """Command-line interface: config files, flag precedence, subcommands,
 output files, and exit codes."""
 
+import hashlib
 import os
 import re
 
@@ -102,26 +103,26 @@ class TestConfigFile:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_flag_overrides_file(self, tmp_path, capsys):
-        path = tmp_path / "exp.ini"
-        path.write_text(GOOD_INI)
-        out = tmp_path / "o"
-        rc = main([
-            "run", "--config", str(path), "--method", "local",
-            "--seed", "11", "--rounds", "1", "--out", str(out),
-        ])
-        assert rc == 0
-        text = (out / "metrics_local.csv").read_text()
-        assert text.splitlines()[0] == ",".join(COLUMNS)
-        # file said seed 7; the flag must win — rerunning with an explicit
-        # seed 11 and no config file gives the same numbers
-        out2 = tmp_path / "o2"
-        rc = main([
-            "run", "--method", "local", "--setting", "1", "--seed", "11",
-            "--clients", "3", "--samples", "30", "--rounds", "1",
-            "--epochs", "1", "--out", str(out2),
-        ])
-        assert rc == 0
+    def test_flag_overrides_file(self, tmp_path):
+        # the file says seed 7: with --seed 11 the run gives the numbers of
+        # the same file edited to seed 11, and not those of seed 7
+        def rows(name, ini, *flags):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(ini)
+            out = tmp_path / name
+            rc = main([
+                "run", "--config", str(path), "--method", "local",
+                "--rounds", "1", "--out", str(out), *flags,
+            ])
+            assert rc == 0
+            lines = (out / "metrics_local.csv").read_text().splitlines()
+            assert lines[0] == ",".join(COLUMNS)
+            return [row.rsplit(",", 1)[0] for row in lines[1:]]  # without wall_ms
+
+        assert GOOD_INI.count("seed = 7") == 1
+        flagged = rows("flag", GOOD_INI, "--seed", "11")
+        assert flagged == rows("edited", GOOD_INI.replace("seed = 7", "seed = 11"))
+        assert flagged != rows("own", GOOD_INI)
 
 
 class TestUsageErrors:
@@ -291,6 +292,25 @@ class TestRun:
             f"min penalty {rep.rho_min:.3g}"
         ]
 
+    @pytest.mark.parametrize("methods, flag, trained", [
+        ("fedavg", None, "fedavg"),
+        ("fedavg,local", None, "fedavg"),
+        ("fedavg", "local", "local"),
+        (None, None, "unrolled"),
+    ])
+    def test_method_from_flag_else_file_else_unrolled(self, tmp_path, capsys, methods, flag, trained):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[experiment]\nsetting = 1\nm = 3\nn_per_client = 30\nseed = 5\nrounds = 1\n"
+            + (f"methods = {methods}\n" if methods else "")
+            + "[unrolled]\nlayers = 2\nepochs_per_round = 1\n"
+        )
+        out = tmp_path / "o"
+        args = ["run", "--config", str(path), "--out", str(out)]
+        assert main(args + (["--method", flag] if flag else [])) == 0
+        assert [p.name for p in out.iterdir()] == [f"metrics_{trained}.csv"]
+        assert capsys.readouterr().out.startswith(f"{trained} trial 0: mean test rmse ")
+
     def test_multi_trial_concatenates(self, tmp_path):
         args = tiny_run_args(tmp_path)
         args[args.index("--trials") + 1] = "2"
@@ -365,6 +385,99 @@ class TestCompare:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[1].split(",")[3:] == ["DIVERGED", "DIVERGED"]
         assert np.isfinite(float(summary[2].split(",")[3]))
+
+
+DIVERGING_INI = """\
+[experiment]
+setting = 1
+m = 3
+n_per_client = 30
+seed = 1
+methods = unrolled,fedavg,local
+rounds = 400
+
+[baselines]
+lr = 10
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergedBaselines:
+    # a step size of 10 overflows the gradient baselines' models within a
+    # few hundred rounds; the unrolled network does not read that step
+
+    def test_compare_reports_them_and_writes_both_tables(self, tmp_path, capsys):
+        path = tmp_path / "d.ini"
+        path.write_text(DIVERGING_INI)
+        out = tmp_path / "c"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("setting 1 trial 0 unrolled: mean test rmse ")
+        assert np.isfinite(float(printed[0].rsplit(" ", 1)[1]))
+        assert printed[1:3] == [
+            "setting 1 trial 0 fedavg: mean test rmse DIVERGED",
+            "setting 1 trial 0 local: mean test rmse DIVERGED",
+        ]
+        summary = [row.split(",") for row in (out / "summary.csv").read_text().splitlines()]
+        assert [row[0] for row in summary[1:]] == ["unrolled", "fedavg", "local"]
+        assert np.isfinite(float(summary[1][3]))
+        assert summary[2][3:] == summary[3][3:] == ["DIVERGED", "DIVERGED"]
+        trials = [row.split(",") for row in (out / "final_rmse.csv").read_text().splitlines()]
+        assert [row[3] for row in trials[2:]] == ["DIVERGED", "DIVERGED"]
+
+    def test_run_reports_it_and_writes_the_diverged_round(self, tmp_path, capsys):
+        path = tmp_path / "d.ini"
+        path.write_text(DIVERGING_INI)
+        assert main(["run", "--method", "fedavg", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "fedavg trial 0: mean test rmse DIVERGED"
+        rows = [row.split(",") for row in (tmp_path / "metrics_fedavg.csv").read_text().splitlines()]
+        assert 1 < len(rows) - 1 < 400
+        assert rows[-1][4:6] == ["DIVERGED", "DIVERGED"]
+        assert np.isfinite(float(rows[1][5]))
+
+
+class TestPinnedOutputs:
+    """Three commands whose output files must not change by a byte: a
+    linear-mode run with transcript and diagnostics, a grad-mode run with
+    partial participation, and a compare of every method. The metrics
+    file is hashed without its wall_ms column."""
+
+    def test_output_files_are_byte_identical(self, tmp_path, capsys):
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        assert main([
+            "run", "--method", "unrolled", "--setting", "1", "--seed", "42", "--rounds", "3",
+            "--transcript", "--diagnostics", "--out", str(a),
+        ]) == 0
+        assert main([
+            "run", "--method", "unrolled", "--setting", "3", "--seed", "42", "--rounds", "3",
+            "--mode", "grad", "--participation", "0.5", "--dual-update", "unit_step",
+            "--transcript", "--out", str(b),
+        ]) == 0
+        assert main([
+            "compare", "--methods", "unrolled,local,local_exact,fedavg,fedprox,fedavg_ft,fedprox_ft,ditto",
+            "--setting", "2", "--seed", "7", "--trials", "2", "--rounds", "5", "--out", str(c),
+        ]) == 0
+        metrics = (a / "metrics_unrolled.csv").read_bytes()
+        metrics = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in metrics.splitlines())
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in [
+                ("a/transcript", (a / "transcript_unrolled_trial0.csv").read_bytes()),
+                ("a/lambda", (a / "lambda_unrolled_trial0.csv").read_bytes()),
+                ("a/metrics without wall_ms", metrics),
+                ("b/transcript", (b / "transcript_unrolled_trial0.csv").read_bytes()),
+                ("c/summary", (c / "summary.csv").read_bytes()),
+                ("c/final_rmse", (c / "final_rmse.csv").read_bytes()),
+            ]
+        }
+        assert digests == {
+            "a/transcript": "8aa52efc54b15b7b4529aba2dc347cc2a0d3e0d938a6aef576177c223a9ff8cb",
+            "a/lambda": "779e9748342b3a560485210837e686fc1840834c9e7fd82e2ac0f8e3dce3bbe0",
+            "a/metrics without wall_ms": "79921744241f2f21a01c0268880e92788f4fcb67148a321de073439cfb482259",
+            "b/transcript": "21acb5a0f73c304ebca809a9e0bf8727729c413fe5ad37ec7eb97a1c511d4444",
+            "c/summary": "e4e19600dd9927cd8a6277831aa859319404ee120a26c1b9cb9fff8c5a4e9eed",
+            "c/final_rmse": "8efaf6b083e86cb5e8eb223ca96c0feccd0683aac66df8836c981a778f678605",
+        }
 
 
 class TestGradcheck:

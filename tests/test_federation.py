@@ -7,7 +7,8 @@ import pytest
 from conftest import client_sse, count_calls, make_shards
 
 from fedunroll.config import ExperimentConfig
-from fedunroll import federation, unrolled_net
+from fedunroll import baselines, federation, unrolled_net
+from fedunroll.baselines import RunResult
 from fedunroll.datagen import SettingSpec, generate_setting
 from fedunroll.errors import NonFiniteInput, ProtocolViolation
 from fedunroll.federation import (
@@ -385,6 +386,22 @@ class TestExperimentDriver:
             run_unrolled_experiment(cfg, shards)
             monkeypatch.undo()
             assert counts["stack_rows"] <= rounds * cfg.epochs_per_round + 2
+
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_evaluates_through_the_baselines_module(self, monkeypatch, rounds):
+        # one evaluation per recorded round, looked up in `baselines` at
+        # call time, so that rebinding the name there reaches this driver
+        calls = []
+        original = baselines.evaluate_models
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(baselines, "evaluate_models", counted)
+        res = run_unrolled_experiment(round_cfg(rounds=rounds), make_shards(M=3, n=30, seed=22))
+        assert len(calls) == len(res.records) == max(rounds, 1)
+        assert isinstance(res, RunResult) and not res.diverged
 
     def test_nonfinite_aggregation_marked_not_raised(self, monkeypatch):
         # the aggregation turns non-finite from round 2 on; the driver
