@@ -26,9 +26,12 @@ gradient step for all clients (ditto draws its global epochs, then its
 personal ones).
 
 federation's unrolled driver shares this module's run scaffolding:
-`RunLog` stacks the evaluation rows once, keeps the clock, writes every
-MetricsRecord and holds the one divergence rule (`guard`); both drivers
-return a `RunResult`.
+`RunLog` stacks the evaluation rows once (the unrolled driver builds
+its training statistics from the same stack), keeps the clock, writes
+every MetricsRecord and holds the one divergence rule (`guard`): a
+round that fails numerically, or whose models evaluate to a non-finite
+RMSE, is recorded as diverged and ends the run. Both drivers return a
+`RunResult`.
 """
 
 from __future__ import annotations
@@ -164,12 +167,17 @@ class RunLog:
     def record(self, rnd: int, epoch: int, models: Optional[np.ndarray],
                loss_sum=None, lagrangian=None) -> None:
         """Record the mean train and test RMSE of `models` [M, k] for
-        round `rnd`, or, with `models` None, the round as diverged."""
+        round `rnd`, or, with `models` None, the round as diverged.
+        Models whose train or test RMSE is not finite raise
+        NonFiniteInput and record nothing: inside `guard`, that ends the
+        run as diverged."""
         if models is None:
             self.diverged = True
             tr = te = np.full(self.test.counts.shape, np.nan)
         else:
             tr, te = evaluate_models(models, self.train, self.test)
+            if not (np.isfinite(tr).all() and np.isfinite(te).all()):
+                raise NonFiniteInput(f"round {rnd}: the models' RMSE is not finite")
         self.test_rmse = te
         self.records.append(MetricsRecord(
             round=rnd, epoch=epoch, method=self.method, client_id="agg",
@@ -180,8 +188,9 @@ class RunLog:
 
     @contextmanager
     def guard(self, rnd: int, epoch: int, **nan_losses):
-        """Wrap one round's training and evaluation: a numerical failure ends
-        the block and records the round as diverged, with `nan_losses`."""
+        """Wrap one round's training and evaluation: a numerical failure,
+        a non-finite evaluation included, ends the block and records the
+        round as diverged, with `nan_losses`."""
         try:
             yield
         except NUMERICAL_FAILURES:

@@ -8,8 +8,8 @@ The augmented objective evaluated after each cell,
 is the quantity whose layer-over-layer monotonicity the descent checker
 inspects. It reads the effective (rectified/clamped) parameter values
 and phi4's aggregation weights omega, which sum to one over the active
-clients, from the cell's record, and F_i from the rows the forward
-stacked. alpha_i / step_i is the scaled multiplier the primal steps
+clients, from the cell's record, and F_i from the active clients' rows
+the tape holds (Tape.rows). alpha_i / step_i is the scaled multiplier the primal steps
 read: step_i is rho_i under the ``rho_step`` dual convention and 1
 under ``unit_step`` (see unrolled_net). Under large fixed penalties the
 value is non-increasing with either convention; the checker classifies

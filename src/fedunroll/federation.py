@@ -16,9 +16,17 @@ The forward records no messages: round_transcript rebuilds them bit for
 bit from the round's tape and verifies them, on the first read of
 RoundResult.transcript. A round nobody asks about builds no message.
 
-The experiment driver keeps per-client iterates across rounds and
-epochs: inactive clients keep their stale (v, z, alpha) and rejoin with
-them later, and each epoch's forward starts from the carried state
+The experiment driver builds the clients' training statistics
+(unrolled_net.ClientStats) once per run, from the training rows that
+its RunLog stacks and validates for evaluation, and every round's
+forward takes the active clients' entries from them: no round stacks
+rows. A round's augmented objective is evaluated from its tape on the
+first read of RoundResult.lagrangian_final, which the driver makes once
+per round, for the last epoch.
+
+The driver keeps per-client iterates across rounds and epochs:
+inactive clients keep their stale (v, z, alpha) and rejoin with them
+later, and each epoch's forward starts from the carried state
 (treated as constant by the reverse pass, i.e. backpropagation is
 truncated at round boundaries). It records through baselines.RunLog,
 divergence included, and returns a RunResult, as the baselines do.
@@ -41,6 +49,7 @@ from .errors import DimensionMismatch, ProtocolViolation
 from .learner import OptimizerState, backward, init_optimizer, optimizer_step
 from .unrolled_net import (
     CellState,
+    ClientStats,
     LearnableParams,
     Tape,
     forward_network,
@@ -145,11 +154,16 @@ def round_transcript(tape: Tape, losses: Sequence[float], round_index: int, epoc
 class RoundResult:
     params: LearnableParams
     loss_sum: float
-    lagrangian_final: float
     tape: Tape
     losses: List[float]            # the active clients' loss reports, in order
     round_index: int
     epoch: int
+
+    @cached_property
+    def lagrangian_final(self) -> float:
+        """The augmented objective after the last cell, evaluated on
+        first access."""
+        return float(lagrangian(self.tape.cells[-1], self.tape.rows))
 
     @cached_property
     def transcript(self) -> Transcript:
@@ -166,14 +180,16 @@ def run_round(
     cfg: ExperimentConfig,
     round_index: int,
     epoch: int,
+    population: Optional[ClientStats] = None,
 ) -> RoundResult:
     """Execute one communication round over the active clients.
 
     `state` holds the full-population carried iterates and is updated
     in place for the active rows (and the shared w); `opt_state` is
-    advanced by one step. Returns the updated parameters with the
-    round's tape and loss reports; its transcript is built from them
-    only when read.
+    advanced by one step. `population` holds every client's training
+    statistics (see forward_network). Returns the updated parameters
+    with the round's tape and loss reports; its augmented objective and
+    transcript are built from them only when read.
     """
     idx = plan.indices
     if idx.size == 0:
@@ -197,12 +213,11 @@ def run_round(
         batch_size=cfg.batch_size,
         grad_lr=cfg.grad_lr,
         grad_steps=cfg.grad_steps,
+        population=population,
     )
     losses = tape.rows.sse(v_final).tolist()
 
     final = tape.cells[-1]
-    lag = lagrangian(final, tape.rows)
-
     grads = backward(tape, shards, policy=cfg.policy)
     new_params = optimizer_step(params, grads, opt_state)
 
@@ -214,7 +229,6 @@ def run_round(
     return RoundResult(
         params=new_params,
         loss_sum=float(sum(losses)),
-        lagrangian_final=float(lag),
         tape=tape,
         losses=losses,
         round_index=round_index,
@@ -241,6 +255,7 @@ def run_unrolled_experiment(
 
     transcripts: List[Transcript] = []
     log = RunLog(method_name, shards)
+    population = ClientStats.of(log.train)
     if cfg.rounds == 0:
         log.record(0, 0, state.v)
     part_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xAC71]))
@@ -249,7 +264,7 @@ def run_unrolled_experiment(
                 if cfg.participation < 1.0 else full_participation(M))
         with log.guard(rnd, cfg.epochs_per_round, loss_sum=math.nan, lagrangian=math.nan):
             for ep in range(1, cfg.epochs_per_round + 1):
-                rr = run_round(shards, params, opt_state, state, plan, cfg, rnd, ep)
+                rr = run_round(shards, params, opt_state, state, plan, cfg, rnd, ep, population)
                 params = rr.params
                 if cfg.transcript:
                     transcripts.append(rr.transcript)

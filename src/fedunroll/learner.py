@@ -134,13 +134,14 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
             # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2;
             # step t starts from v_t: the cell's input v for t = 0
             lr = tape.grad_lr
+            lr_rho = lr * rho_k
             H = 2.0 * rec.gram
             anchor_bar = np.zeros((m, k))
             rho_bar = np.zeros(m)
             for t in range(tape.grad_steps - 1, -1, -1):
                 v_t = rec.v_iterates[t - 1] if t > 0 else prev.v
                 rho_bar += -lr * rowdot(vbar, v_t - anchor)
-                anchor_bar += lr * rho_k * vbar
+                anchor_bar += lr_rho * vbar
                 vbar = vbar - lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
         albar += anchor_bar / sw
         abar += anchor_bar
@@ -171,7 +172,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
 def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradients:
     """Gradients of P_b with respect to every raw learnable parameter.
 
-    The losses are read from the rows the tape's forward stacked;
+    The losses are read from the active clients' rows the tape holds;
     `shards` must be the clients it was recorded on.
     """
     if policy not in POLICIES:
@@ -214,7 +215,7 @@ def fd_gradient(
     forward: pass the state0 the original forward used, and in grad mode
     full batches, since a generator shared by the probes would give them
     different minibatches. Each probe's loss is read from the rows its
-    tape stacked.
+    tape holds.
     """
     if h <= 0:
         raise ValueError("fd_gradient: h must be positive")

@@ -210,8 +210,10 @@ def minibatch_rows(
     keys = np.where(own, col.astype(np.float64), np.inf)
     keys[own & drawn[:, None]] = rng.random(int(counts[drawn].sum()))
     take = np.argsort(keys, axis=1)[:, :batch_size]
-    client = np.arange(counts.shape[0])[:, None]
-    return RowStack(X=rows.X[client, take], Y=rows.Y[client, take],
+    # one gather on flat row indices, much cheaper than X[client, take]
+    flat = take + (np.arange(counts.shape[0]) * width)[:, None]
+    return RowStack(X=np.take(rows.X.reshape(-1, rows.X.shape[2]), flat, axis=0),
+                    Y=np.take(rows.Y.reshape(-1), flat),
                     counts=np.where(drawn, batch_size, counts))
 
 

@@ -12,9 +12,12 @@ factorizations visit the clients one by one:
   phi4  server aggregation of the client vectors v - z - alpha/step into w
 
 phi2 sees a client's data only through its sufficient statistics
-G = X'X and c = X'Y (ClientStats), which a forward pass computes from
-rows it stacks and validates once for all its cells; the tape keeps
-those rows for the loss and the reverse pass. Linear mode factors each
+G = X'X and c = X'Y (ClientStats). The experiment driver builds them
+once per run for every client, from the training rows it stacks and
+validates for evaluation, and each forward pass takes the active
+clients' entries (ClientStats.take); a forward given none stacks the
+active clients' rows itself. The tape keeps the active clients' rows
+for the loss and the reverse pass. Linear mode factors each
 client's G + rho I with its own Cholesky call and solves all clients'
 systems in one batched solve per cell; grad mode takes gradient steps
 on each client's minibatch Gram matrix. Each grad-mode cell draws every
@@ -153,7 +156,7 @@ def phi2_v_grad(
             iterates[t - 1] = v
         g = np.asarray(grad_of_F(v), dtype=np.float64) + rho * (v - anchor)
         v = v - lr * g
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteGradient("phi2_v_grad: iterate became non-finite")
     return v, iterates
 
@@ -322,7 +325,8 @@ class Tape:
     init: CellState
     cells: List[CellRecord] = field(default_factory=list)
     tied: bool = False
-    # the active clients' training rows, stacked once for the pass
+    # the active clients' training rows: their entries of the run's
+    # statistics, or stacked for the pass
     rows: Optional[RowStack] = None
     grad_lr: float = GRAD_LR_DEFAULT
     grad_steps: int = GRAD_STEPS_DEFAULT
@@ -354,18 +358,34 @@ def client_rows(shards: Sequence, client_indices) -> RowStack:
 
 @dataclass(frozen=True)
 class ClientStats:
-    """The active clients' rows, validated once, and their sufficient
-    statistics for phi2: G = X'X [m, k, k] and c = X'Y [m, k]."""
+    """Clients' rows, validated once, and their sufficient statistics
+    for phi2: G = X'X [m, k, k] and c = X'Y [m, k]."""
 
     rows: RowStack
     gram: np.ndarray
     xty: np.ndarray
 
+    @classmethod
+    def of(cls, rows: RowStack) -> "ClientStats":
+        """The statistics of already stacked and validated rows."""
+        return cls(rows=rows, gram=rows.gram(), xty=rows.xt(rows.Y))
+
+    def take(self, client_indices) -> "ClientStats":
+        """The entries of the given clients, in order. The rows keep
+        this stack's padded width, so on clients of equal size they and
+        the statistics equal client_stats of those clients bit for bit."""
+        idx = np.asarray(client_indices)
+        r = self.rows
+        return ClientStats(
+            rows=RowStack(X=r.X[idx], Y=r.Y[idx], counts=r.counts[idx]),
+            gram=self.gram[idx],
+            xty=self.xty[idx],
+        )
+
 
 def client_stats(shards: Sequence, client_indices) -> ClientStats:
     """Rows, G and c of the given clients, one entry per client in order."""
-    rows = client_rows(shards, client_indices)
-    return ClientStats(rows=rows, gram=rows.gram(), xty=rows.xt(rows.Y))
+    return ClientStats.of(client_rows(shards, client_indices))
 
 
 def _minibatch_stats(stats, batch_rng, batch_size):
@@ -375,10 +395,11 @@ def _minibatch_stats(stats, batch_rng, batch_size):
     b = minibatch_rows(stats.rows, batch_size, batch_rng)
     if b is stats.rows:
         return stats.gram, stats.xty
+    gram, xty = b.gram(), b.xt(b.Y)
     drawn = b.counts != stats.rows.counts
-    gram = np.where(drawn[:, None, None], b.gram(), stats.gram)
-    xty = np.where(drawn[:, None], b.xt(b.Y), stats.xty)
-    return gram, xty
+    if drawn.all():
+        return gram, xty
+    return np.where(drawn[:, None, None], gram, stats.gram), np.where(drawn[:, None], xty, stats.xty)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +479,10 @@ def forward_cell(
     omega, w = _aggregate_client_vectors(v - z - a, params.p[s, idx])
     new_state = CellState(v=v, z=z, alpha=alpha, w=w)
     if not (
-        np.all(np.isfinite(v))
-        and np.all(np.isfinite(z))
-        and np.all(np.isfinite(alpha))
-        and np.all(np.isfinite(w))
+        np.isfinite(v).all()
+        and np.isfinite(z).all()
+        and np.isfinite(alpha).all()
+        and np.isfinite(w).all()
     ):
         raise NonFiniteInput(f"forward_cell: non-finite state after layer {layer}")
 
@@ -501,18 +522,27 @@ def forward_network(
     batch_size: Optional[int] = None,
     grad_lr: float = GRAD_LR_DEFAULT,
     grad_steps: int = GRAD_STEPS_DEFAULT,
+    population: Optional[ClientStats] = None,
 ) -> Tuple[np.ndarray, Tape]:
     """Run L cells and return (final per-client models [m, k], tape).
 
     The initial state defaults to init_state(seed); pass `state0` to
     continue from carried-over iterates. The tape keeps `state0` itself
     as its initial state, so its arrays must not be changed afterwards.
+    `population` holds the statistics of every client of `shards`, in
+    order; the pass takes the active clients' entries from it, and
+    stacks their rows from `shards` when it is not given.
     """
     L = params.L if L is None else L
     if L < 1:
         raise ValueError("forward_network: L must be >= 1")
     idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
-    stats = client_stats(shards, idx)
+    if population is None:
+        stats = client_stats(shards, idx)
+    elif population.rows.counts.shape[0] != len(shards):
+        raise DimensionMismatch("forward_network: population statistics disagree with shards")
+    else:
+        stats = population.take(idx)
     k = stats.xty.shape[1]
     state = init_state(idx.shape[0], k, seed) if state0 is None else state0
     tape = Tape(

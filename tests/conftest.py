@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from fedunroll import math_core
+from fedunroll import baselines, math_core
 from fedunroll.datagen import DataShard
 from fedunroll.learner import ParamGradients
 from fedunroll.math_core import design_matrix, stack_rows
@@ -92,6 +92,21 @@ def count_calls(monkeypatch, names):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+def overflow_evaluation_from_call(monkeypatch, first):
+    """Make baselines.evaluate_models report an infinite test RMSE for
+    every client from its `first`-th call on (one call per recorded
+    round), as an overflowing sum of squares does."""
+    calls = []
+    original = baselines.evaluate_models
+
+    def overflowing(*args):
+        calls.append(None)
+        tr, te = original(*args)
+        return (tr, np.full_like(te, np.inf)) if len(calls) >= first else (tr, te)
+
+    monkeypatch.setattr(baselines, "evaluate_models", overflowing)
 
 
 def replay_tape(tape, shards, params, batch_rng=None, batch_size=None) -> bool:

@@ -6,7 +6,7 @@ with the unrolled driver."""
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_shards, make_uneven_shards
+from conftest import count_calls, make_shards, make_uneven_shards, overflow_evaluation_from_call
 
 from fedunroll import baselines
 from fedunroll.baselines import (
@@ -377,6 +377,30 @@ class TestDivergence:
         assert res.diverged
         assert len(res.records) < 400
         assert np.isnan(res.records[-1].test_rmse) and np.isnan(res.mean_test_rmse)
+
+    @pytest.mark.parametrize("method", GD_METHODS)
+    def test_non_finite_evaluation_ends_the_run(self, monkeypatch, method):
+        # round 2's models evaluate to an infinite test RMSE
+        overflow_evaluation_from_call(monkeypatch, 2)
+        res = run_baseline(method, make_shards(M=3, n=30, seed=25), small_cfg(rounds=4))
+        assert_ends_diverged(res, [1, 2], [2, 2])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_runaway_stops_at_its_first_non_finite_evaluation(self):
+        # the models stay finite for rounds after their errors overflow;
+        # the run ends at the first round whose evaluation is not finite
+        shards = make_shards(M=3, n=30, seed=27)
+        res = run_baseline("fedavg", shards, small_cfg(rounds=400, baseline_lr=10.0),
+                           keep_trajectory=True)
+        assert res.diverged
+        assert len(res.trajectory) == len(res.records) < 400
+        train, test = evaluation_rows(shards)
+        for models, r in zip(res.trajectory[:-1], res.records[:-1]):
+            assert np.isfinite(r.train_rmse) and np.isfinite(r.test_rmse)
+            assert all(np.isfinite(e).all() for e in evaluate_models(models, train, test))
+        assert np.isfinite(res.trajectory[-1]).all()
+        assert not all(np.isfinite(e).all() for e in evaluate_models(res.trajectory[-1], train, test))
+        assert np.isnan(res.records[-1].test_rmse)
 
     def test_local_exact_failure_is_an_error(self, monkeypatch):
         shards = make_shards(M=3, n=30, seed=28)

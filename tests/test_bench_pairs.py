@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: the seed list it pairs runs over, the export of
-the base commit and the bound check on the medians."""
+the base commit, the bound check on the medians and the comparison of
+the failed operations' shares."""
 
 import argparse
 import importlib.util
@@ -56,3 +57,14 @@ def test_a_median_is_worse_only_beyond_the_relative_bound(lower):
     assert not worse(10.0, 10.0 + sign * 2.0, 0.25, lower)   # 20 % worse, within the bound
     assert not worse(10.0, 10.0 - sign * 5.0, 0.25, lower)   # better
     assert not worse(10.0, 10.0, 0.25, lower)
+
+
+def test_only_a_larger_share_of_failed_operations_is_flagged():
+    grew = bench_pairs.failed_share_grew  # each side: (failed, attempted)
+    assert grew((0, 100), (1, 100))
+    assert grew((1, 100), (1, 50))            # same count, fewer attempted
+    assert not grew((1, 100), (2, 200))       # the same share
+    assert not grew((2, 100), (1, 100))
+    assert not grew((0, 100), (0, 120))
+    assert not grew((3, 0), (0, 0))           # nothing attempted: share 0
+    assert grew((0, 0), (1, 10))

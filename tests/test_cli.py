@@ -436,6 +436,21 @@ class TestDivergedBaselines:
         assert np.isfinite(float(rows[1][5]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_runaway_baseline_run_ends_at_its_first_non_finite_round(tmp_path, capsys):
+    # fedavg's models stay finite for dozens of rounds after their errors
+    # overflow; none of those rounds is written as a normal row
+    path = tmp_path / "d.ini"
+    path.write_text(DIVERGING_INI)
+    assert main(["run", "--method", "fedavg", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in (tmp_path / "metrics_fedavg.csv").read_text().splitlines()]
+    assert rows[0][4:6] == ["train_rmse", "test_rmse"]
+    assert rows[-1][4:6] == ["DIVERGED", "DIVERGED"]
+    for row in rows[1:-1]:
+        assert all(np.isfinite(float(x)) for x in row[4:6]), row
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, len(rows)))
+
+
 class TestPinnedOutputs:
     """Three commands whose output files must not change by a byte: a
     linear-mode run with transcript and diagnostics, a grad-mode run with

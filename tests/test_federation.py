@@ -4,7 +4,7 @@ and the experiment driver."""
 import numpy as np
 import pytest
 
-from conftest import client_sse, count_calls, make_shards
+from conftest import client_sse, count_calls, make_shards, overflow_evaluation_from_call
 
 from fedunroll.config import ExperimentConfig
 from fedunroll import baselines, federation, unrolled_net
@@ -251,6 +251,25 @@ class TestRoundStateAndLearning:
         assert np.isfinite(rr.lagrangian_final)
         assert rr.lagrangian_final > 0
 
+    def test_round_objective_is_evaluated_once_when_read(self, monkeypatch):
+        calls = []
+        original = federation.lagrangian
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(federation, "lagrangian", counted)
+        rr, _, _ = one_round(make_shards(M=3, seed=9), round_cfg())
+        assert calls == []
+        assert rr.lagrangian_final == rr.lagrangian_final == original(rr.tape.cells[-1], rr.tape.rows)
+        assert len(calls) == 1
+        # the driver reads it once per round, for the round's last epoch
+        calls.clear()
+        res = run_unrolled_experiment(round_cfg(rounds=3, epochs_per_round=2), make_shards(M=3, seed=9))
+        assert len(calls) == 3
+        assert all(np.isfinite(r.lagrangian_final_cell) for r in res.records)
+
 
 class TestExperimentDriver:
     def test_record_cadence(self):
@@ -375,17 +394,21 @@ class TestExperimentDriver:
             assert np.isfinite(res.mean_test_rmse)
 
     @pytest.mark.parametrize("mode", ["linear", "grad"])
-    def test_rows_stacked_once_per_epoch(self, monkeypatch, mode):
-        # one stacking in the forward (the backward, the loss reports and
-        # the augmented objective read it from the tape), and the
-        # evaluation rows once per run
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    def test_rows_stacked_a_fixed_number_of_times_per_run(self, monkeypatch, mode, participation):
+        # the evaluation's training and test rows, once per run; the
+        # training statistics are built from the same stack, and every
+        # round's forward, backward, loss reports and augmented objective
+        # read the active clients' entries of them
         shards = make_shards(M=4, n=30, seed=21)
+        seen = []
         for rounds in (2, 3):
-            cfg = round_cfg(rounds=rounds, mode=mode, batch_size=8)
+            cfg = round_cfg(rounds=rounds, mode=mode, batch_size=8, participation=participation)
             counts = count_calls(monkeypatch, ("stack_rows",))
             run_unrolled_experiment(cfg, shards)
             monkeypatch.undo()
-            assert counts["stack_rows"] <= rounds * cfg.epochs_per_round + 2
+            seen.append(counts["stack_rows"])
+        assert seen[0] == seen[1] <= 2
 
     @pytest.mark.parametrize("rounds", [0, 3])
     def test_evaluates_through_the_baselines_module(self, monkeypatch, rounds):
@@ -402,6 +425,19 @@ class TestExperimentDriver:
         res = run_unrolled_experiment(round_cfg(rounds=rounds), make_shards(M=3, n=30, seed=22))
         assert len(calls) == len(res.records) == max(rounds, 1)
         assert isinstance(res, RunResult) and not res.diverged
+
+    def test_non_finite_evaluation_ends_the_run(self, monkeypatch):
+        # the baselines' divergence rule: models whose RMSE overflows
+        # are not recorded as a normal round
+        overflow_evaluation_from_call(monkeypatch, 2)
+        res = run_unrolled_experiment(round_cfg(rounds=4), make_shards(M=3, n=30, seed=20))
+        assert res.diverged
+        assert [r.round for r in res.records] == [1, 2]
+        assert np.isfinite(res.records[0].test_rmse) and np.isfinite(res.records[0].train_rmse)
+        last = res.records[1]
+        assert np.isnan(last.train_rmse) and np.isnan(last.test_rmse)
+        assert np.isnan(last.loss_sum) and np.isnan(last.lagrangian_final_cell)
+        assert np.isnan(res.mean_test_rmse)
 
     def test_nonfinite_aggregation_marked_not_raised(self, monkeypatch):
         # the aggregation turns non-finite from round 2 on; the driver

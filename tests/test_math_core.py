@@ -24,7 +24,7 @@ from fedunroll.math_core import (
     spd_cholesky,
     stack_rows,
 )
-from fedunroll.unrolled_net import forward_network, init_params
+from fedunroll.unrolled_net import client_stats, forward_network, init_params
 
 from conftest import make_shards, make_uneven_shards
 
@@ -360,6 +360,43 @@ class TestMinibatchRows:
             assert np.array_equal(rec.gram[1], rows.gram()[1])
             for i in (0, 2):
                 assert np.array_equal(rec.gram[i], b.gram()[i])
+
+    @pytest.mark.parametrize("case", ["equal, all draw", "uneven, some keep all",
+                                      "subset of population stats"])
+    def test_the_draw_follows_its_documented_rule(self, case):
+        if case == "equal, all draw":
+            rows = _rows_of(make_shards(M=4, n=30, seed=7))
+        elif case == "uneven, some keep all":
+            rows = _rows_of(make_uneven_shards([30, 6, 12, 25, 10], seed=7))
+        else:
+            # the subset keeps the population's padded width, 40 rows
+            shards = make_uneven_shards([30, 6, 40, 12, 25], seed=7)
+            rows = client_stats(shards, np.arange(5)).take([4, 1, 0, 3]).rows
+            assert rows.X.shape[1] == 40
+        size = 10
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        b = minibatch_rows(rows, size, rng)
+        # rebuilt as documented: one rng.random call keys every row of
+        # every drawing client, client by client; a drawing client's batch
+        # is its rows of the `size` smallest keys, in key order (argsort);
+        # a client with no more than `size` rows keeps them all, in order
+        counts = rows.counts
+        keys = ref.random(int(counts[counts > size].sum()))
+        X = np.zeros((counts.shape[0], size, rows.X.shape[2]))
+        Y = np.zeros((counts.shape[0], size))
+        start = 0
+        for i, n in enumerate(counts.tolist()):
+            if n > size:
+                sel = np.argsort(keys[start:start + n])[:size]
+                start += n
+            else:
+                sel = np.arange(n)
+            X[i, :sel.shape[0]] = rows.X[i, sel]
+            Y[i, :sel.shape[0]] = rows.Y[i, sel]
+        assert start == keys.shape[0]
+        assert np.array_equal(b.counts, np.minimum(counts, size))
+        assert np.array_equal(b.X, X) and np.array_equal(b.Y, Y)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_a_size_without_generators_is_rejected(self):
         rows = _rows_of(make_shards(M=2, n=20, seed=6))

@@ -367,6 +367,33 @@ class TestNetwork:
         rec = tape.cells[0]
         assert rec.rho_eff[0] == max(params.rho_raw[0, 1], 1e-6)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_population_stats_give_the_subset_stacks_tape(self, mode):
+        # equal-size clients: the active entries of the per-run statistics
+        # equal the active clients stacked afresh, bit for bit
+        shards = make_shards(M=6, n=30, seed=31)
+        params = random_params(6, 4, 3, np.random.default_rng(31))
+        idx = np.array([4, 0, 3])
+        population = client_stats(shards, np.arange(6))
+        tapes = []
+        for pop in (population, None):
+            _, tape = forward_network(shards, params, L=3, mode=mode, seed=31, client_indices=idx,
+                                      batch_rng=np.random.default_rng(5), batch_size=8,
+                                      population=pop)
+            tapes.append(tape)
+        a, b = tapes
+        for name in ("X", "Y", "counts"):
+            assert np.array_equal(getattr(a.rows, name), getattr(b.rows, name))
+        for ra, rb in zip([a.init] + a.cells, [b.init] + b.cells):
+            for name, value in vars(ra).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, getattr(rb, name)), name
+                else:
+                    assert value == getattr(rb, name), name
+        assert len(a.cells) == len(b.cells) == 3
+        with pytest.raises(DimensionMismatch):
+            forward_network(shards[:5], params, L=3, client_indices=idx, population=population)
+
     def test_carried_state_continues(self):
         shards = make_shards(M=2, seed=4)
         params = init_params(2, 4, 3)

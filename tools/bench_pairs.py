@@ -15,9 +15,12 @@ side's median [first quartile, third quartile], the number of pairs the
 working tree won (strictly better in the metric's direction) and the
 number of exact ties, which count for neither side, and marks it WORSE
 when the working tree's median is worse than the base's by more than the
-metric's relative `bound`. It then lists every run that exited non-zero,
-printed `"correct": false` or printed no JSON result, and exits 1 if
-there was any such run or any WORSE metric. Standard library only.
+metric's relative `bound`. It prints each side's count of failed
+operations and marks the working tree's MORE FAILURES when its share of
+failed operations exceeds the base's. It then lists every run that
+exited non-zero, printed `"correct": false` or printed no JSON result,
+and exits 1 if there was any such run, any WORSE metric or MORE
+FAILURES. Standard library only.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -102,6 +106,16 @@ def worse_beyond_bound(base: float, change: float, bound: float, lower: bool) ->
     return excess > bound * abs(base)
 
 
+def failed_share_grew(base: Tuple[int, int], change: Tuple[int, int]) -> bool:
+    """True when the change's share of failed operations exceeds the
+    base's; each side is (failed, attempted), and a side that attempted
+    nothing has a share of 0."""
+    def share(failed: int, attempted: int) -> Fraction:
+        return Fraction(failed, attempted) if attempted else Fraction(0)
+
+    return share(*change) > share(*base)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git ref of the base side")
@@ -154,16 +168,19 @@ def main(argv=None) -> int:
         print(f"  {name} ({metric['unit']}): base {spread(values['base'])}  "
               f"change {spread(values['change'])}  "
               f"change wins {wins}/{len(pairs)}, ties {ties}{flag}")
+    tally = {side: (sum(r["failed"] for _, s, _, r in runs if s == side and r),
+                    sum(r["attempted"] for _, s, _, r in runs if s == side and r))
+             for side in SIDES}
+    more_failures = failed_share_grew(tally["base"], tally["change"])
     for side in SIDES:
-        attempted = sum(r["attempted"] for _, s, _, r in runs if s == side and r)
-        failed = sum(r["failed"] for _, s, _, r in runs if s == side and r)
-        print(f"  {side}: {failed} of {attempted} operations failed")
+        flag = "  MORE FAILURES" if side == "change" and more_failures else ""
+        print(f"  {side}: {tally[side][0]} of {tally[side][1]} operations failed{flag}")
     bad = [(seed, side, code, result) for seed, side, code, result in runs
            if code != 0 or result is None or result.get("correct") is not True]
     for seed, side, code, result in bad:
         correct = "no JSON result" if result is None else f'"correct": {json.dumps(result.get("correct"))}'
         print(f"  FAILED RUN: {side} seed {seed}: exit {code}, {correct}")
-    return 1 if bad or any_worse else 0
+    return 1 if bad or any_worse or more_failures else 0
 
 
 if __name__ == "__main__":
