@@ -9,12 +9,13 @@ is the quantity whose layer-over-layer monotonicity the descent checker
 inspects. It reads the effective (rectified/clamped) parameter values
 and phi4's aggregation weights omega, which sum to one over the active
 clients, from the cell's record, and F_i from the active clients' rows
-the tape holds (Tape.rows). alpha_i / step_i is the scaled multiplier the primal steps
-read: step_i is rho_i under the ``rho_step`` dual convention and 1
-under ``unit_step`` (see unrolled_net). Under large fixed penalties the
-value is non-increasing with either convention; the checker classifies
-any violation as expected (small or learned penalties) or anomalous
-(large fixed penalties).
+the tape holds (Tape.stats.rows). alpha_i / step_i is the scaled
+multiplier the primal steps read: step_i is rho_i under the
+``rho_step`` dual convention and 1 under ``unit_step`` (see
+unrolled_net). Under large fixed penalties the value is non-increasing
+with either convention; the checker classifies any violation as
+expected (small or learned penalties) or anomalous (large fixed
+penalties).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def trace_from_tape(tape: Tape, params_trained: bool = False) -> CellTrace:
     rho_min = np.inf
     for li, rec in enumerate(tape.cells):
         prev = tape.inputs(li)
-        lags[li] = lagrangian(rec, tape.rows)
+        lags[li] = lagrangian(rec, tape.stats.rows)
         dv[li] = np.linalg.norm(rec.v - prev.v, axis=1)
         da[li] = np.linalg.norm(rec.alpha - prev.alpha, axis=1)
         dw[li] = np.linalg.norm(rec.w - prev.w)

@@ -47,6 +47,7 @@ from .config import ExperimentConfig
 from .diagnostics import lagrangian
 from .errors import DimensionMismatch, ProtocolViolation
 from .learner import OptimizerState, backward, init_optimizer, optimizer_step
+from .math_core import rowdot
 from .unrolled_net import (
     CellState,
     ClientStats,
@@ -163,7 +164,7 @@ class RoundResult:
     def lagrangian_final(self) -> float:
         """The augmented objective after the last cell, evaluated on
         first access."""
-        return float(lagrangian(self.tape.cells[-1], self.tape.rows))
+        return float(lagrangian(self.tape.cells[-1], self.tape.stats.rows))
 
     @cached_property
     def transcript(self) -> Transcript:
@@ -201,7 +202,7 @@ def run_round(
         batch_rng = np.random.default_rng(
             np.random.SeedSequence([int(cfg.seed or 0), 0xB47C, round_index, epoch])
         )
-    v_final, tape = forward_network(
+    _, tape = forward_network(
         shards,
         params,
         L=cfg.L,
@@ -215,7 +216,9 @@ def run_round(
         grad_steps=cfg.grad_steps,
         population=population,
     )
-    losses = tape.rows.sse(v_final).tolist()
+    # the backward seed reads the same residuals from the tape
+    r = tape.final_residuals
+    losses = rowdot(r, r).tolist()
 
     final = tape.cells[-1]
     grads = backward(tape, shards, policy=cfg.policy)

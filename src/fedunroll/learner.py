@@ -185,11 +185,11 @@ def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradie
         raise TapeMismatch("tape has no recorded cells")
     if any(np.shape(shards[i].X_train)[1] != tape.k for i in tape.client_indices):
         raise TapeMismatch("tape feature dimension disagrees with shards")
-    rows = tape.rows
     # d P_b / d v^L = 2 X'(X v - Y) for every active client
-    seed = 2.0 * rows.xt(rows.residuals(tape.final_v()))
+    seed = 2.0 * tape.stats.rows.xt(tape.final_residuals)
 
-    slots = (1 if tape.tied else tape.L, tape.M_total)
+    # shaped like the parameters: slots of layers the pass did not run stay zero
+    slots = (tape.slots, tape.M_total)
     grads = ParamGradients(
         lam_raw=np.zeros(slots + (tape.k,)),
         rho_raw=np.zeros(slots),
@@ -227,7 +227,7 @@ def fd_gradient(
         p2 = params.copy()
         getattr(p2, name)[index] += delta
         v, tape = forward_network(shards, p2, state0=state0, **forward_kwargs)
-        return float(tape.rows.sse(v).sum())
+        return float(tape.stats.rows.sse(v).sum())
 
     hi, lo = probe(+h), probe(-h)
     if not (np.isfinite(hi) and np.isfinite(lo)):

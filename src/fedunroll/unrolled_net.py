@@ -14,16 +14,17 @@ factorizations visit the clients one by one:
 phi2 sees a client's data only through its sufficient statistics
 G = X'X and c = X'Y (ClientStats). The experiment driver builds them
 once per run for every client, from the training rows it stacks and
-validates for evaluation, and each forward pass takes the active
-clients' entries (ClientStats.take); a forward given none stacks the
-active clients' rows itself. The tape keeps the active clients' rows
-for the loss and the reverse pass. Linear mode factors each
-client's G + rho I with its own Cholesky call and solves all clients'
-systems in one batched solve per cell; grad mode takes gradient steps
-on each client's minibatch Gram matrix. Each grad-mode cell draws every
-active client's batch with one call of its generator, through
-math_core.minibatch_rows, the helper the baselines use too. Clients may
-hold different numbers of rows.
+validates for evaluation; a forward given none builds them the same
+way from its shards (client_stats). Each pass takes the active
+clients' entries (ClientStats.take) and keeps them on its tape with
+the pass's settings, which forward_network checks once: the cells,
+the loss and the reverse pass read both from there. Linear mode
+factors each client's G + rho I with its own Cholesky call and solves
+all clients' systems in one batched solve per cell; grad mode takes
+gradient steps on each client's minibatch Gram matrix. Each grad-mode
+cell draws every active client's batch with one call of its generator,
+through math_core.minibatch_rows, the helper the baselines use too.
+Clients may hold different numbers of rows.
 
 L cells concatenated form the network; every per-layer constant of the
 scheme (consensus weights, penalty scalars and aggregation weights) is
@@ -50,6 +51,7 @@ coincide bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -310,26 +312,30 @@ class CellRecord:
 
 @dataclass
 class Tape:
-    """Forward recording: initial state, per-cell records, the client
-    subset the pass ran over (0-based indices into the full client
-    list) and grad mode's step size and step count. Cell i's inputs
-    live in cell i-1's record, or in `init` for cell 0: read them
-    through `inputs`."""
+    """One forward pass: its settings, checked by forward_network before
+    the first cell, the active clients' statistics, the initial state
+    and the per-cell records. `client_indices` are the active clients
+    (0-based indices into the M_total clients), `stats` their entries
+    of the clients' statistics, and `slots` the parameters' slot count,
+    which may exceed the L cells the pass ran. Cell i's inputs live in
+    cell i-1's record, or in `init` for cell 0: read them through
+    `inputs`."""
 
     mode: str
     dual_update: str
     L: int
     M_total: int
-    k: int
+    slots: int
     client_indices: np.ndarray
+    stats: ClientStats
     init: CellState
     cells: List[CellRecord] = field(default_factory=list)
-    tied: bool = False
-    # the active clients' training rows: their entries of the run's
-    # statistics, or stacked for the pass
-    rows: Optional[RowStack] = None
     grad_lr: float = GRAD_LR_DEFAULT
     grad_steps: int = GRAD_STEPS_DEFAULT
+
+    @property
+    def k(self) -> int:
+        return self.stats.xty.shape[1]
 
     @property
     def m_active(self) -> int:
@@ -343,18 +349,17 @@ class Tape:
     def final_v(self) -> np.ndarray:
         return self.cells[-1].v if self.cells else self.init.v
 
+    @cached_property
+    def final_residuals(self) -> np.ndarray:
+        """X_i v_i - Y_i of the final models on the active clients'
+        rows, [m, n]: computed on first read, which must come after the
+        pass. The loss reports and the reverse pass's seed share it."""
+        return self.stats.rows.residuals(self.final_v())
+
 
 # ---------------------------------------------------------------------------
 # client data
 # ---------------------------------------------------------------------------
-
-def client_rows(shards: Sequence, client_indices) -> RowStack:
-    """The given clients' training rows, stacked and validated."""
-    return stack_rows(
-        [shards[i].X_train for i in client_indices],
-        [shards[i].Y_train for i in client_indices],
-    )
-
 
 @dataclass(frozen=True)
 class ClientStats:
@@ -373,7 +378,7 @@ class ClientStats:
     def take(self, client_indices) -> "ClientStats":
         """The entries of the given clients, in order. The rows keep
         this stack's padded width, so on clients of equal size they and
-        the statistics equal client_stats of those clients bit for bit."""
+        the statistics equal a stack of those clients alone bit for bit."""
         idx = np.asarray(client_indices)
         r = self.rows
         return ClientStats(
@@ -383,9 +388,9 @@ class ClientStats:
         )
 
 
-def client_stats(shards: Sequence, client_indices) -> ClientStats:
-    """Rows, G and c of the given clients, one entry per client in order."""
-    return ClientStats.of(client_rows(shards, client_indices))
+def client_stats(shards: Sequence) -> ClientStats:
+    """Rows, G and c of every client of `shards`, in order."""
+    return ClientStats.of(stack_rows([sh.X_train for sh in shards], [sh.Y_train for sh in shards]))
 
 
 def _minibatch_stats(stats, batch_rng, batch_size):
@@ -415,27 +420,20 @@ def dual_step_weights(rho_eff: np.ndarray, dual_update: str) -> np.ndarray:
 
 def forward_cell(
     state: CellState,
-    shards: Sequence,
     params: LearnableParams,
     layer: int,
-    mode: str = "linear",
-    dual_update: str = "rho_step",
-    tape: Optional[Tape] = None,
-    client_indices: Optional[np.ndarray] = None,
+    tape: Tape,
     batch_rng: Optional[np.random.Generator] = None,
     batch_size: Optional[int] = None,
-    grad_lr: float = GRAD_LR_DEFAULT,
-    grad_steps: int = GRAD_STEPS_DEFAULT,
-    stats: Optional[ClientStats] = None,
 ) -> CellState:
-    """Apply one cell (phi1..phi4) and return the new state.
+    """Apply one cell (phi1..phi4) to the active clients' `state` and
+    return the new state.
 
-    `shards` entries must expose X_train / Y_train; `client_indices`
-    selects which parameter/data columns this pass runs over (defaults
-    to all clients). `stats` are those clients' sufficient statistics,
-    computed here when not given. Appends a CellRecord to `tape` when
-    given; the record holds the cell's outputs and shares their arrays
-    with the returned state, which nothing mutates.
+    The pass's settings (mode, dual step, grad mode's step size and
+    count), its active clients and their statistics are read from
+    `tape`, which forward_network builds and checks. The cell appends
+    its CellRecord to the tape; the record holds the cell's outputs and
+    shares their arrays with the returned state, which nothing mutates.
 
     The record keeps v, z, alpha, step_w and w, so the vectors that
     cross the client/server boundary can be rebuilt from it bit for bit
@@ -443,41 +441,30 @@ def forward_cell(
     alpha_i / step_i, the exact array the aggregation consumes (step_i
     is the dual step, see dual_step_weights), and the aggregated w.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if dual_update not in DUAL_UPDATES:
-        raise ValueError(f"unknown dual_update {dual_update!r}")
     if not 1 <= layer <= params.L:
         raise DimensionMismatch(f"layer {layer} outside [1, {params.L}]")
-    idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
-    m = idx.shape[0]
-    if state.v.shape[0] != m:
-        raise DimensionMismatch("forward_cell: state rows disagree with active clients")
-    if stats is None:
-        stats = client_stats(shards, idx)
-
+    idx, stats = tape.client_indices, tape.stats
     s = params.slot(layer)
     rho_raw = params.rho_raw[s, idx]
     lam_raw = params.lam_raw[s, idx]
     rho_eff = clamp_positive(rho_raw)
     lam_eff = rectify(lam_raw)
-    step_w = dual_step_weights(rho_eff, dual_update)
+    step_w = dual_step_weights(rho_eff, tape.dual_update)
 
     alpha = phi1_dual(state.alpha, state.v, state.z, state.w, step_w)
     a = alpha / step_w[:, None]
     chol = iterates = gram = None
-    if mode == "linear":
+    if tape.mode == "linear":
         v, chol = phi2_v_linear(stats.gram, stats.xty, a, state.z, state.w, rho_eff)
     else:
         gram, xty = _minibatch_stats(stats, batch_rng, batch_size)
         v, iterates = phi2_v_grad(
             lambda u: 2.0 * ((gram @ u[:, :, None])[:, :, 0] - xty),
-            state.v, a, state.z, state.w, rho_eff, lr=grad_lr, steps=grad_steps,
+            state.v, a, state.z, state.w, rho_eff, lr=tape.grad_lr, steps=tape.grad_steps,
         )
     z = phi3_aux(a, v, state.w, rho_eff, lam_eff)
 
     omega, w = _aggregate_client_vectors(v - z - a, params.p[s, idx])
-    new_state = CellState(v=v, z=z, alpha=alpha, w=w)
     if not (
         np.isfinite(v).all()
         and np.isfinite(z).all()
@@ -486,27 +473,26 @@ def forward_cell(
     ):
         raise NonFiniteInput(f"forward_cell: non-finite state after layer {layer}")
 
-    if tape is not None:
-        tape.cells.append(
-            CellRecord(
-                layer=layer,
-                slot=s,
-                v=v,
-                z=z,
-                alpha=alpha,
-                w=w,
-                rho_eff=rho_eff,
-                rho_on=(rho_raw > EPS),
-                lam_eff=lam_eff,
-                lam_on=(lam_raw > 0.0),
-                omega=omega,
-                step_w=step_w,
-                chol=chol,
-                v_iterates=iterates,
-                gram=gram,
-            )
+    tape.cells.append(
+        CellRecord(
+            layer=layer,
+            slot=s,
+            v=v,
+            z=z,
+            alpha=alpha,
+            w=w,
+            rho_eff=rho_eff,
+            rho_on=(rho_raw > EPS),
+            lam_eff=lam_eff,
+            lam_on=(lam_raw > 0.0),
+            omega=omega,
+            step_w=step_w,
+            chol=chol,
+            v_iterates=iterates,
+            gram=gram,
         )
-    return new_state
+    )
+    return CellState(v=v, z=z, alpha=alpha, w=w)
 
 
 def forward_network(
@@ -526,52 +512,42 @@ def forward_network(
 ) -> Tuple[np.ndarray, Tape]:
     """Run L cells and return (final per-client models [m, k], tape).
 
-    The initial state defaults to init_state(seed); pass `state0` to
-    continue from carried-over iterates. The tape keeps `state0` itself
-    as its initial state, so its arrays must not be changed afterwards.
-    `population` holds the statistics of every client of `shards`, in
-    order; the pass takes the active clients' entries from it, and
-    stacks their rows from `shards` when it is not given.
+    Every setting is checked before the first cell runs. The initial
+    state defaults to init_state(seed); pass `state0` to continue from
+    carried-over iterates. The tape keeps `state0` itself as its initial
+    state, so its arrays must not be changed afterwards. `population`
+    holds the statistics of every client of `shards`, in order, and
+    defaults to client_stats(shards); the pass takes the active
+    clients' entries from it.
     """
     L = params.L if L is None else L
-    if L < 1:
-        raise ValueError("forward_network: L must be >= 1")
+    if not 1 <= L <= params.L:
+        raise DimensionMismatch(f"forward_network: L = {L} outside [1, {params.L}]")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if dual_update not in DUAL_UPDATES:
+        raise ValueError(f"unknown dual_update {dual_update!r}")
     idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
+    if state0 is not None and state0.v.shape[0] != idx.shape[0]:
+        raise DimensionMismatch("forward_network: state rows disagree with active clients")
     if population is None:
-        stats = client_stats(shards, idx)
+        population = client_stats(shards)
     elif population.rows.counts.shape[0] != len(shards):
         raise DimensionMismatch("forward_network: population statistics disagree with shards")
-    else:
-        stats = population.take(idx)
-    k = stats.xty.shape[1]
-    state = init_state(idx.shape[0], k, seed) if state0 is None else state0
+    stats = population.take(idx)
     tape = Tape(
         mode=mode,
         dual_update=dual_update,
         L=L,
         M_total=len(shards),
-        k=k,
+        slots=params.rho_raw.shape[0],
         client_indices=idx.copy(),
-        init=state,
-        tied=params.tied,
-        rows=stats.rows,
+        stats=stats,
+        init=init_state(idx.shape[0], stats.xty.shape[1], seed) if state0 is None else state0,
         grad_lr=grad_lr,
         grad_steps=grad_steps,
     )
+    state = tape.init
     for layer in range(1, L + 1):
-        state = forward_cell(
-            state,
-            shards,
-            params,
-            layer,
-            mode=mode,
-            dual_update=dual_update,
-            tape=tape,
-            client_indices=idx,
-            batch_rng=batch_rng,
-            batch_size=batch_size,
-            grad_lr=grad_lr,
-            grad_steps=grad_steps,
-            stats=stats,
-        )
+        state = forward_cell(state, params, layer, tape, batch_rng, batch_size)
     return state.v, tape

@@ -116,24 +116,10 @@ def replay_tape(tape, shards, params, batch_rng=None, batch_size=None) -> bool:
     replays from a generator seeded like the recording's, with the
     recording's batch size."""
     state = tape.init
-    stats = client_stats(shards, tape.client_indices)
-    replay = dataclasses.replace(tape, cells=[])
+    # the replay reads its rows from `shards`, not from the recording
+    replay = dataclasses.replace(tape, cells=[], stats=client_stats(shards).take(tape.client_indices))
     for rec in tape.cells:
-        state = forward_cell(
-            state,
-            shards,
-            params,
-            rec.layer,
-            mode=tape.mode,
-            dual_update=tape.dual_update,
-            tape=replay,
-            client_indices=tape.client_indices,
-            batch_rng=batch_rng,
-            batch_size=batch_size,
-            grad_lr=tape.grad_lr,
-            grad_steps=tape.grad_steps,
-            stats=stats,
-        )
+        state = forward_cell(state, params, rec.layer, replay, batch_rng, batch_size)
         if not all(
             np.array_equal(getattr(replay.cells[-1], name), getattr(rec, name))
             for name in ("v", "z", "alpha", "w", "v_iterates")

@@ -36,7 +36,6 @@ from fedunroll.federation import (
 from fedunroll.learner import backward, fd_gradient, init_optimizer
 from fedunroll.unrolled_net import (
     CellState,
-    forward_cell,
     forward_network,
     init_params,
     init_state,
@@ -165,7 +164,8 @@ def test_criterion_2_cell_forward_matches_straight_line_oracle():
             alpha=rng.normal(size=(M, k)),
             w=rng.normal(size=k),
         )
-        got = forward_cell(state, shards, params, 1, mode=mode, dual_update=dual)
+        _, tape = forward_network(shards, params, L=1, mode=mode, dual_update=dual, state0=state)
+        got = tape.cells[0]
         a1, v1, z1, w1 = straight_line_cell(
             [sh.X_train for sh in shards], [sh.Y_train for sh in shards],
             state.v, state.z, state.alpha, state.w,

@@ -1,6 +1,6 @@
 """tools/bench_pairs.py: the seed list it pairs runs over, the export of
-the base commit, the bound check on the medians and the comparison of
-the failed operations' shares."""
+the base commit, the bound check on the medians, the comparison of
+the failed operations' shares and the code-size count."""
 
 import argparse
 import importlib.util
@@ -68,3 +68,16 @@ def test_only_a_larger_share_of_failed_operations_is_flagged():
     assert not grew((0, 100), (0, 120))
     assert not grew((3, 0), (0, 0))           # nothing attempted: share 0
     assert grew((0, 0), (1, 10))
+
+
+def test_code_size_counts_the_package_modules_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "fedunroll"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("one\ntwo\n")
+    (pkg / "b.py").write_text("three\nno final newline")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (pkg / "sub").mkdir()
+    (pkg / "sub" / "c.py").write_text("nested\n")
+    (tmp_path / "d.py").write_text("outside\n")
+    assert bench_pairs.source_lines(str(tmp_path)) == 3
+    assert bench_pairs.source_lines(str(tmp_path / "empty")) == 0

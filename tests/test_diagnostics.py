@@ -20,7 +20,7 @@ from fedunroll.diagnostics import (
     trace_from_tape,
 )
 from fedunroll.errors import DimensionMismatch
-from fedunroll.unrolled_net import CellState, client_rows, forward_network, init_params
+from fedunroll.unrolled_net import CellState, client_stats, forward_network, init_params
 
 
 def straight_line_objective(shards, state, lam, rho, theta, dual="rho_step"):
@@ -71,7 +71,7 @@ class TestObjective:
             for dual in ("rho_step", "unit_step"):
                 _, tape = forward_network(shards, params, state0=state, dual_update=dual)
                 rec = tape.cells[1]
-                got = lagrangian(rec, tape.rows)
+                got = lagrangian(rec, tape.stats.rows)
                 want = straight_line_objective(
                     shards, CellState(rec.v, rec.z, rec.alpha, rec.w),
                     params.lam_raw[1], params.rho_raw[1], params.p[1], dual=dual,
@@ -82,7 +82,7 @@ class TestObjective:
         shards = make_shards(M=3, seed=1)
         _, tape = forward_network(shards, init_params(3, 4, 1), seed=1)
         with pytest.raises(DimensionMismatch):
-            lagrangian(tape.cells[0], client_rows(shards, [0, 1]))
+            lagrangian(tape.cells[0], client_stats(shards).take([0, 1]).rows)
 
 
 class TestDescent:

@@ -7,7 +7,7 @@ import pytest
 from conftest import client_sse, count_calls, make_shards, overflow_evaluation_from_call
 
 from fedunroll.config import ExperimentConfig
-from fedunroll import baselines, federation, unrolled_net
+from fedunroll import baselines, federation, math_core, unrolled_net
 from fedunroll.baselines import RunResult
 from fedunroll.datagen import SettingSpec, generate_setting
 from fedunroll.errors import NonFiniteInput, ProtocolViolation
@@ -262,13 +262,29 @@ class TestRoundStateAndLearning:
         monkeypatch.setattr(federation, "lagrangian", counted)
         rr, _, _ = one_round(make_shards(M=3, seed=9), round_cfg())
         assert calls == []
-        assert rr.lagrangian_final == rr.lagrangian_final == original(rr.tape.cells[-1], rr.tape.rows)
+        assert rr.lagrangian_final == rr.lagrangian_final == original(rr.tape.cells[-1], rr.tape.stats.rows)
         assert len(calls) == 1
         # the driver reads it once per round, for the round's last epoch
         calls.clear()
         res = run_unrolled_experiment(round_cfg(rounds=3, epochs_per_round=2), make_shards(M=3, seed=9))
         assert len(calls) == 3
         assert all(np.isfinite(r.lagrangian_final_cell) for r in res.records)
+
+    @pytest.mark.parametrize("mode", ["linear", "grad"])
+    def test_final_residuals_are_computed_once_per_round(self, monkeypatch, mode):
+        # the loss reports and the reverse pass's seed share one residual;
+        # transcript off and objective unread
+        calls = []
+        original = math_core.RowStack.residuals
+
+        def counted(self, V):
+            calls.append(None)
+            return original(self, V)
+
+        monkeypatch.setattr(math_core.RowStack, "residuals", counted)
+        rr, _, _ = one_round(make_shards(M=3, seed=9), round_cfg(mode=mode, batch_size=8))
+        assert len(calls) == 1
+        assert rr.losses == rr.tape.stats.rows.sse(rr.tape.final_v()).tolist()
 
 
 class TestExperimentDriver:

@@ -21,7 +21,7 @@ from fedunroll.unrolled_net import (
     MODES,
     CellState,
     LearnableParams,
-    client_rows,
+    client_stats,
     forward_network,
     init_params,
 )
@@ -152,17 +152,15 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
 def _oracle_federated_local(tape, shards):
     """federated_local gradients by one masked reverse pass per active
     client, each seeded with that client's loss alone."""
-    rows = client_rows(shards, tape.client_indices)
+    rows = client_stats(shards).take(tape.client_indices).rows
     seed = 2.0 * rows.xt(rows.residuals(tape.final_v()))
 
     m = tape.m_active
-    S_slots = 1 if tape.tied else tape.L
     proto = LearnableParams(
-        lam_raw=np.zeros((S_slots, tape.M_total, tape.k)),
-        rho_raw=np.zeros((S_slots, tape.M_total)),
-        p=np.zeros((S_slots, tape.M_total)),
+        lam_raw=np.zeros((tape.slots, tape.M_total, tape.k)),
+        rho_raw=np.zeros((tape.slots, tape.M_total)),
+        p=np.zeros((tape.slots, tape.M_total)),
         L=tape.L,
-        tied=tape.tied,
     )
     grads = zero_grads(proto)
     for i in range(m):
@@ -214,6 +212,20 @@ class TestBackwardVsFiniteDifferences:
         params = random_params(3, 4, 4, rng, tied=True)
         assert params.lam_raw.shape[0] == 1
         check_against_fd(shards, params, seed=9, rng=rng, probe_per_field=6)
+
+    def test_a_pass_of_fewer_layers_gets_gradients_shaped_like_the_parameters(self):
+        # the slots of the layers that did not run get zero gradients
+        shards = make_shards(M=3, seed=40)
+        params = random_params(3, 4, 5, np.random.default_rng(40))
+        _, tape = forward_network(shards, params, L=3, seed=40)
+        grads = backward(tape, shards)
+        for name in PARAM_FIELDS:
+            assert getattr(grads, name).shape == getattr(params, name).shape, name
+            assert not getattr(grads, name)[3:].any(), name
+        optimizer_step(params, grads, init_optimizer(params))
+        coord = (1, 2, 1)
+        fd = fd_gradient(shards, params, ("lam_raw", coord), L=3, seed=40)
+        assert abs(grads.lam_raw[coord] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_gradient_nonzero_where_expected(self):
         rng = np.random.default_rng(12)
@@ -284,7 +296,7 @@ class TestBackwardVsFiniteDifferences:
         shards = make_shards(M=3, seed=18)
         params = init_params(3, 4, 2)
         v, tape = forward_network(shards, params, L=2, seed=18)
-        total = tape.rows.sse(v).sum()
+        total = tape.stats.rows.sse(v).sum()
         manual = 0.0
         for i, sh in enumerate(shards):
             r = sh.X_train @ v[i] - sh.Y_train

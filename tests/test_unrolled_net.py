@@ -15,15 +15,17 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, make_shards, make_uneven_shards, random_params, replay_tape
 
+from fedunroll import unrolled_net
 from fedunroll.errors import DimensionMismatch, NonFiniteInput
+from fedunroll.math_core import stack_rows
 from fedunroll.unrolled_net import (
     DUAL_UPDATES,
     MODES,
     CellState,
     GRAD_LR_DEFAULT,
     GRAD_STEPS_DEFAULT,
+    ClientStats,
     client_stats,
-    forward_cell,
     forward_network,
     init_params,
     init_state,
@@ -276,7 +278,9 @@ class TestCellAgainstStraightLine:
                 alpha=rng.normal(size=(M, k)),
                 w=rng.normal(size=k),
             )
-            got = forward_cell(state, shards, params, 1, mode=mode, dual_update=dual)
+            _, tape = forward_network(shards, params, L=1, mode=mode, dual_update=dual,
+                                      state0=state)
+            got = tape.cells[0]
             a1, v1, z1, w1 = straight_line_cell(
                 [sh.X_train for sh in shards],
                 [sh.Y_train for sh in shards],
@@ -302,7 +306,8 @@ class TestCellAgainstStraightLine:
                 alpha=rng.normal(size=(4, 4)),
                 w=rng.normal(size=4),
             )
-            got = forward_cell(state, shards, params, 1, mode=mode)
+            _, tape = forward_network(shards, params, L=1, mode=mode, state0=state)
+            got = tape.cells[0]
             want = straight_line_cell(
                 [sh.X_train for sh in shards],
                 [sh.Y_train for sh in shards],
@@ -368,13 +373,11 @@ class TestNetwork:
         assert rec.rho_eff[0] == max(params.rho_raw[0, 1], 1e-6)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_population_stats_give_the_subset_stacks_tape(self, mode):
-        # equal-size clients: the active entries of the per-run statistics
-        # equal the active clients stacked afresh, bit for bit
+    def test_a_forward_without_population_builds_it_from_every_shard(self, mode):
         shards = make_shards(M=6, n=30, seed=31)
         params = random_params(6, 4, 3, np.random.default_rng(31))
         idx = np.array([4, 0, 3])
-        population = client_stats(shards, np.arange(6))
+        population = client_stats(shards)
         tapes = []
         for pop in (population, None):
             _, tape = forward_network(shards, params, L=3, mode=mode, seed=31, client_indices=idx,
@@ -383,7 +386,9 @@ class TestNetwork:
             tapes.append(tape)
         a, b = tapes
         for name in ("X", "Y", "counts"):
-            assert np.array_equal(getattr(a.rows, name), getattr(b.rows, name))
+            assert np.array_equal(getattr(a.stats.rows, name), getattr(b.stats.rows, name))
+        assert np.array_equal(a.stats.gram, b.stats.gram)
+        assert np.array_equal(a.stats.xty, b.stats.xty)
         for ra, rb in zip([a.init] + a.cells, [b.init] + b.cells):
             for name, value in vars(ra).items():
                 if isinstance(value, np.ndarray):
@@ -393,6 +398,17 @@ class TestNetwork:
         assert len(a.cells) == len(b.cells) == 3
         with pytest.raises(DimensionMismatch):
             forward_network(shards[:5], params, L=3, client_indices=idx, population=population)
+
+    def test_population_entries_equal_a_stack_of_the_subset_on_equal_clients(self):
+        shards = make_shards(M=6, n=30, seed=32)
+        idx = [4, 0, 3]
+        got = client_stats(shards).take(idx)
+        want = ClientStats.of(stack_rows([shards[i].X_train for i in idx],
+                                         [shards[i].Y_train for i in idx]))
+        for name in ("X", "Y", "counts"):
+            assert np.array_equal(getattr(got.rows, name), getattr(want.rows, name))
+        assert np.array_equal(got.gram, want.gram)
+        assert np.array_equal(got.xty, want.xty)
 
     def test_carried_state_continues(self):
         shards = make_shards(M=2, seed=4)
@@ -430,7 +446,7 @@ class TestNetwork:
         shards = make_shards(M=3, n=20, seed=15)
         params = random_params(3, 4, 3, np.random.default_rng(5))
         _, tape = forward_network(shards, params, L=3, mode="grad", seed=15, grad_steps=steps)
-        xty = client_stats(shards, np.arange(3)).xty
+        xty = client_stats(shards).xty
         for i, rec in enumerate(tape.cells):
             assert rec.v_iterates.shape == (steps - 1, 3, 4)
             prev = tape.inputs(i)
@@ -462,14 +478,37 @@ class TestNetwork:
         params = init_params(2, 4, 2)
         state = init_state(2, 4)
         with pytest.raises(DimensionMismatch):
-            forward_cell(state, shards, params, 3)
+            forward_network(shards, params, L=3, state0=state)
 
     def test_state_row_mismatch(self):
         shards = make_shards(M=3, seed=10)
         params = init_params(3, 4, 2)
         state = init_state(2, 4)
         with pytest.raises(DimensionMismatch):
-            forward_cell(state, shards, params, 1)
+            forward_network(shards, params, L=1, state0=state)
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(L=3), DimensionMismatch),
+        (dict(L=0), DimensionMismatch),
+        (dict(mode="newton"), ValueError),
+        (dict(dual_update="half_step"), ValueError),
+        (dict(state0=init_state(2, 4)), DimensionMismatch),
+    ])
+    def test_settings_are_checked_before_the_first_cell(self, monkeypatch, bad, error):
+        shards = make_shards(M=3, seed=10)
+        calls = []
+        original = unrolled_net.forward_cell
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(unrolled_net, "forward_cell", counted)
+        with pytest.raises(error):
+            forward_network(shards, init_params(3, 4, 2), **bad)
+        assert calls == []
+        forward_network(shards, init_params(3, 4, 2))
+        assert len(calls) == 2
 
     def test_effective_parameter_masks_recorded(self):
         shards = make_shards(M=2, seed=11)
@@ -516,7 +555,7 @@ class TestNetwork:
             shards, params, L=3, mode="grad", seed=14,
             batch_rng=np.random.default_rng(9), batch_size=8,
         )
-        full = client_stats(shards, np.arange(3)).gram
+        full = client_stats(shards).gram
         for rec in tape.cells:
             assert np.array_equal(rec.gram[1], full[1])
             assert not np.array_equal(rec.gram[0], full[0])
@@ -566,7 +605,7 @@ def test_grad_mode_draws_once_per_cell_at_any_number_of_clients():
         rng = _CountingGenerator(np.random.default_rng(M))
         _, tape = forward_network(shards, init_params(M, 4, L), L=L, mode="grad", seed=1,
                                   batch_rng=rng, batch_size=8)
-        full = client_stats(shards, np.arange(M)).gram
+        full = client_stats(shards).gram
         assert not any(np.array_equal(rec.gram[i], full[i])
                        for rec in tape.cells for i in range(M))
         assert rng.calls == L

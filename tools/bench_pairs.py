@@ -10,11 +10,13 @@ and length, alternating which side runs first. It refuses to run when
 `benchmarks/` or `BENCHMARK.json` differ between the two, since the
 comparison needs the same benchmark on both sides.
 
-For every end-to-end metric that BENCHMARK.json declares, it prints each
-side's median [first quartile, third quartile], the number of pairs the
-working tree won (strictly better in the metric's direction) and the
-number of exact ties, which count for neither side, and marks it WORSE
-when the working tree's median is worse than the base's by more than the
+It prints each side's code size, the line count of src/fedunroll/*.py
+as `wc -l` gives it, above the metric table. For every end-to-end
+metric that BENCHMARK.json declares, it prints each side's median
+[first quartile, third quartile], the number of pairs the working tree
+won (strictly better in the metric's direction) and the number of
+exact ties, which count for neither side, and marks it WORSE when the
+working tree's median is worse than the base's by more than the
 metric's relative `bound`. It prints each side's count of failed
 operations and marks the working tree's MORE FAILURES when its share of
 failed operations exceeds the base's. It then lists every run that
@@ -26,6 +28,7 @@ FAILURES. Standard library only.
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -68,6 +71,16 @@ def export_tree(ref: str, dest: str) -> None:
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def source_lines(tree: str) -> int:
+    """Lines of the package's modules, src/fedunroll/*.py, in `tree`:
+    the newlines they hold, as `wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "fedunroll", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> Tuple[int, Optional[dict]]:
@@ -138,6 +151,7 @@ def main(argv=None) -> int:
     try:
         export_tree(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
         for i, seed in enumerate(seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 code, result = run_once(trees[side], args.workload, seed, args.seconds)
@@ -151,6 +165,7 @@ def main(argv=None) -> int:
     for seed, side, _, result in runs:
         by_side[side][seed] = _metrics(result)
     print(f"{args.workload}: {len(seeds)} pairs, --seconds {args.seconds:g}, base {args.base}")
+    print(f"  src/fedunroll/*.py lines: base {lines['base']}  change {lines['change']}")
     any_worse = False
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
