@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,85 +78,50 @@ GRAD_STEPS_DEFAULT = 5
 # ---------------------------------------------------------------------------
 # layer operations, batched over clients
 #
-# Per-client arrays are [m, k] and per-client scalars [m]; w is [k]. A
-# single client may be passed without the client axis ([k] vectors and
-# a scalar penalty).
+# Per-client arrays are [m, k] and per-client scalars [m]; w is [k].
+# forward_network checks the shapes once per pass.
 # ---------------------------------------------------------------------------
 
-def _floats(*arrays) -> List[np.ndarray]:
-    return [np.asarray(a, dtype=np.float64) for a in arrays]
-
-
-def _check_operands(name: str, w: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> None:
-    if any(a.shape != first.shape for a in rest) or w.shape != first.shape[-1:]:
-        raise DimensionMismatch(f"{name}: operand shapes disagree")
-
-
-def _column(per_client) -> np.ndarray:
-    """A per-client scalar as a column that broadcasts over coordinates."""
-    return np.asarray(per_client, dtype=np.float64)[..., None]
-
-
-def phi1_dual(alpha_prev, v_prev, z_prev, w_prev, rho) -> np.ndarray:
-    """Dual ascent step: alpha + rho * (z - v + w)."""
-    alpha_prev, v_prev, z_prev, w_prev = _floats(alpha_prev, v_prev, z_prev, w_prev)
-    _check_operands("phi1_dual", w_prev, alpha_prev, v_prev, z_prev)
-    return alpha_prev + _column(rho) * (z_prev - v_prev + w_prev)
+def phi1_dual(alpha_prev, v_prev, z_prev, w_prev, step) -> np.ndarray:
+    """Dual ascent step: alpha + step * (z - v + w)."""
+    return alpha_prev + step[:, None] * (z_prev - v_prev + w_prev)
 
 
 def phi2_v_linear(G, c, alpha, z_prev, w_prev, rho) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form v update on the sufficient statistics G = X'X and
-    c = X'Y: solve (G + rho I) v = rho(w+z+alpha) + c.
+    """Closed-form v update on the sufficient statistics G = X'X [m, k, k]
+    and c = X'Y [m, k]: solve (G + rho I) v = rho(w+z+alpha) + c, the
+    minimizer of 1/2 ||X v - Y||^2 + rho/2 ||z+w+alpha-v||^2 (half the
+    SSE; phi2_v_grad steps on the whole SSE, see ROADMAP.md item 11).
 
-    G is [m, k, k] and c [m, k] (or [k, k] and [k] for one client).
     Returns v and the Cholesky factors of G + rho I, which the reverse
-    pass reuses. `alpha` here and in phi2_v_grad, phi3_aux and
-    phi4_global is the scaled multiplier (alpha / step in the cell's
-    terms).
+    pass reuses. `alpha` here and in phi2_v_grad and phi3_aux is the
+    scaled multiplier (alpha / step in the cell's terms).
     """
-    G, c, alpha, z_prev, w_prev = _floats(G, c, alpha, z_prev, w_prev)
-    _check_operands("phi2_v_linear", w_prev, c, alpha, z_prev)
-    k = c.shape[-1]
-    if G.shape != c.shape + (k,):
-        raise DimensionMismatch("phi2_v_linear: G disagrees with c")
-    rho = np.asarray(rho, dtype=np.float64)
-    A = G + rho[..., None, None] * np.eye(k)
+    A = G + rho[:, None, None] * np.eye(c.shape[1])
     # each client factors its own matrix, one checked call per client and
     # cell, because the benchmark pins that factorization count; the
-    # solves run batched. A single [k, k] client is a stack of one.
-    chol = np.stack([spd_cholesky(a) for a in A.reshape(-1, k, k)]).reshape(A.shape)
-    return chol_solve(chol, rho[..., None] * (w_prev + z_prev + alpha) + c), chol
+    # solves run batched
+    chol = np.stack([spd_cholesky(a) for a in A])
+    return chol_solve(chol, rho[:, None] * (w_prev + z_prev + alpha) + c), chol
 
 
-def phi2_v_grad(
-    grad_of_F: Callable[[np.ndarray], np.ndarray],
-    v_prev,
-    alpha,
-    z_prev,
-    w_prev,
-    rho,
-    lr: float = GRAD_LR_DEFAULT,
-    steps: int = GRAD_STEPS_DEFAULT,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """v update by `steps` gradient steps on F(v) + rho/2 ||z+w+alpha-v||^2.
+def phi2_v_grad(G, c, v, alpha, z_prev, w_prev, rho, lr: float,
+                steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """v update by `steps` gradient steps of size `lr` on
+    ||X v - Y||^2 + rho/2 ||z+w+alpha-v||^2 (the whole SSE; phi2_v_linear
+    minimizes half of it, see ROADMAP.md item 11), whose data gradient
+    on G = X'X and c = X'Y is 2(G v - c).
 
-    `grad_of_F` maps the iterate (shaped like v_prev) to the gradient of
-    F. Returns v_steps and the iterates in between, v_1 ... v_{steps-1},
-    shaped (steps - 1,) + v_prev.shape.
+    Returns v_steps and the iterates in between, v_1 ... v_{steps-1},
+    shaped (steps - 1,) + v.shape.
     """
-    if lr <= 0:
-        raise ValueError("phi2_v_grad: lr must be positive")
-    if steps < 1:
-        raise ValueError("phi2_v_grad: steps must be >= 1")
-    v, alpha, z_prev, w_prev = _floats(v_prev, alpha, z_prev, w_prev)
-    _check_operands("phi2_v_grad", w_prev, v, alpha, z_prev)
-    rho = _column(rho)
+    rho = rho[:, None]
     anchor = z_prev + w_prev + alpha
     iterates = np.empty((steps - 1,) + v.shape)
     for t in range(steps):
         if t > 0:
             iterates[t - 1] = v
-        g = np.asarray(grad_of_F(v), dtype=np.float64) + rho * (v - anchor)
+        g = 2.0 * ((G @ v[:, :, None])[:, :, 0] - c) + rho * (v - anchor)
         v = v - lr * g
         if not np.isfinite(v).all():
             raise NonFiniteGradient("phi2_v_grad: iterate became non-finite")
@@ -164,44 +129,26 @@ def phi2_v_grad(
 
 
 def phi3_aux(alpha, v, w_prev, rho, lam) -> np.ndarray:
-    """Entrywise z[j] = rho * (v - w - alpha)[j] / (rectify(lam_j) + rho).
+    """Entrywise z[j] = rho * (v - w - alpha)[j] / (lam_j + rho), on the
+    effective (rectified, so nonnegative) consensus weights lam.
 
     Large consensus weights pin the corresponding coordinate of z to 0
     (full consensus); zero weights pass the deviation through.
     """
-    alpha, v, w_prev, lam = _floats(alpha, v, w_prev, lam)
-    _check_operands("phi3_aux", w_prev, v, alpha, lam)
-    rho = _column(rho)
-    return rho * (v - w_prev - alpha) / (rectify(lam) + rho)
+    rho = rho[:, None]
+    return rho * (v - w_prev - alpha) / (lam + rho)
 
 
-def _aggregate_client_vectors(u: np.ndarray, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def phi4_global(u, theta) -> Tuple[np.ndarray, np.ndarray]:
     """Server side of the aggregation: the weights omega of the received
-    client vectors u_i, the softmax of the clients' logits theta, and
-    their weighted mean w. The logits are shifted by the largest, so exp
-    cannot overflow and the largest term is 1: the sum never vanishes.
-    The only client data this touches is u."""
+    client vectors u_i = v_i - z_i - alpha_i [m, k], the softmax of the
+    clients' logits theta [m], and their weighted mean w. The logits are
+    shifted by the largest, so exp cannot overflow and the largest term
+    is 1: the sum never vanishes, and a single client's weight is
+    exactly 1. The only client data this touches is u."""
     e = np.exp(theta - theta.max())
     omega = e / e.sum()
     return omega, omega @ u
-
-
-def phi4_global(vs, zs, alphas, theta) -> np.ndarray:
-    """Weighted average of the client vectors (v - z - alpha).
-
-    The weights are the softmax of the clients' logits theta, so a
-    single client's weight is exactly 1 and the result is its
-    v - z - alpha.
-    """
-    vs = np.atleast_2d(np.asarray(vs, dtype=np.float64))
-    zs = np.atleast_2d(np.asarray(zs, dtype=np.float64))
-    alphas = np.atleast_2d(np.asarray(alphas, dtype=np.float64))
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if not (zs.shape == vs.shape and alphas.shape == vs.shape):
-        raise DimensionMismatch("phi4_global: state shapes disagree")
-    if theta.shape != vs.shape[:1]:
-        raise DimensionMismatch("phi4_global: weight lengths disagree")
-    return _aggregate_client_vectors(vs - zs - alphas, theta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +405,10 @@ def forward_cell(
         v, chol = phi2_v_linear(stats.gram, stats.xty, a, state.z, state.w, rho_eff)
     else:
         gram, xty = _minibatch_stats(stats, batch_rng, batch_size)
-        v, iterates = phi2_v_grad(
-            lambda u: 2.0 * ((gram @ u[:, :, None])[:, :, 0] - xty),
-            state.v, a, state.z, state.w, rho_eff, lr=tape.grad_lr, steps=tape.grad_steps,
-        )
+        v, iterates = phi2_v_grad(gram, xty, state.v, a, state.z, state.w, rho_eff,
+                                  tape.grad_lr, tape.grad_steps)
     z = phi3_aux(a, v, state.w, rho_eff, lam_eff)
-
-    omega, w = _aggregate_client_vectors(v - z - a, params.p[s, idx])
+    omega, w = phi4_global(v - z - a, params.p[s, idx])
     if not (
         np.isfinite(v).all()
         and np.isfinite(z).all()
@@ -512,7 +456,8 @@ def forward_network(
 ) -> Tuple[np.ndarray, Tape]:
     """Run L cells and return (final per-client models [m, k], tape).
 
-    Every setting is checked before the first cell runs. The initial
+    Every setting, and the shapes of `state0` ([m, k] arrays and a [k]
+    w), are checked before the first cell runs. The initial
     state defaults to init_state(seed); pass `state0` to continue from
     carried-over iterates. The tape keeps `state0` itself as its initial
     state, so its arrays must not be changed afterwards. `population`
@@ -527,14 +472,24 @@ def forward_network(
         raise ValueError(f"unknown mode {mode!r}")
     if dual_update not in DUAL_UPDATES:
         raise ValueError(f"unknown dual_update {dual_update!r}")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("forward_network: batch_size must be >= 1")
+    if grad_lr <= 0:
+        raise ValueError("forward_network: grad_lr must be positive")
+    if grad_steps < 1:
+        raise ValueError("forward_network: grad_steps must be >= 1")
     idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
-    if state0 is not None and state0.v.shape[0] != idx.shape[0]:
-        raise DimensionMismatch("forward_network: state rows disagree with active clients")
     if population is None:
         population = client_stats(shards)
     elif population.rows.counts.shape[0] != len(shards):
         raise DimensionMismatch("forward_network: population statistics disagree with shards")
     stats = population.take(idx)
+    mk = stats.xty.shape
+    if state0 is not None and not (
+        state0.v.shape == state0.z.shape == state0.alpha.shape == mk
+        and state0.w.shape == mk[1:]
+    ):
+        raise DimensionMismatch("forward_network: state shapes disagree with the active clients")
     tape = Tape(
         mode=mode,
         dual_update=dual_update,
@@ -543,7 +498,7 @@ def forward_network(
         slots=params.rho_raw.shape[0],
         client_indices=idx.copy(),
         stats=stats,
-        init=init_state(idx.shape[0], stats.xty.shape[1], seed) if state0 is None else state0,
+        init=init_state(*mk, seed) if state0 is None else state0,
         grad_lr=grad_lr,
         grad_steps=grad_steps,
     )

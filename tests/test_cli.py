@@ -248,7 +248,7 @@ class TestRun:
         # the aggregation turns non-finite in round 2: the trial line
         # carries the marker instead of round 1's error
         calls = []
-        original = unrolled_net._aggregate_client_vectors
+        original = unrolled_net.phi4_global
 
         def failing(*args):
             calls.append(None)
@@ -256,7 +256,7 @@ class TestRun:
                 raise NonFiniteInput("aggregated vector is not finite")
             return original(*args)
 
-        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", failing)
+        monkeypatch.setattr(unrolled_net, "phi4_global", failing)
         assert main(tiny_run_args(tmp_path)) == 0
         line = capsys.readouterr().out.splitlines()[0]
         assert line == "unrolled trial 0: mean test rmse DIVERGED"
@@ -358,7 +358,7 @@ class TestCompare:
         # the aggregation turns non-finite from round 2 on; the last good
         # round's error must not stand in for the trial's result
         calls = []
-        original = unrolled_net._aggregate_client_vectors
+        original = unrolled_net.phi4_global
 
         def failing(*args):
             calls.append(None)
@@ -366,7 +366,7 @@ class TestCompare:
                 raise NonFiniteInput("aggregated vector is not finite")
             return original(*args)
 
-        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", failing)
+        monkeypatch.setattr(unrolled_net, "phi4_global", failing)
         out = tmp_path / "d"
         rc = main([
             "compare", "--methods", "unrolled,local",

@@ -34,7 +34,7 @@ def fail_from_round(monkeypatch, first, cfg):
     """Make the server aggregation raise NonFiniteInput from round
     `first` on (full participation, every epoch runs L aggregations)."""
     calls = []
-    original = unrolled_net._aggregate_client_vectors
+    original = unrolled_net.phi4_global
 
     def failing(*args):
         calls.append(None)
@@ -42,7 +42,7 @@ def fail_from_round(monkeypatch, first, cfg):
             raise NonFiniteInput("aggregated vector is not finite")
         return original(*args)
 
-    monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", failing)
+    monkeypatch.setattr(unrolled_net, "phi4_global", failing)
 
 
 def one_round(shards, cfg, plan=None):
@@ -183,14 +183,14 @@ class TestTranscript:
         # be, bit for bit and in order, the rows the server aggregated,
         # and each broadcast the w it returned
         seen = []
-        original = unrolled_net._aggregate_client_vectors
+        original = unrolled_net.phi4_global
 
         def recording(u, theta):
             omega, w = original(u, theta)
             seen.append((u.copy(), w.copy()))
             return omega, w
 
-        monkeypatch.setattr(unrolled_net, "_aggregate_client_vectors", recording)
+        monkeypatch.setattr(unrolled_net, "phi4_global", recording)
         shards = make_shards(M=6, n=30, seed=22)
         cfg = round_cfg(mode=mode, dual_update=dual_update, batch_size=8)
         M, k = 6, 4

@@ -7,6 +7,7 @@ numpy.linalg.solve instead of the package's vectorized/Cholesky path.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,18 +80,16 @@ def straight_line_cell(Xs, Ys, v0, z0, a0, w0, lam, rho, theta,
 class TestLayerOps:
     def test_dual_step_worked_example(self):
         # alpha=1, rho=2, z=0, v=3, w=1:  1 + 2*(0 - 3 + 1) = -3
-        out = phi1_dual([1.0], [3.0], [0.0], [1.0], 2.0)
-        assert out[0] == -3.0
+        out = phi1_dual(np.array([[1.0]]), np.array([[3.0]]), np.array([[0.0]]),
+                        np.array([1.0]), np.array([2.0]))
+        assert out[0, 0] == -3.0
 
     def test_dual_step_vector(self):
         rng = np.random.default_rng(0)
-        a, v, z, w = (rng.normal(size=4) for _ in range(4))
-        out = phi1_dual(a, v, z, w, 0.7)
+        a, v, z = (rng.normal(size=(1, 4)) for _ in range(3))
+        w = rng.normal(size=4)
+        out = phi1_dual(a, v, z, w, np.array([0.7]))
         assert np.allclose(out, a + 0.7 * (z - v + w), atol=1e-15)
-
-    def test_dual_step_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            phi1_dual([1.0], [1.0, 2.0], [0.0], [0.0], 1.0)
 
     def test_model_update_satisfies_stationarity(self):
         rng = np.random.default_rng(1)
@@ -98,8 +97,9 @@ class TestLayerOps:
         Y = rng.normal(size=12)
         alpha, z, w = (rng.normal(size=3) for _ in range(3))
         rho = 0.8
-        v, _ = phi2_v_linear(X.T @ X, X.T @ Y, alpha, z, w, rho)
-        grad = (X.T @ X + rho * np.eye(3)) @ v - (rho * (w + z + alpha) + X.T @ Y)
+        v, _ = phi2_v_linear((X.T @ X)[None], (X.T @ Y)[None], alpha[None], z[None], w,
+                             np.array([rho]))
+        grad = (X.T @ X + rho * np.eye(3)) @ v[0] - (rho * (w + z + alpha) + X.T @ Y)
         assert np.allclose(grad, 0.0, atol=1e-10)
 
     def test_model_update_matches_direct_solve(self):
@@ -108,9 +108,10 @@ class TestLayerOps:
         Y = rng.normal(size=15)
         alpha, z, w = (rng.normal(size=4) for _ in range(3))
         rho = 1.3
-        v, _ = phi2_v_linear(X.T @ X, X.T @ Y, alpha, z, w, rho)
+        v, _ = phi2_v_linear((X.T @ X)[None], (X.T @ Y)[None], alpha[None], z[None], w,
+                             np.array([rho]))
         want = np.linalg.solve(X.T @ X + rho * np.eye(4), rho * (w + z + alpha) + X.T @ Y)
-        assert np.allclose(v, want, atol=1e-12)
+        assert np.allclose(v[0], want, atol=1e-12)
 
     def test_gradient_update_matches_manual_loop(self):
         rng = np.random.default_rng(3)
@@ -122,57 +123,53 @@ class TestLayerOps:
         def grad_of_F(v):
             return 2.0 * X.T @ (X @ v - Y)
 
-        got, iterates = phi2_v_grad(grad_of_F, v0, alpha, z, w, rho, lr=lr, steps=steps)
+        got, iterates = phi2_v_grad((X.T @ X)[None], (X.T @ Y)[None], v0[None], alpha[None],
+                                    z[None], w, np.array([rho]), lr, steps)
         v = v0.copy()
         anchor = z + w + alpha
         between = []
         for _ in range(steps):
             v = v - lr * (grad_of_F(v) + rho * (v - anchor))
             between.append(v)
-        assert np.allclose(got, v, atol=1e-14)
+        assert np.allclose(got[0], v, atol=1e-14)
         # the iterates between the start and the result, v_1 .. v_3
-        assert iterates.shape == (steps - 1, 3)
-        assert np.allclose(iterates, between[:-1], atol=1e-14)
+        assert iterates.shape == (steps - 1, 1, 3)
+        assert np.allclose(iterates[:, 0], between[:-1], atol=1e-14)
 
     def test_gradient_update_default_constants(self):
         assert GRAD_LR_DEFAULT == 0.01
         assert GRAD_STEPS_DEFAULT == 5
 
-    def test_gradient_update_rejects_bad_args(self):
-        f = lambda v: v
-        with pytest.raises(ValueError):
-            phi2_v_grad(f, [0.0], [0.0], [0.0], [0.0], 1.0, lr=0.0)
-        with pytest.raises(ValueError):
-            phi2_v_grad(f, [0.0], [0.0], [0.0], [0.0], 1.0, steps=0)
-
     def test_aux_update_formula(self):
         rng = np.random.default_rng(4)
         alpha, v, w = (rng.normal(size=3) for _ in range(3))
-        lam = np.array([0.5, -1.0, 4.0])
+        lam = np.array([0.5, 0.0, 4.0])   # effective weights, already rectified
         rho = 0.6
-        z = phi3_aux(alpha, v, w, rho, lam)
+        z = phi3_aux(alpha[None], v[None], w, np.array([rho]), lam[None])
         d = v - w - alpha
         want = np.array(
             [rho * d[0] / (0.5 + rho), rho * d[1] / rho, rho * d[2] / (4.0 + rho)]
         )
-        assert np.allclose(z, want, atol=1e-14)
+        assert np.allclose(z[0], want, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.integers(0, 100))
     def test_aux_shrinks_with_weight(self, lam_small, extra, seed):
         # growing a coordinate's consensus weight can only shrink |z_j|
         rng = np.random.default_rng(seed)
-        alpha, v, w = (rng.normal(size=2) for _ in range(3))
-        rho = 0.5 + rng.uniform(0, 2)
-        z_small = phi3_aux(alpha, v, w, rho, np.array([lam_small, 1.0]))
-        z_big = phi3_aux(alpha, v, w, rho, np.array([lam_small + extra, 1.0]))
-        assert abs(z_big[0]) <= abs(z_small[0]) + 1e-12
+        alpha, v = (rng.normal(size=(1, 2)) for _ in range(2))
+        w = rng.normal(size=2)
+        rho = np.array([0.5 + rng.uniform(0, 2)])
+        z_small = phi3_aux(alpha, v, w, rho, np.array([[lam_small, 1.0]]))
+        z_big = phi3_aux(alpha, v, w, rho, np.array([[lam_small + extra, 1.0]]))
+        assert abs(z_big[0, 0]) <= abs(z_small[0, 0]) + 1e-12
 
     def test_aggregation_single_client_exact(self):
         rng = np.random.default_rng(5)
-        v, z, a = (rng.normal(size=4) for _ in range(3))
-        w = phi4_global([v], [z], [a], [0.37])
-        assert np.array_equal(w, v - z - a)
+        u = rng.normal(size=(1, 4))
+        omega, w = phi4_global(u, np.array([0.37]))
+        assert omega[0] == 1.0
+        assert np.array_equal(w, u[0])
 
     def test_aggregation_weights_are_a_softmax_on_every_active_subset(self):
         # positive and summing to one over whichever clients are active,
@@ -212,18 +209,10 @@ class TestLayerOps:
 
     def test_aggregation_is_convex_combination(self):
         rng = np.random.default_rng(7)
-        vs, zs, As = (rng.normal(size=(4, 3)) for _ in range(3))
-        u = vs - zs - As
-        w = phi4_global(vs, zs, As, rng.normal(size=4))
+        u = rng.normal(size=(4, 3))
+        _, w = phi4_global(u, rng.normal(size=4))
         assert np.all(w <= u.max(axis=0) + 1e-12)
         assert np.all(w >= u.min(axis=0) - 1e-12)
-
-    def test_aggregation_shape_checks(self):
-        vs = np.zeros((2, 3))
-        with pytest.raises(DimensionMismatch):
-            phi4_global(vs, vs, np.zeros((3, 3)), np.ones(2))
-        with pytest.raises(DimensionMismatch):
-            phi4_global(vs, vs, vs, np.ones(3))
 
     def test_batched_calls_match_one_client_calls_bitwise(self):
         rng = np.random.default_rng(8)
@@ -232,17 +221,23 @@ class TestLayerOps:
         Y = rng.normal(size=(m, 10))
         G = np.swapaxes(X, 1, 2) @ X
         c = np.stack([X[i].T @ Y[i] for i in range(m)])
-        alpha, v, z, lam = (rng.normal(size=(m, k)) for _ in range(4))
+        alpha, v, z = (rng.normal(size=(m, k)) for _ in range(3))
+        lam = rng.uniform(0.0, 2.0, (m, k))
         w = rng.normal(size=k)
         rho = rng.uniform(0.5, 2.0, m)
         a1 = phi1_dual(alpha, v, z, w, rho)
         v1, chol = phi2_v_linear(G, c, alpha, z, w, rho)
+        vg, its = phi2_v_grad(G, c, v, alpha, z, w, rho, 0.01, 3)
         z1 = phi3_aux(alpha, v, w, rho, lam)
         for i in range(m):
-            assert np.array_equal(a1[i], phi1_dual(alpha[i], v[i], z[i], w, rho[i]))
-            vi, Li = phi2_v_linear(G[i], c[i], alpha[i], z[i], w, rho[i])
-            assert np.array_equal(v1[i], vi) and np.array_equal(chol[i], Li)
-            assert np.array_equal(z1[i], phi3_aux(alpha[i], v[i], w, rho[i], lam[i]))
+            one = slice(i, i + 1)
+            assert np.array_equal(a1[one], phi1_dual(alpha[one], v[one], z[one], w, rho[one]))
+            vi, Li = phi2_v_linear(G[one], c[one], alpha[one], z[one], w, rho[one])
+            assert np.array_equal(v1[one], vi) and np.array_equal(chol[one], Li)
+            vi, its_i = phi2_v_grad(G[one], c[one], v[one], alpha[one], z[one], w, rho[one],
+                                    0.01, 3)
+            assert np.array_equal(vg[one], vi) and np.array_equal(its[:, one], its_i)
+            assert np.array_equal(z1[one], phi3_aux(alpha[one], v[one], w, rho[one], lam[one]))
 
     def test_linear_update_factors_are_each_clients_lapack_factor(self):
         rng = np.random.default_rng(9)
@@ -257,8 +252,6 @@ class TestLayerOps:
         for i in range(m):
             want = np.linalg.cholesky(G[i] + rho[i] * np.eye(k))
             assert np.array_equal(chol[i], want)
-            _, one = phi2_v_linear(G[i], c[i], alpha[i], z[i], w, rho[i])
-            assert one.shape == (k, k) and np.array_equal(one, want)
 
 
 class TestCellAgainstStraightLine:
@@ -451,9 +444,8 @@ class TestNetwork:
             assert rec.v_iterates.shape == (steps - 1, 3, 4)
             prev = tape.inputs(i)
             v, iterates = phi2_v_grad(
-                lambda u: 2.0 * ((rec.gram @ u[:, :, None])[:, :, 0] - xty),
-                prev.v, rec.alpha / rec.step_w[:, None], prev.z, prev.w, rec.rho_eff,
-                lr=tape.grad_lr, steps=steps,
+                rec.gram, xty, prev.v, rec.alpha / rec.step_w[:, None], prev.z, prev.w,
+                rec.rho_eff, tape.grad_lr, steps,
             )
             assert np.array_equal(v, rec.v)
             assert np.array_equal(iterates, rec.v_iterates)
@@ -493,6 +485,13 @@ class TestNetwork:
         (dict(mode="newton"), ValueError),
         (dict(dual_update="half_step"), ValueError),
         (dict(state0=init_state(2, 4)), DimensionMismatch),
+        (dict(state0=replace(init_state(3, 4), z=np.zeros((3, 5)))), DimensionMismatch),
+        (dict(state0=replace(init_state(3, 4), alpha=np.zeros((2, 4)))), DimensionMismatch),
+        (dict(state0=replace(init_state(3, 4), w=np.zeros(3))), DimensionMismatch),
+        (dict(mode="grad", batch_size=-3, batch_rng=np.random.default_rng(0)), ValueError),
+        (dict(mode="grad", batch_size=0, batch_rng=np.random.default_rng(0)), ValueError),
+        (dict(mode="grad", grad_lr=0.0), ValueError),
+        (dict(mode="grad", grad_steps=0), ValueError),
     ])
     def test_settings_are_checked_before_the_first_cell(self, monkeypatch, bad, error):
         shards = make_shards(M=3, seed=10)
@@ -561,6 +560,23 @@ class TestNetwork:
             assert not np.array_equal(rec.gram[0], full[0])
             assert not np.array_equal(rec.gram[2], full[2])
         assert replay_tape(tape, shards, params, np.random.default_rng(9), 8)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_cell_calls_each_layer_kernel_once(monkeypatch, mode):
+    # phi1..phi4 in order, with the phi2 of the pass's mode only
+    L = 3
+    kernels = ("phi1_dual", "phi2_v_linear", "phi2_v_grad", "phi3_aux", "phi4_global")
+    calls = []
+    for name in kernels:
+        def counted(*args, _name=name, _fn=getattr(unrolled_net, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(unrolled_net, name, counted)
+    forward_network(make_shards(M=4, seed=3), init_params(4, 4, L), L=L, mode=mode, seed=3)
+    phi2 = "phi2_v_linear" if mode == "linear" else "phi2_v_grad"
+    assert calls == ["phi1_dual", phi2, "phi3_aux", "phi4_global"] * L
 
 
 @pytest.mark.parametrize("mode", ["linear", "grad"])
