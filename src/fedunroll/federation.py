@@ -34,7 +34,6 @@ divergence included, and returns a RunResult, as the baselines do.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,6 +70,9 @@ class RoundMessage:
     payload: Union[np.ndarray, float]
 
     def digest(self) -> str:
+        # imported here, so that runs without transcripts never load OpenSSL
+        import hashlib
+
         h = hashlib.sha256()
         if isinstance(self.payload, np.ndarray):
             h.update(np.ascontiguousarray(self.payload, dtype=np.float64).tobytes())

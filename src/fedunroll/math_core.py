@@ -71,26 +71,31 @@ def spd_cholesky(A: np.ndarray) -> np.ndarray:
     DimensionMismatch unless square, EmptyData for 0 x 0, NonFiniteInput
     for a NaN or infinite entry, NotPD for asymmetry beyond 1e-12 times
     max(1, max|A|) of that matrix, and NotPD for a non-positive pivot.
-    Stacked and single matrices go through the same lines. A call costs
-    about one np.linalg.cholesky plus two reductions: one over |A| gives
-    each matrix's scale and, since NaN and inf propagate into a max, its
-    finiteness; one over A - A' gives its asymmetry. An infinite entry
-    can make numpy warn of inf - inf in that subtraction before
-    NonFiniteInput is raised.
+    Stacked and single matrices go through the same lines. On exactly
+    symmetric finite input a call costs one np.linalg.cholesky plus one
+    subtraction A - A' and a count of its nonzero entries: when that
+    count is 0 every check would pass (a NaN entry, or an infinite one,
+    leaves a NaN or infinite entry in A - A'). Otherwise two reductions
+    follow: one over |A| gives each matrix's scale and, since NaN and inf
+    propagate into a max, its finiteness; one over A - A' gives its
+    asymmetry. An infinite entry can make numpy warn of inf - inf in the
+    subtraction before NonFiniteInput is raised.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"spd_cholesky: matrix must be square, got {A.shape}")
     if A.shape[-1] < 1:
         raise EmptyData("spd_cholesky: needs at least one row and one column")
-    scale = np.maximum.reduce(np.abs(A), axis=(-2, -1), initial=1.0)
-    # A - A' is antisymmetric, so its largest entry is its largest magnitude
-    asym = np.maximum.reduce(A - A.swapaxes(-1, -2), axis=(-2, -1))
-    ok = (asym <= 1e-12 * scale) & (scale < np.inf)
-    if np.count_nonzero(ok) != ok.size:
-        if not np.isfinite(scale).all():
-            raise NonFiniteInput("spd_cholesky: contains non-finite entries")
-        raise NotPD("spd_cholesky: matrix is not symmetric")
+    d = A - A.swapaxes(-1, -2)
+    if np.count_nonzero(d):
+        scale = np.maximum.reduce(np.abs(A), axis=(-2, -1), initial=1.0)
+        # A - A' is antisymmetric, so its largest entry is its largest magnitude
+        asym = np.maximum.reduce(d, axis=(-2, -1))
+        ok = (asym <= 1e-12 * scale) & (scale < np.inf)
+        if np.count_nonzero(ok) != ok.size:
+            if not np.isfinite(scale).all():
+                raise NonFiniteInput("spd_cholesky: contains non-finite entries")
+            raise NotPD("spd_cholesky: matrix is not symmetric")
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:

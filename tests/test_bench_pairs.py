@@ -4,6 +4,7 @@ the failed operations' shares and the code-size count."""
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -81,3 +82,89 @@ def test_code_size_counts_the_package_modules_as_wc_does(tmp_path):
     (tmp_path / "d.py").write_text("outside\n")
     assert bench_pairs.source_lines(str(tmp_path)) == 3
     assert bench_pairs.source_lines(str(tmp_path / "empty")) == 0
+
+
+def _fake_runs(monkeypatch, change_values=None, change_code=0):
+    """Stub out git, the export and the benchmark runs; every run prints
+    all declared metrics at 10, except the change side's values given
+    as {workload: {metric: value}}. Returns the (workload, seed, side)
+    of every run."""
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "base"
+        calls.append((workload, seed, side))
+        values = {m["name"]: 10.0 for m in _declared()}
+        if side == "change":
+            values.update((change_values or {}).get(workload, {}))
+        result = {"metrics": {n: {"value": v} for n, v in values.items()},
+                  "failed": 0, "attempted": 5, "correct": True}
+        return (change_code if side == "change" else 0), result
+
+    monkeypatch.setattr(bench_pairs, "benchmark_differs", lambda base: False)
+    monkeypatch.setattr(bench_pairs, "export_tree", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def _declared():
+    with open(os.path.join(bench_pairs.ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)["end_to_end"]
+
+
+@pytest.mark.parametrize("workloads", ["nope", "s1-m10-compare,nope", "s1-m10-compare,s1-m10-compare", ""])
+def test_unknown_or_repeated_workloads_are_a_usage_error_before_any_run(monkeypatch, capsys, workloads):
+    calls = _fake_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "HEAD", "--workload", workloads, "--seeds", "1-2"])
+    assert exc.value.code == 2
+    assert "name workloads of BENCHMARK.json" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_every_workload_gets_its_table_and_one_worse_workload_fails_the_command(monkeypatch, capsys):
+    workloads = ["s1-m10-compare", "s3-m100-grad-partial"]
+    argv = ["--base", "HEAD", "--workload", ",".join(workloads), "--seeds", "1-2", "--seconds", "1"]
+    calls = _fake_runs(monkeypatch)
+    assert bench_pairs.main(argv) == 0
+    assert sorted(calls) == sorted((w, s, side) for w in workloads for s in (1, 2)
+                                   for side in ("base", "change"))
+    out = capsys.readouterr().out
+    tables = [out.index(f"{w}: 2 pairs") for w in workloads]
+    assert tables == sorted(tables) and "WORSE" not in out
+
+    _fake_runs(monkeypatch, {"s3-m100-grad-partial": {"round_ms_p50": 20.0}})
+    assert bench_pairs.main(argv) == 1
+    out = capsys.readouterr().out
+    s1_table, s3_table = out.split("s3-m100-grad-partial: 2 pairs")
+    assert "WORSE" not in s1_table
+    assert "round_ms_p50 (ms): base 10 [10, 10]  change 20 [20, 20]  change wins 0/2, ties 0  WORSE" in s3_table
+
+    _fake_runs(monkeypatch, change_code=1)
+    assert bench_pairs.main(argv) == 1
+    assert capsys.readouterr().out.count("FAILED RUN: change") == 4
+
+
+def test_an_untracked_benchmark_file_counts_as_a_difference(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text("print()\n")
+    (tmp_path / "BENCHMARK.json").write_text("{}\n")
+    (tmp_path / ".gitignore").write_text("benchmarks/out/\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    assert not bench_pairs.benchmark_differs("HEAD")
+    (tmp_path / "benchmarks" / "out").mkdir()
+    (tmp_path / "benchmarks" / "out" / "spans.csv").write_text("ignored\n")
+    (tmp_path / "notes.txt").write_text("outside benchmarks/\n")
+    assert not bench_pairs.benchmark_differs("HEAD")
+    (tmp_path / "benchmarks" / "bench_new.py").write_text("new\n")
+    assert bench_pairs.benchmark_differs("HEAD")
+    (tmp_path / "benchmarks" / "bench_new.py").unlink()
+    (tmp_path / "BENCHMARK.json").write_text("{\"changed\": 1}\n")
+    assert bench_pairs.benchmark_differs("HEAD")

@@ -201,6 +201,125 @@ def _spd_stack(m: int, k: int, seed: int) -> np.ndarray:
     return B @ np.swapaxes(B, 1, 2) + k * np.eye(k)
 
 
+def _checked_cholesky_oracle(A: np.ndarray) -> np.ndarray:
+    """spd_cholesky's checks without the exact-symmetry guard: both
+    reductions on every call, then the factorization."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatch(f"spd_cholesky: matrix must be square, got {A.shape}")
+    if A.shape[-1] < 1:
+        raise EmptyData("spd_cholesky: needs at least one row and one column")
+    scale = np.maximum.reduce(np.abs(A), axis=(-2, -1), initial=1.0)
+    asym = np.maximum.reduce(A - A.swapaxes(-1, -2), axis=(-2, -1))
+    ok = (asym <= 1e-12 * scale) & (scale < np.inf)
+    if np.count_nonzero(ok) != ok.size:
+        if not np.isfinite(scale).all():
+            raise NonFiniteInput("spd_cholesky: contains non-finite entries")
+        raise NotPD("spd_cholesky: matrix is not symmetric")
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NotPD(f"spd_cholesky: {exc}") from exc
+
+
+# What one matrix of a generated stack carries: nothing, asymmetry
+# within or beyond the tolerance, a non-finite diagonal entry, one
+# non-finite off-diagonal entry (upper or lower), a mirrored off-diagonal
+# pair of non-finite entries, -0.0 mirrored by +0.0, or a negative pivot.
+_DEFECTS = (
+    "none", "asym_within", "asym_beyond",
+    "nan_diag", "inf_diag", "-inf_diag",
+    "nan_upper", "inf_lower", "-inf_upper",
+    "nan_nan_pair", "inf_inf_pair", "inf_-inf_pair", "nan_inf_pair",
+    "signed_zero_pair", "indefinite",
+)
+
+
+def _with_defect(A: np.ndarray, defect: str, rng: np.random.Generator) -> np.ndarray:
+    """A copy of the exactly symmetric k x k matrix A (k >= 2) carrying `defect`."""
+    A = A.copy()
+    k = A.shape[0]
+    i, j = sorted(rng.choice(k, size=2, replace=False))  # i < j: (i, j) upper, (j, i) lower
+    d = int(rng.integers(k))
+    tol = 1e-12 * max(1.0, np.abs(A).max())
+    if defect == "asym_within":
+        A[i, j] += 0.5 * tol
+    elif defect == "asym_beyond":
+        A[j, i] += 2.0 * tol
+    elif defect.endswith("_diag"):
+        A[d, d] = float(defect[:-5])
+    elif defect.endswith(("_upper", "_lower")):
+        A[(i, j) if defect.endswith("_upper") else (j, i)] = float(defect.split("_")[0])
+    elif defect.endswith("_pair") and defect != "signed_zero_pair":
+        upper, lower = defect[:-5].split("_")
+        A[i, j], A[j, i] = float(upper), float(lower)
+    elif defect == "signed_zero_pair":
+        A[j, i], A[i, j] = -0.0, 0.0
+    elif defect == "indefinite":
+        A[d, d] = -A[d, d]
+    return A
+
+
+class TestCholeskyGuard:
+    """spd_cholesky, which skips its reductions when A - A' is exactly
+    zero, against the checks it ran before on every call: the same
+    exception class and message, or the same factor bit for bit."""
+
+    @staticmethod
+    def _outcome(fn, A):
+        try:
+            L = fn(A)
+        except (DimensionMismatch, EmptyData, NonFiniteInput, NotPD) as exc:
+            return type(exc), str(exc)
+        return L.shape, L.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.lists(st.sampled_from(_DEFECTS), min_size=1, max_size=4),
+        st.sampled_from([1e-3, 1.0, 1e6]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    # inf - inf in A - A' makes numpy warn before the error is raised
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_matches_the_unguarded_checks(self, k, defects, size, single, seed):
+        rng = np.random.default_rng(seed)
+        S = size * _spd_stack(len(defects), k, seed)
+        S = S + np.swapaxes(S, 1, 2)  # a + b == b + a, so S is exactly symmetric
+        A = np.stack([_with_defect(S[n], defect, rng) for n, defect in enumerate(defects)])
+        if single:
+            A = A[0]
+        assert self._outcome(spd_cholesky, A) == self._outcome(_checked_cholesky_oracle, A)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("defect", _DEFECTS)
+    def test_each_defect_alone_and_in_a_stack(self, defect):
+        rng = np.random.default_rng(9)
+        S = _spd_stack(3, 4, seed=8)
+        S = S + np.swapaxes(S, 1, 2)
+        for A in (_with_defect(S[0], defect, rng),
+                  np.stack([S[0], _with_defect(S[1], defect, rng), S[2]])):
+            got = self._outcome(spd_cholesky, A)
+            assert got == self._outcome(_checked_cholesky_oracle, A)
+            if defect in ("none", "asym_within", "signed_zero_pair"):
+                assert got[0] == A.shape  # factored
+            elif defect == "indefinite" or defect.startswith("asym"):
+                assert got[0] is NotPD
+            else:
+                assert got[0] is NonFiniteInput
+
+    def test_the_v_solve_matrices_are_exactly_symmetric(self):
+        # linear mode factors G + rho I, so its calls skip the reductions
+        G = client_stats(make_uneven_shards([3, 17, 40], seed=2)).gram
+        A = G + np.array([0.3, 1.0, 7.5])[:, None, None] * np.eye(4)
+        assert np.count_nonzero(A - np.swapaxes(A, 1, 2)) == 0
+
+    def test_signed_zero_mirror_factors_like_lapack(self):
+        A = np.array([[4.0, 0.0, 1.0], [-0.0, 9.0, 0.0], [1.0, -0.0, 16.0]])
+        assert np.linalg.cholesky(A).tobytes() == spd_cholesky(A).tobytes()
+
+
 class TestDesignMatrix:
     def test_rows_are_monomials(self):
         xs = np.array([-0.5, 0.0, 2.0])

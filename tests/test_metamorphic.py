@@ -1,4 +1,5 @@
-"""Metamorphic relations of the forward and reverse pass.
+"""Metamorphic relations of the forward and reverse pass, and of the
+baselines' drivers.
 
 These checks need no oracle: each compares two runs of the package
 whose outputs must relate in a known way, whatever the equations.
@@ -11,6 +12,9 @@ import pytest
 
 from conftest import make_shards, random_params
 
+from fedunroll.baselines import ALL_METHODS, GD_METHODS, run_baseline
+from fedunroll.config import ExperimentConfig
+from fedunroll.datagen import SettingSpec, generate_setting
 from fedunroll.learner import PARAM_FIELDS, POLICIES, backward
 from fedunroll.unrolled_net import DUAL_UPDATES, MODES, CellState, LearnableParams, forward_network
 
@@ -81,3 +85,44 @@ def test_permuting_the_clients_permutes_outputs_and_gradients(mode, policy):
     p_grads = backward(p_tape, p_shards, policy=policy)
     for name in PARAM_FIELDS:
         close(getattr(p_grads, name), getattr(grads, name)[:, perm])
+
+
+def _setting_shards(setting):
+    return generate_setting(SettingSpec(setting=setting, M=6, n_per_client=40, seed=63))
+
+
+@pytest.mark.parametrize("batch", [None, 16])
+@pytest.mark.parametrize("setting", [1, 3])
+def test_doubling_every_target_doubles_every_baselines_models_and_rmse(setting, batch):
+    # each baseline's models are linear in the targets and its RMSE is
+    # homogeneous in them; the minibatch draws do not read the targets
+    shards = _setting_shards(setting)
+    doubled = [replace(sh, Y_train=2.0 * sh.Y_train, Y_test=2.0 * sh.Y_test) for sh in shards]
+    cfg = ExperimentConfig(seed=64, rounds=6, baseline_batch=batch)
+    for method in ALL_METHODS:
+        run, run2 = run_baseline(method, shards, cfg), run_baseline(method, doubled, cfg)
+        assert not run.diverged
+        assert np.array_equal(run2.models_raw, 2.0 * run.models_raw), method
+        assert np.array_equal(run2.per_client_test_rmse, 2.0 * run.per_client_test_rmse), method
+
+
+@pytest.mark.parametrize("setting", [1, 3])
+def test_permuting_the_shards_permutes_every_full_batch_baseline(setting):
+    # local_exact solves each client alone, so its models permute bit for
+    # bit. The gradient methods standardize with the mean and deviation of
+    # the pooled rows, whose sums change order: full batch, they permute
+    # to 1e-14 relative (measured up to 6.2e-16). With minibatches no
+    # relation holds, since one generator draws the clients' batches in
+    # client order and a permutation hands each client another draw.
+    shards = _setting_shards(setting)
+    perm = np.random.default_rng(setting).permutation(len(shards))
+    moved = [shards[i] for i in perm]
+    cfg = ExperimentConfig(seed=65, rounds=6)
+    for method in ALL_METHODS:
+        run, p_run = run_baseline(method, shards, cfg), run_baseline(method, moved, cfg)
+        want, got = run.models_raw[perm], p_run.models_raw
+        if method in GD_METHODS:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), method
+        else:
+            assert np.array_equal(got, want), method
+            assert np.array_equal(p_run.per_client_test_rmse, run.per_client_test_rmse[perm])

@@ -492,6 +492,13 @@ class TestNetwork:
         (dict(mode="grad", batch_size=0, batch_rng=np.random.default_rng(0)), ValueError),
         (dict(mode="grad", grad_lr=0.0), ValueError),
         (dict(mode="grad", grad_steps=0), ValueError),
+        (dict(client_indices=np.array([0, 0])), DimensionMismatch),       # repeated
+        (dict(client_indices=np.array([-1, 2])), DimensionMismatch),      # negative
+        (dict(client_indices=np.array([0, 3])), DimensionMismatch),       # past the last shard
+        (dict(client_indices=np.array([0.0, 1.0])), DimensionMismatch),   # not integer
+        (dict(client_indices=np.array([True, False, True])), DimensionMismatch),
+        (dict(client_indices=np.array([[0], [1]])), DimensionMismatch),   # 2-d
+        (dict(client_indices=np.array([], dtype=int)), DimensionMismatch),
     ])
     def test_settings_are_checked_before_the_first_cell(self, monkeypatch, bad, error):
         shards = make_shards(M=3, seed=10)
@@ -508,6 +515,13 @@ class TestNetwork:
         assert calls == []
         forward_network(shards, init_params(3, 4, 2))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("indices", [[2, 0], (1,), np.array([2, 1, 0], dtype=np.uint8)])
+    def test_any_distinct_in_range_indices_run_in_their_order(self, indices):
+        shards = make_shards(M=3, seed=10)
+        v, tape = forward_network(shards, init_params(3, 4, 2), client_indices=indices)
+        assert v.shape == (len(indices), 4)
+        assert tape.client_indices.tolist() == np.asarray(indices).tolist()
 
     def test_effective_parameter_masks_recorded(self):
         shards = make_shards(M=2, seed=11)

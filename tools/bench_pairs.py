@@ -1,27 +1,31 @@
 """Paired benchmark runs: a base commit against the working tree.
 
     python3 tools/bench_pairs.py --base HEAD --workload s2-m100-fedlocal --seeds 71-80
+    python3 tools/bench_pairs.py --base HEAD --workload s1-m10-compare,s3-m100-grad-partial --seeds 71-80
 
 Exports the base commit's files with `git archive` into a temporary
 directory (removed on exit; nothing is written under `.git`, so a killed
 run leaves no worktree registered) and runs `benchmarks/run.py` on
-it and on the working tree once per seed, each pair with the same seed
-and length, alternating which side runs first. It refuses to run when
-`benchmarks/` or `BENCHMARK.json` differ between the two, since the
-comparison needs the same benchmark on both sides.
+it and on the working tree once per seed and workload, each pair with
+the same seed and length, alternating which side runs first. Every
+workload name must be one of BENCHMARK.json's, given once; a name that
+is not is a usage error before any run. It refuses to run when
+`benchmarks/` or `BENCHMARK.json` differ between the two, an untracked
+file there included, since the comparison needs the same benchmark on
+both sides.
 
-It prints each side's code size, the line count of src/fedunroll/*.py
-as `wc -l` gives it, above the metric table. For every end-to-end
-metric that BENCHMARK.json declares, it prints each side's median
-[first quartile, third quartile], the number of pairs the working tree
-won (strictly better in the metric's direction) and the number of
-exact ties, which count for neither side, and marks it WORSE when the
-working tree's median is worse than the base's by more than the
-metric's relative `bound`. It prints each side's count of failed
+It prints one table per workload, each headed by both sides' code
+size, the line count of src/fedunroll/*.py as `wc -l` gives it. For
+every end-to-end metric that BENCHMARK.json declares, it prints each
+side's median [first quartile, third quartile], the number of pairs
+the working tree won (strictly better in the metric's direction) and
+the number of exact ties, which count for neither side, and marks it
+WORSE when the working tree's median is worse than the base's by more
+than the metric's relative `bound`. It prints each side's count of failed
 operations and marks the working tree's MORE FAILURES when its share of
 failed operations exceeds the base's. It then lists every run that
 exited non-zero, printed `"correct": false` or printed no JSON result,
-and exits 1 if there was any such run, any WORSE metric or MORE
+and exits 1 if any workload had such a run, a WORSE metric or MORE
 FAILURES. Standard library only.
 """
 
@@ -129,42 +133,26 @@ def failed_share_grew(base: Tuple[int, int], change: Tuple[int, int]) -> bool:
     return share(*change) > share(*base)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="git ref of the base side")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 71-80 or 71,72,75")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    args = parser.parse_args(argv)
-    seeds = args.seeds
+def benchmark_differs(base: str) -> bool:
+    """True when benchmarks/ or BENCHMARK.json differ between `base` and
+    the working tree, an untracked file that git does not ignore
+    included (`git diff` alone does not see those)."""
+    paths = ["--", "benchmarks", "BENCHMARK.json"]
+    same = subprocess.run(["git", "diff", "--quiet", base, *paths], cwd=ROOT)
+    untracked = subprocess.run(["git", "ls-files", "--others", "--exclude-standard", *paths],
+                               cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    return same.returncode != 0 or bool(untracked)
 
-    same = subprocess.run(["git", "diff", "--quiet", args.base, "--", "benchmarks", "BENCHMARK.json"], cwd=ROOT)
-    if same.returncode != 0:
-        print(f"benchmarks/ or BENCHMARK.json differ from {args.base}; refusing to compare", file=sys.stderr)
-        return 2
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        declared = json.load(fh)["end_to_end"]
 
-    tmp = tempfile.mkdtemp(prefix="bench-pairs-")
-    base_tree = os.path.join(tmp, "base")
-    runs: List[Tuple[int, str, int, Optional[dict]]] = []  # seed, side, exit code, result
-    try:
-        export_tree(args.base, base_tree)
-        trees = {"base": base_tree, "change": ROOT}
-        lines = {side: source_lines(tree) for side, tree in trees.items()}
-        for i, seed in enumerate(seeds):
-            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                code, result = run_once(trees[side], args.workload, seed, args.seconds)
-                runs.append((seed, side, code, result))
-                print(f"seed {seed} {side}: exit {code}, round_ms_p50 {_metrics(result).get('round_ms_p50')}",
-                      file=sys.stderr, flush=True)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
+def report(workload: str, seeds: List[int], runs: List[Tuple[int, str, int, Optional[dict]]],
+           declared: List[dict], lines: Dict[str, int], header: str) -> bool:
+    """Print one workload's table from its runs (seed, side, exit code,
+    result); True when it shows a WORSE metric, MORE FAILURES or a
+    failed run."""
     by_side: Dict[str, Dict[int, dict]] = {side: {} for side in SIDES}
     for seed, side, _, result in runs:
         by_side[side][seed] = _metrics(result)
-    print(f"{args.workload}: {len(seeds)} pairs, --seconds {args.seconds:g}, base {args.base}")
+    print(f"{workload}: {header}")
     print(f"  src/fedunroll/*.py lines: base {lines['base']}  change {lines['change']}")
     any_worse = False
     for metric in declared:
@@ -195,7 +183,50 @@ def main(argv=None) -> int:
     for seed, side, code, result in bad:
         correct = "no JSON result" if result is None else f'"correct": {json.dumps(result.get("correct"))}'
         print(f"  FAILED RUN: {side} seed {seed}: exit {code}, {correct}")
-    return 1 if bad or any_worse or more_failures else 0
+    return bool(bad) or any_worse or more_failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git ref of the base side")
+    parser.add_argument("--workload", required=True, type=lambda text: [w.strip() for w in text.split(",")],
+                        help="a workload of BENCHMARK.json, or several separated by commas")
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 71-80 or 71,72,75")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+    seeds, workloads = args.seeds, args.workload
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    known = [w["name"] for w in benchmark["workloads"]]
+    unknown = [w for w in workloads if w not in known]
+    if unknown or len(set(workloads)) != len(workloads):
+        parser.error(f"--workload {','.join(workloads)}: name workloads of BENCHMARK.json"
+                     f" ({', '.join(known)}), each once")
+    if benchmark_differs(args.base):
+        print(f"benchmarks/ or BENCHMARK.json differ from {args.base}; refusing to compare", file=sys.stderr)
+        return 2
+
+    tmp = tempfile.mkdtemp(prefix="bench-pairs-")
+    base_tree = os.path.join(tmp, "base")
+    runs: Dict[str, List[Tuple[int, str, int, Optional[dict]]]] = {w: [] for w in workloads}
+    try:
+        export_tree(args.base, base_tree)
+        trees = {"base": base_tree, "change": ROOT}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
+        for workload in workloads:
+            for i, seed in enumerate(seeds):
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    code, result = run_once(trees[side], workload, seed, args.seconds)
+                    runs[workload].append((seed, side, code, result))
+                    print(f"{workload} seed {seed} {side}: exit {code}, "
+                          f"round_ms_p50 {_metrics(result).get('round_ms_p50')}", file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    header = f"{len(seeds)} pairs, --seconds {args.seconds:g}, base {args.base}"
+    bad = [report(w, seeds, runs[w], benchmark["end_to_end"], lines, header) for w in workloads]
+    return 1 if any(bad) else 0
 
 
 if __name__ == "__main__":
