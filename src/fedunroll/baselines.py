@@ -10,28 +10,30 @@ stalls the personal-model methods far from their least-squares optimum.
 
 Methods
   local        independent per-client gradient descent
-  local_exact  per-client ridge-free normal-equations solve (oracle)
+  local_exact  per-client normal-equations solve (oracle)
   fedavg       sample-size-weighted averaging of locally updated models
   fedprox      fedavg with a proximal pull toward the current global model
   fedavg_ft / fedprox_ft   the global model fine-tuned locally afterwards
   ditto        a global fedavg branch plus per-client personal models
                regularized toward the received global model
 
-The gradient-descent methods train every client at once on the
-client-batched engine of math_core: a run stacks the standardized
-training rows once (each shard standardized before stacking, so the
-padding rows stay zero), and each step is one array operation over the
-clients. A run draws its minibatches from one generator, one call per
+Every method works on one stack of the clients' training rows, the
+one its RunLog builds for evaluation: local_exact solves from that
+stack's X'X and X'Y, and the gradient-descent methods fit the
+Standardizer on its real rows and standardize the stack itself (its
+padding rows stay zero). Their training runs on the client-batched
+engine of math_core, each step one array operation over the clients.
+A run draws its minibatches from one generator, one call per
 gradient step for all clients (ditto draws its global epochs, then its
 personal ones).
 
 federation's unrolled driver shares this module's run scaffolding:
-`RunLog` stacks the evaluation rows once (the unrolled driver builds
-its training statistics from the same stack), keeps the clock, writes
-every MetricsRecord and holds the one divergence rule (`guard`): a
-round that fails numerically, or whose models evaluate to a non-finite
-RMSE, is recorded as diverged and ends the run. Both drivers return a
-`RunResult`.
+`RunLog` stacks the training and test rows once (the unrolled driver
+builds its training statistics from the same stack), refuses an empty
+federation, keeps the clock, writes every MetricsRecord and holds the
+one divergence rule (`guard`): a round that fails numerically, or whose
+models evaluate to a non-finite RMSE, is recorded as diverged and ends
+the run. Both drivers return a `RunResult`.
 """
 
 from __future__ import annotations
@@ -100,17 +102,19 @@ class Standardizer:
         return cls(mu=np.zeros(k), sd=np.ones(k), intercept_col=None)
 
 
-def local_exact(shard) -> np.ndarray:
-    """Per-client least-squares solve of the local regression."""
-    X, Y = shard.X_train, shard.Y_train
-    k = X.shape[1]
-    A = X.T @ X
-    scale = max(1.0, float(np.trace(A)) / k)
+def local_exact(rows: RowStack) -> np.ndarray:
+    """Every client's least-squares model [M, k], batched: one Cholesky
+    factorization of the stacked X_i'X_i, each plus 1e-10 max(1, its mean
+    diagonal) I, and one solve. If any of them is not positive definite,
+    the whole stack is factored again with 1e-6 in place of 1e-10."""
+    G = rows.gram()
+    k = G.shape[-1]
+    scale = np.maximum(1.0, np.trace(G, axis1=1, axis2=2) / k)
     try:
-        L = spd_cholesky(A + _JITTER * scale * np.eye(k))
+        L = spd_cholesky(G + (_JITTER * scale)[:, None, None] * np.eye(k))
     except NotPD:
-        L = spd_cholesky(A + 1e-6 * scale * np.eye(k))
-    return chol_solve(L, X.T @ Y)
+        L = spd_cholesky(G + (1e-6 * scale)[:, None, None] * np.eye(k))
+    return chol_solve(L, rows.xt(rows.Y))
 
 
 def evaluation_rows(shards) -> Tuple[RowStack, RowStack]:
@@ -153,10 +157,13 @@ class RunResult:
 
 
 class RunLog:
-    """A run's evaluation rows (stacked once), clock and per-round
-    records. A non-finite input shard raises here, from the stacking."""
+    """A run's training and test rows (stacked once; the drivers train
+    on the training stack), clock and per-round records. An empty
+    federation or a non-finite input shard raises here."""
 
     def __init__(self, method: str, shards: Sequence):
+        if len(shards) < 1:
+            raise DimensionMismatch(f"{method}: no client shards")
         self.method = method
         self.t0 = time.perf_counter()
         self.train, self.test = evaluation_rows(shards)
@@ -217,23 +224,19 @@ def run_baseline(
     cfg.validate()
     if method not in ALL_METHODS:
         raise InvalidSetting(f"unknown baseline method {method!r}")
-    M = len(shards)
-    if M < 1:
-        raise DimensionMismatch("run_baseline: no client shards")
-    k = shards[0].X_train.shape[1]
-
     log = RunLog(method, shards)
+    train = log.train
+    M, width, k = train.X.shape
     if method == "local_exact":
-        models = np.stack([local_exact(sh) for sh in shards])
+        models = local_exact(train)
         log.record(0, 0, models)
         return log.result(models)
 
-    if cfg.standardize:
-        std = Standardizer.fit(np.vstack([sh.X_train for sh in shards]))
-    else:
-        std = Standardizer.identity(k)
-    # standardized per shard before stacking, so the padding rows stay zero
-    rows = stack_rows([std.apply(sh.X_train) for sh in shards], [sh.Y_train for sh in shards])
+    real = np.arange(width) < train.counts[:, None]  # client-major, as the shards
+    std = Standardizer.fit(train.X[real]) if cfg.standardize else Standardizer.identity(k)
+    # the padding rows stay zero
+    rows = RowStack(X=np.where(real[:, :, None], std.apply(train.X), 0.0), Y=train.Y,
+                    counts=train.counts)
     agg_w = rows.counts / rows.counts.sum()
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C]))

@@ -156,7 +156,8 @@ def ingest_delimited(
     target or feature fields fail to parse as finite reals are skipped;
     the skip count is returned alongside the shard. If the file carries
     a 'split' column with train/test markers it is honored, otherwise
-    rows are split by (train_ratio, seed).
+    rows are split by (train_ratio, seed). Raises EmptyData when no row
+    parses, or when no row falls on the training side.
     """
     try:
         fh = open(path, newline="")
@@ -206,10 +207,10 @@ def ingest_delimited(
     if has_split:
         tr = np.array([t == "train" for t in split_tags])
         Xtr, Ytr, Xte, Yte = X[tr], Y[tr], X[~tr], Y[~tr]
-        if Xtr.shape[0] == 0:
-            raise EmptyData(f"{path}: no train rows")
     else:
         (Xtr, Ytr), (Xte, Yte) = split(X, Y, train_ratio, seed)
+    if Xtr.shape[0] == 0:
+        raise EmptyData(f"{path}: no train rows")
 
     shard = DataShard(
         client_id=client_id, X_train=Xtr, Y_train=Ytr, X_test=Xte, Y_test=Yte

@@ -22,7 +22,8 @@ its RunLog stacks and validates for evaluation, and every round's
 forward takes the active clients' entries from them: no round stacks
 rows. A round's augmented objective is evaluated from its tape on the
 first read of RoundResult.lagrangian_final, which the driver makes once
-per round, for the last epoch.
+per round, for the last epoch. A round's active clients travel as an
+array of 0-based indices; 1-based ids appear only in the transcript.
 
 The driver keeps per-client iterates across rounds and epochs:
 inactive clients keep their stale (v, z, alpha) and rejoin with them
@@ -44,7 +45,7 @@ import numpy as np
 from .baselines import RunLog, RunResult
 from .config import ExperimentConfig
 from .diagnostics import lagrangian
-from .errors import DimensionMismatch, ProtocolViolation
+from .errors import ProtocolViolation
 from .learner import OptimizerState, backward, init_optimizer, optimizer_step
 from .math_core import rowdot
 from .unrolled_net import (
@@ -81,28 +82,19 @@ class RoundMessage:
         return h.hexdigest()[:16]
 
 
-@dataclass
-class ParticipationPlan:
-    """Which clients take part in one round (1-based ids, ascending)."""
-
-    active_ids: List[int]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.asarray([cid - 1 for cid in self.active_ids], dtype=np.intp)
+def full_participation(M: int) -> np.ndarray:
+    """Every client's 0-based index."""
+    return np.arange(M)
 
 
-def full_participation(M: int) -> ParticipationPlan:
-    return ParticipationPlan(active_ids=list(range(1, M + 1)))
-
-
-def sample_participants(M: int, fraction: float, rng: np.random.Generator) -> ParticipationPlan:
-    """Draw ceil(fraction * M) distinct clients uniformly."""
+def sample_participants(M: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw ceil(fraction * M) distinct clients uniformly, as ascending
+    0-based indices. The product is rounded to 9 decimals first, so that
+    float noise (0.07 * 100 = 7.000000000000001) adds no client."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("participation fraction must lie in (0, 1]")
-    count = math.ceil(fraction * M)
-    picked = rng.choice(M, size=count, replace=False)
-    return ParticipationPlan(active_ids=sorted(int(i) + 1 for i in picked))
+    count = math.ceil(round(fraction * M, 9))
+    return np.sort(rng.choice(M, size=count, replace=False))
 
 
 @dataclass
@@ -179,13 +171,14 @@ def run_round(
     params: LearnableParams,
     opt_state: OptimizerState,
     state: CellState,
-    plan: ParticipationPlan,
+    active: np.ndarray,
     cfg: ExperimentConfig,
     round_index: int,
     epoch: int,
     population: Optional[ClientStats] = None,
 ) -> RoundResult:
-    """Execute one communication round over the active clients.
+    """Execute one communication round over the active clients, given
+    by their 0-based indices (forward_network checks them).
 
     `state` holds the full-population carried iterates and is updated
     in place for the active rows (and the shared w); `opt_state` is
@@ -194,11 +187,8 @@ def run_round(
     with the round's tape and loss reports; its augmented objective and
     transcript are built from them only when read.
     """
-    idx = plan.indices
-    if idx.size == 0:
-        raise DimensionMismatch("run_round: no active clients")
     # fancy indexing copies the active rows; w is replaced, never written
-    sub = CellState(v=state.v[idx], z=state.z[idx], alpha=state.alpha[idx], w=state.w)
+    sub = CellState(v=state.v[active], z=state.z[active], alpha=state.alpha[active], w=state.w)
     batch_rng = None
     if cfg.mode == "grad":
         batch_rng = np.random.default_rng(
@@ -211,7 +201,7 @@ def run_round(
         mode=cfg.mode,
         dual_update=cfg.dual_update,
         state0=sub,
-        client_indices=idx,
+        client_indices=active,
         batch_rng=batch_rng,
         batch_size=cfg.batch_size,
         grad_lr=cfg.grad_lr,
@@ -226,9 +216,9 @@ def run_round(
     grads = backward(tape, shards, policy=cfg.policy)
     new_params = optimizer_step(params, grads, opt_state)
 
-    state.v[idx] = final.v
-    state.z[idx] = final.z
-    state.alpha[idx] = final.alpha
+    state.v[active] = final.v
+    state.z[active] = final.z
+    state.alpha[active] = final.alpha
     state.w = final.w
 
     return RoundResult(
@@ -252,24 +242,23 @@ def run_unrolled_experiment(
     when `cfg.transcript` is set. Raises ConfigError for an invalid
     `cfg`."""
     cfg.validate()
-    M = len(shards)
-    k = shards[0].X_train.shape[1]
+    log = RunLog(method_name, shards)
+    M, _, k = log.train.X.shape
     params = init_params(M, k, cfg.L, tied=cfg.tied)
     opt_state = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
     state = init_state(M, k, seed=cfg.seed)
 
     transcripts: List[Transcript] = []
-    log = RunLog(method_name, shards)
     population = ClientStats.of(log.train)
     if cfg.rounds == 0:
         log.record(0, 0, state.v)
     part_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xAC71]))
     for rnd in range(1, cfg.rounds + 1):
-        plan = (sample_participants(M, cfg.participation, part_rng)
-                if cfg.participation < 1.0 else full_participation(M))
+        active = (sample_participants(M, cfg.participation, part_rng)
+                  if cfg.participation < 1.0 else full_participation(M))
         with log.guard(rnd, cfg.epochs_per_round, loss_sum=math.nan, lagrangian=math.nan):
             for ep in range(1, cfg.epochs_per_round + 1):
-                rr = run_round(shards, params, opt_state, state, plan, cfg, rnd, ep, population)
+                rr = run_round(shards, params, opt_state, state, active, cfg, rnd, ep, population)
                 params = rr.params
                 if cfg.transcript:
                     transcripts.append(rr.transcript)

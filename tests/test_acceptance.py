@@ -364,11 +364,11 @@ def test_criterion_7_transcript_counts_scale_with_clients_and_participation():
             opt = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
             state = init_state(M, 4, seed=0)
             if frac == 1.0:
-                plan = full_participation(M)
+                active = full_participation(M)
             else:
-                plan = sample_participants(M, frac, np.random.default_rng(1))
-            rr = run_round(shards, params, opt, state, plan, cfg, 1, 1)
-            n_active = len(plan.active_ids)
+                active = sample_participants(M, frac, np.random.default_rng(1))
+            rr = run_round(shards, params, opt, state, active, cfg, 1, 1)
+            n_active = len(active)
             rr.transcript.verify(n_active=n_active, L=L)
             c = rr.transcript.counts()
             good = (

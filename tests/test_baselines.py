@@ -20,8 +20,8 @@ from fedunroll.baselines import (
 )
 from fedunroll.config import ExperimentConfig
 from fedunroll.datagen import DataShard
-from fedunroll.errors import InvalidSetting, NonFiniteInput
-from fedunroll.math_core import design_matrix
+from fedunroll.errors import DimensionMismatch, InvalidSetting, NonFiniteInput, NotPD
+from fedunroll.math_core import chol_solve, design_matrix
 
 
 def small_cfg(**kw) -> ExperimentConfig:
@@ -74,15 +74,46 @@ class TestStandardizer:
 class TestExactSolver:
     def test_matches_lstsq(self):
         shards = make_shards(M=3, n=30, seed=5)
-        for sh in shards:
-            got = local_exact(sh)
+        models = local_exact(evaluation_rows(shards)[0])
+        for got, sh in zip(models, shards):
             want, *_ = np.linalg.lstsq(sh.X_train, sh.Y_train, rcond=None)
             assert np.allclose(got, want, atol=1e-8)
 
     def test_recovers_noiseless_coefficients(self):
         shards = make_shards(M=2, n=25, seed=6, noise=0.0)
-        for sh in shards:
-            assert np.allclose(local_exact(sh), sh.gt_coeffs, atol=1e-9)
+        models = local_exact(evaluation_rows(shards)[0])
+        for got, sh in zip(models, shards):
+            assert np.allclose(got, sh.gt_coeffs, atol=1e-9)
+
+    def test_one_factorization_per_run(self, monkeypatch):
+        for M in (1, 4, 9):
+            counts = count_calls(monkeypatch, ("spd_cholesky", "chol_solve"))
+            run_baseline("local_exact", make_shards(M=M, seed=8), small_cfg())
+            monkeypatch.undo()
+            assert counts == {"spd_cholesky": 1, "chol_solve": 1}, M
+
+    def test_a_failed_factorization_retries_every_client_with_the_larger_ridge(self, monkeypatch):
+        # one client's system that is not positive definite refactors
+        # the whole stack, each Gram with 1e-6 times its mean diagonal
+        shards = make_uneven_shards([30, 6, 12, 25], seed=9)
+        original = baselines.spd_cholesky
+        calls = []
+
+        def first_fails(A):
+            calls.append(None)
+            if len(calls) == 1:
+                raise NotPD("spd_cholesky: forced")
+            return original(A)
+
+        monkeypatch.setattr(baselines, "spd_cholesky", first_fails)
+        res = run_baseline("local_exact", shards, small_cfg())
+        assert len(calls) == 2 and not res.diverged
+        train = evaluation_rows(shards)[0]
+        for i in range(len(shards)):
+            G = train.gram()[i]
+            ridge = 1e-6 * max(1.0, float(np.trace(G)) / 4) * np.eye(4)
+            want = chol_solve(original(G + ridge), train.xt(train.Y)[i])
+            assert np.array_equal(res.models_raw[i], want), i
 
     def test_result_record_shape(self):
         shards = make_shards(M=4, seed=7)
@@ -97,8 +128,8 @@ class TestTrainers:
     def test_local_gd_approaches_exact_solution(self):
         shards = make_shards(M=3, n=60, seed=8)
         res = run_baseline("local", shards, small_cfg(rounds=5000))
-        exact = np.stack([local_exact(sh) for sh in shards])
-        _, te_exact = evaluate_models(exact, *evaluation_rows(shards))
+        train, test = evaluation_rows(shards)
+        _, te_exact = evaluate_models(local_exact(train), train, test)
         assert abs(res.mean_test_rmse - te_exact.mean()) < 1e-4
 
     def test_fedavg_homogeneous_noiseless_converges(self):
@@ -189,6 +220,11 @@ class TestTrainers:
         shards = make_shards(M=2, seed=20)
         with pytest.raises(InvalidSetting):
             run_baseline("magic", shards, small_cfg())
+
+    @pytest.mark.parametrize("method", ["local", "local_exact"])
+    def test_no_clients_rejected(self, method):
+        with pytest.raises(DimensionMismatch, match="no client shards"):
+            run_baseline(method, [], small_cfg())
 
     def test_per_client_rmse_vector(self):
         shards = make_shards(M=4, seed=21)
@@ -305,15 +341,18 @@ class TestBatchedTrainersAgainstPerClientOracle:
         assert np.max(np.abs(res.models_raw - final)) <= 1e-12 * np.max(np.abs(final))
 
     def test_rows_stacked_a_fixed_number_of_times(self, monkeypatch):
+        # once for training and once for test: every method trains on the
+        # training stack its RunLog builds for evaluation
         shards = make_shards(M=3, n=30, seed=24)
         for method in GD_METHODS + ("local_exact",):
-            seen = []
-            for rounds in (2, 5):
-                counts = count_calls(monkeypatch, ("stack_rows",))
-                run_baseline(method, shards, small_cfg(rounds=rounds, baseline_batch=8))
-                monkeypatch.undo()
-                seen.append(counts["stack_rows"])
-            assert seen[0] == seen[1], method
+            for batch in (None, 8):
+                seen = []
+                for rounds in (2, 5):
+                    counts = count_calls(monkeypatch, ("stack_rows",))
+                    run_baseline(method, shards, small_cfg(rounds=rounds, baseline_batch=batch))
+                    monkeypatch.undo()
+                    seen.append(counts["stack_rows"])
+                assert seen == [2, 2], (method, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,15 @@ class TestExportIngest:
         with pytest.raises(EmptyData):
             ingest_delimited(str(p), target_column="y", feature_columns=["x0"])
 
+    @pytest.mark.parametrize("text", ["x0,y\n1.0,2.0\n", "split,x0,y\ntest,1.0,2.0\n"],
+                             ids=["by_ratio", "by_split_column"])
+    def test_no_train_rows(self, tmp_path, text):
+        # one row split by ratio lands on the test side, as a marked one does
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        with pytest.raises(EmptyData, match="no train rows"):
+            ingest_delimited(str(p), target_column="y", feature_columns=["x0"])
+
     def test_split_column_honored(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text(

@@ -4,15 +4,14 @@ and the experiment driver."""
 import numpy as np
 import pytest
 
-from conftest import client_sse, count_calls, make_shards, overflow_evaluation_from_call
+from conftest import client_sse, count_calls, make_shards, overflow_evaluation_from_call, random_params
 
 from fedunroll.config import ExperimentConfig
 from fedunroll import baselines, federation, math_core, unrolled_net
 from fedunroll.baselines import RunResult
 from fedunroll.datagen import SettingSpec, generate_setting
-from fedunroll.errors import NonFiniteInput, ProtocolViolation
+from fedunroll.errors import DimensionMismatch, NonFiniteInput, ProtocolViolation
 from fedunroll.federation import (
-    ParticipationPlan,
     RoundMessage,
     Transcript,
     full_participation,
@@ -21,7 +20,7 @@ from fedunroll.federation import (
     sample_participants,
 )
 from fedunroll.learner import init_optimizer
-from fedunroll.unrolled_net import init_params, init_state
+from fedunroll.unrolled_net import CellState, LearnableParams, init_params, init_state
 
 
 def round_cfg(**kw) -> ExperimentConfig:
@@ -45,41 +44,44 @@ def fail_from_round(monkeypatch, first, cfg):
     monkeypatch.setattr(unrolled_net, "phi4_global", failing)
 
 
-def one_round(shards, cfg, plan=None):
+def one_round(shards, cfg, active=None):
     M = len(shards)
     k = shards[0].X_train.shape[1]
     params = init_params(M, k, cfg.L)
     opt = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
     state = init_state(M, k, seed=int(cfg.seed))
-    plan = plan or full_participation(M)
-    rr = run_round(shards, params, opt, state, plan, cfg, round_index=1, epoch=1)
+    active = full_participation(M) if active is None else active
+    rr = run_round(shards, params, opt, state, active, cfg, round_index=1, epoch=1)
     return rr, state, params
 
 
 class TestParticipation:
     def test_full_plan(self):
-        plan = full_participation(4)
-        assert plan.active_ids == [1, 2, 3, 4]
-        assert np.array_equal(plan.indices, np.array([0, 1, 2, 3]))
+        assert np.array_equal(full_participation(4), np.array([0, 1, 2, 3]))
 
     def test_sample_size_is_ceiling(self):
         rng = np.random.default_rng(0)
-        assert len(sample_participants(10, 0.5, rng).active_ids) == 5
-        assert len(sample_participants(10, 0.55, rng).active_ids) == 6
-        assert len(sample_participants(7, 0.5, rng).active_ids) == 4
+        assert len(sample_participants(10, 0.5, rng)) == 5
+        assert len(sample_participants(10, 0.55, rng)) == 6
+        assert len(sample_participants(7, 0.5, rng)) == 4
+        assert len(sample_participants(100, 0.3, rng)) == 30
+        # each product reads 7.000000000000001, whose ceiling is 8
+        for M, fraction in ((100, 0.07), (25, 0.28), (50, 0.14)):
+            assert len(sample_participants(M, fraction, rng)) == 7, (M, fraction)
 
     def test_sample_unique_and_sorted(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            plan = sample_participants(10, 0.5, rng)
-            assert len(set(plan.active_ids)) == 5
-            assert plan.active_ids == sorted(plan.active_ids)
-            assert all(1 <= c <= 10 for c in plan.active_ids)
+            active = sample_participants(10, 0.5, rng)
+            assert active.dtype.kind == "i"
+            assert len(set(active.tolist())) == 5
+            assert np.array_equal(active, np.sort(active))
+            assert all(0 <= c < 10 for c in active)
 
     def test_sample_deterministic_per_generator_state(self):
         a = sample_participants(10, 0.3, np.random.default_rng(7))
         b = sample_participants(10, 0.3, np.random.default_rng(7))
-        assert a.active_ids == b.active_ids
+        assert np.array_equal(a, b)
 
     def test_bad_fraction(self):
         rng = np.random.default_rng(2)
@@ -102,8 +104,7 @@ class TestTranscript:
 
     def test_counts_partial_participation(self):
         shards = make_shards(M=6, seed=1)
-        plan = ParticipationPlan(active_ids=[2, 5, 6])
-        rr, _, _ = one_round(shards, round_cfg(), plan)
+        rr, _, _ = one_round(shards, round_cfg(), np.array([1, 4, 5]))
         c = rr.transcript.counts()
         assert c["client_vector"] == 3 * 4
         assert c["loss_report"] == 3
@@ -198,13 +199,13 @@ class TestTranscript:
         rng = np.random.default_rng(23)
         params.rho_raw = rng.uniform(0.5, 2.0, params.rho_raw.shape)
         params.p = rng.normal(0.0, 1.0, params.p.shape)
-        plan = ParticipationPlan(active_ids=[2, 3, 5])
+        active = np.array([1, 2, 4])
         rr = run_round(shards, params, init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr),
-                       init_state(M, k, seed=0), plan, cfg, 1, 1)
+                       init_state(M, k, seed=0), active, cfg, 1, 1)
         assert len(seen) == cfg.L
         msgs = iter(rr.transcript.messages)
         for layer, (u, w) in enumerate(seen, start=1):
-            for cid, row in zip(plan.active_ids, u):
+            for cid, row in zip(active + 1, u):
                 m = next(msgs)
                 assert (m.kind, m.layer, m.client_id) == ("client_vector", layer, cid)
                 assert m.payload.tobytes() == row.tobytes()
@@ -230,8 +231,7 @@ class TestRoundStateAndLearning:
         opt = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
         state = init_state(M, k, seed=0)
         before = state.copy()
-        plan = ParticipationPlan(active_ids=[1, 3])
-        run_round(shards, params, opt, state, plan, cfg, 1, 1)
+        run_round(shards, params, opt, state, np.array([0, 2]), cfg, 1, 1)
         assert not np.array_equal(state.v[0], before.v[0])
         assert not np.array_equal(state.v[2], before.v[2])
         for idle in (1, 3, 4):
@@ -287,7 +287,47 @@ class TestRoundStateAndLearning:
         assert rr.losses == rr.tape.stats.rows.sse(rr.tape.final_v()).tolist()
 
 
+@pytest.mark.parametrize("dual_update", ["rho_step", "unit_step"])
+@pytest.mark.parametrize("policy", ["exact", "federated_local"])
+@pytest.mark.parametrize("mode", ["linear", "grad"])
+def test_a_round_over_active_clients_is_a_round_of_their_sub_federation(mode, policy, dual_update):
+    # the clients that sit a round out take no part in it: a round over
+    # S equals a round on S's shards, parameters and carried state with
+    # every client active, bit for bit (equal shards stack equally)
+    M, k = 8, 4
+    active = np.array([1, 3, 4, 6])
+    shards = generate_setting(SettingSpec(setting=3, M=M, n_per_client=40, seed=25))
+    cfg = round_cfg(mode=mode, policy=policy, dual_update=dual_update, batch_size=16,
+                    optimizer="adam", seed=25)
+    params = random_params(M, k, cfg.L, np.random.default_rng(25))
+    state = init_state(M, k, seed=25)
+    state.w = np.random.default_rng(26).normal(size=k)
+    sub_params = LearnableParams(lam_raw=params.lam_raw[:, active], rho_raw=params.rho_raw[:, active],
+                                 p=params.p[:, active], L=cfg.L)
+    sub_state = CellState(v=state.v[active], z=state.z[active], alpha=state.alpha[active],
+                          w=state.w.copy())
+
+    rr = run_round(shards, params, init_optimizer(params, kind="adam", lr=cfg.lr), state,
+                   active, cfg, 2, 1)
+    sub = run_round([shards[i] for i in active], sub_params,
+                    init_optimizer(sub_params, kind="adam", lr=cfg.lr), sub_state,
+                    full_participation(active.size), cfg, 2, 1)
+    for rec, sub_rec in zip(rr.tape.cells, sub.tape.cells, strict=True):
+        for name in ("v", "z", "alpha", "w"):
+            assert np.array_equal(getattr(rec, name), getattr(sub_rec, name)), name
+    assert rr.losses == sub.losses
+    for name in ("lam_raw", "rho_raw", "p"):
+        assert np.array_equal(getattr(rr.params, name)[:, active], getattr(sub.params, name)), name
+    for name in ("v", "z", "alpha"):
+        assert np.array_equal(getattr(state, name)[active], getattr(sub_state, name)), name
+    assert np.array_equal(state.w, sub_state.w)
+
+
 class TestExperimentDriver:
+    def test_no_clients_rejected(self):
+        with pytest.raises(DimensionMismatch, match="no client shards"):
+            run_unrolled_experiment(round_cfg(), [])
+
     def test_record_cadence(self):
         shards = make_shards(M=3, n=30, seed=10)
         res = run_unrolled_experiment(round_cfg(rounds=6), shards)
