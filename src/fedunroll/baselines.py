@@ -25,7 +25,7 @@ padding rows stay zero). Their training runs on the client-batched
 engine of math_core, each step one array operation over the clients.
 A run draws its minibatches from one generator, one call per
 gradient step for all clients (ditto draws its global epochs, then its
-personal ones).
+personal ones), on a draw layout it builds once.
 
 federation's unrolled driver shares this module's run scaffolding:
 `RunLog` stacks the training and test rows once (the unrolled driver
@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import DimensionMismatch, InvalidSetting, NonFiniteGradient, NonFiniteInput, NotPD
-from .math_core import RowStack, chol_solve, minibatch_rows, spd_cholesky, stack_rows
+from .math_core import RowStack, chol_solve, minibatch_layout, spd_cholesky, stack_rows
 from .metrics import MetricsRecord
 
 GD_METHODS = ("local", "fedavg", "fedprox", "fedavg_ft", "fedprox_ft", "ditto")
@@ -217,9 +217,10 @@ def run_baseline(
     """Train one reference method on the given client shards.
 
     With `cfg.baseline_batch` set, each gradient step draws every
-    client's minibatch at once (math_core.minibatch_rows) from one
-    generator per run, seeded by `cfg.seed`. Raises ConfigError for an
-    invalid `cfg`.
+    client's minibatch at once from one generator per run, seeded by
+    `cfg.seed`, on a draw layout built once per run
+    (math_core.minibatch_layout). Raises ConfigError for an invalid
+    `cfg`.
     """
     cfg.validate()
     if method not in ALL_METHODS:
@@ -240,13 +241,14 @@ def run_baseline(
     agg_w = rows.counts / rows.counts.sum()
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C]))
+    batches = minibatch_layout(rows, cfg.baseline_batch)
 
     def gd(V: np.ndarray, epochs: int, pull: float = 0.0, anchor=None) -> np.ndarray:
         """`epochs` gradient steps of every client's model (rows of V, in
         place) on its minibatch mean squared error, plus
         pull/2 * ||v - anchor||^2 when an anchor is given."""
         for _ in range(epochs):
-            b = minibatch_rows(rows, cfg.baseline_batch, rng)
+            b = rows if batches is None else batches.draw(rng)
             g = (2.0 / b.counts)[:, None] * b.xt(b.residuals(V))
             if anchor is not None:
                 g = g + pull * (V - anchor)

@@ -53,6 +53,7 @@ from .unrolled_net import (
     ClientStats,
     LearnableParams,
     Tape,
+    check_client_indices,
     forward_network,
     init_params,
     init_state,
@@ -178,7 +179,8 @@ def run_round(
     population: Optional[ClientStats] = None,
 ) -> RoundResult:
     """Execute one communication round over the active clients, given
-    by their 0-based indices (forward_network checks them).
+    by their 0-based indices (see check_client_indices; checked before
+    anything reads them).
 
     `state` holds the full-population carried iterates and is updated
     in place for the active rows (and the shared w); `opt_state` is
@@ -187,6 +189,7 @@ def run_round(
     with the round's tape and loss reports; its augmented objective and
     transcript are built from them only when read.
     """
+    active = check_client_indices(active, len(shards))
     # fancy indexing copies the active rows; w is replaced, never written
     sub = CellState(v=state.v[active], z=state.z[active], alpha=state.alpha[active], w=state.w)
     batch_rng = None

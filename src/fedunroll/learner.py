@@ -11,6 +11,13 @@ phi2 -> phi1 inside each cell). Rectifier and clamp kinks use the
 subgradient-zero convention, so the adjoints are exact wherever the
 forward is differentiable.
 
+What depends on the parameters alone is computed once per pass: phi3's
+factors lam + rho, its square and rho / (lam + rho) are taken from the
+tape's PassParams for every slot at once. The cells add their terms
+into dense buffers over the pass's slots and active clients, in the
+same order as the cells run backwards, and the buffers are written into
+the population-shaped gradients once per field after the last cell.
+
 Two boundary policies:
 
   exact            adjoints flow through the server aggregation across
@@ -68,7 +75,9 @@ class ParamGradients:
 
 def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_client: bool):
     """Walk the tape backwards from the seed adjoint `vbar` of the final
-    models, accumulating adjoints into `grads`.
+    models, accumulating the active clients' adjoints in dense buffers
+    shaped like the tape's PassParams, then writing them into `grads`
+    once per field.
 
     With `per_client` (the federated_local policy) the adjoint of each
     broadcast w is an [m, k] array whose row i carries only client i's
@@ -76,7 +85,15 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     The aggregation-logit edge reads the sum of the rows.
     """
     m, k = tape.m_active, tape.k
-    idx = tape.client_indices
+    pp = tape.params
+    lam_g = np.zeros(pp.lam_eff.shape)
+    rho_g = np.zeros(pp.rho_eff.shape)
+    p_g = np.zeros(pp.p.shape)
+    # phi3's factors depend on the parameters alone: once per pass
+    rho3 = pp.rho_eff[:, :, None]
+    denom = pp.lam_eff + rho3
+    denom2 = denom**2
+    sfacs = rho3 / denom
     zbar = np.zeros((m, k))
     albar = np.zeros((m, k))
     wbar = np.zeros((m, k) if per_client else k)
@@ -104,20 +121,18 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         albar -= contrib / sw
         abar = -contrib
         wsum = wbar.sum(axis=0) if per_client else wbar
-        grads.p[s, idx] += rec.omega * ((u - rec.w[None, :]) @ wsum)
+        p_g[s] += rec.omega * ((u - rec.w[None, :]) @ wsum)
         wbar = np.zeros_like(wbar)
 
         # ---- phi3: z = rho * d / (lam + rho), d = v - w_prev - a ----
         d = rec.v - prev.w[None, :] - a
-        denom = rec.lam_eff + rho[:, None]
-        sfac = rho[:, None] / denom
-        sz = sfac * zbar
+        sz = sfacs[s] * zbar
         vbar += sz
         albar -= sz / sw
         abar -= sz
         wbar -= to_w(sz)
-        grads.lam_raw[s, idx] += -zbar * rho[:, None] * d / denom**2 * rec.lam_on
-        grads.rho_raw[s, idx] += (zbar * d * rec.lam_eff / denom**2).sum(axis=1) * rec.rho_on
+        lam_g[s] += -zbar * rho[:, None] * d / denom2[s] * rec.lam_on
+        rho_g[s] += (zbar * d * rec.lam_eff / denom2[s]).sum(axis=1) * rec.rho_on
         zbar = np.zeros((m, k))
 
         # ---- phi2: `anchor_bar` is the adjoint of
@@ -153,9 +168,9 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
             # along axis 0 adds them in order): training runs are
             # sensitive to the last bits of the gradient
             wbar = np.concatenate((wbar[None, :], anchor_bar)).sum(axis=0)
-        grads.rho_raw[s, idx] += rho_bar * rec.rho_on
+        rho_g[s] += rho_bar * rec.rho_on
         if tape.dual_update == "rho_step":
-            grads.rho_raw[s, idx] -= (abar * a).sum(axis=1) / rho * rec.rho_on
+            rho_g[s] -= (abar * a).sum(axis=1) / rho * rec.rho_on
 
         # ---- phi1: alpha = alpha_prev + step_w * (z_prev - v_prev + w_prev) ----
         vbar -= sw * albar
@@ -163,10 +178,14 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         wbar += to_w(sw * albar)
         if tape.dual_update == "rho_step":
             resid = prev.z - prev.v + prev.w[None, :]
-            grads.rho_raw[s, idx] += (albar * resid).sum(axis=1) * rec.rho_on
+            rho_g[s] += (albar * resid).sum(axis=1) * rec.rho_on
         # albar itself passes through unchanged to alpha_prev
 
     # adjoints of the initial state are discarded (constants).
+    S, idx = p_g.shape[0], tape.client_indices
+    grads.lam_raw[:S, idx] = lam_g
+    grads.rho_raw[:S, idx] = rho_g
+    grads.p[:S, idx] = p_g
 
 
 def backward(tape: Tape, shards: Sequence, policy: str = "exact") -> ParamGradients:

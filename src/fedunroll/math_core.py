@@ -185,41 +185,79 @@ def stack_rows(Xs: Sequence, Ys: Sequence) -> RowStack:
     return RowStack(X=Xp, Y=Yp, counts=counts)
 
 
+@dataclass(frozen=True)
+class MinibatchLayout:
+    """What every minibatch draw of the same rows and batch size shares,
+    built once by `minibatch_layout`; `draw` takes one batch.
+
+    A client whose rows outnumber `batch_size` (flagged in `drawn`)
+    draws `batch_size` of them without replacement, so its count falls
+    to `batch_size`; the other clients keep all their rows, in order.
+    A draw is one `rng.random` call: every row of every drawing client
+    gets a uniform key, client by client in order, and a client's batch
+    is its rows of the `batch_size` smallest keys, in key order. A
+    client that does not draw consumes no keys.
+    """
+
+    batch_size: int
+    drawn: np.ndarray     # [m] the clients that draw
+    keys: np.ndarray      # [m, width] key template: the row index on the
+                          # rows of clients that keep theirs, +inf on padding
+    key_rows: np.ndarray  # [m, width] the rows that get a uniform key
+    n_keys: int           # their number, the length of a draw's key stream
+    offsets: np.ndarray   # [m, 1] each client's first row in X and Y
+    X: np.ndarray         # the rows' X, flattened to [m * width, k]
+    Y: np.ndarray         # the rows' Y, flattened to [m * width]
+    counts: np.ndarray    # [m] each client's batch count
+
+    def draw(self, rng: Optional[np.random.Generator]) -> RowStack:
+        """One minibatch of every client, stacked; ValueError without a
+        generator."""
+        if rng is None:
+            raise ValueError("batch_size given without a generator")
+        keys = self.keys.copy()
+        keys[self.key_rows] = rng.random(self.n_keys)
+        # one gather on flat row indices, much cheaper than X[client, take]
+        flat = np.argsort(keys, axis=1)[:, :self.batch_size] + self.offsets
+        return RowStack(X=np.take(self.X, flat, axis=0), Y=np.take(self.Y, flat),
+                        counts=self.counts)
+
+
+def minibatch_layout(rows: RowStack, batch_size: Optional[int]) -> Optional[MinibatchLayout]:
+    """The layout of minibatch draws of `batch_size` rows from `rows`
+    (see MinibatchLayout), or None when no client draws: every client
+    has at most `batch_size` rows, or the size is None."""
+    width = rows.X.shape[1]
+    counts = rows.counts
+    drawn = np.zeros(counts.shape, dtype=bool) if batch_size is None else counts > batch_size
+    if not drawn.any():
+        return None
+    col = np.arange(width)
+    own = col < counts[:, None]
+    return MinibatchLayout(
+        batch_size=batch_size,
+        drawn=drawn,
+        keys=np.where(own, col.astype(np.float64), np.inf),
+        key_rows=own & drawn[:, None],
+        n_keys=int(counts[drawn].sum()),
+        offsets=(np.arange(counts.shape[0]) * width)[:, None],
+        X=rows.X.reshape(-1, rows.X.shape[2]),
+        Y=rows.Y.reshape(-1),
+        counts=np.where(drawn, batch_size, counts),
+    )
+
+
 def minibatch_rows(
     rows: RowStack,
     batch_size: Optional[int],
     rng: Optional[np.random.Generator] = None,
 ) -> RowStack:
-    """Each client's minibatch of `rows`, stacked.
-
-    A client whose rows outnumber `batch_size` draws `batch_size` of
-    them without replacement, so its count falls to `batch_size`; the
-    other clients keep all their rows, in order. When no client draws
-    (or the size is None), `rows` itself is returned. The draw is one
-    `rng.random` call per call of this helper: every row of every
-    drawing client gets a uniform key, client by client in order, and a
-    client's batch is its rows of the `batch_size` smallest keys, in key
-    order. A client that does not draw consumes no keys.
-    """
-    width = rows.X.shape[1]
-    counts = rows.counts
-    drawn = np.zeros(counts.shape, dtype=bool) if batch_size is None else counts > batch_size
-    if not drawn.any():
-        return rows
-    if rng is None:
-        raise ValueError("batch_size given without a generator")
-    # keys: uniform on a drawing client's rows, the row index on the
-    # other clients' rows (taken in order), +inf on the zero padding
-    col = np.arange(width)
-    own = col < counts[:, None]
-    keys = np.where(own, col.astype(np.float64), np.inf)
-    keys[own & drawn[:, None]] = rng.random(int(counts[drawn].sum()))
-    take = np.argsort(keys, axis=1)[:, :batch_size]
-    # one gather on flat row indices, much cheaper than X[client, take]
-    flat = take + (np.arange(counts.shape[0]) * width)[:, None]
-    return RowStack(X=np.take(rows.X.reshape(-1, rows.X.shape[2]), flat, axis=0),
-                    Y=np.take(rows.Y.reshape(-1), flat),
-                    counts=np.where(drawn, batch_size, counts))
+    """One minibatch of every client of `rows`, stacked, as a one-shot
+    draw on minibatch_layout(rows, batch_size): the same batch and key
+    stream. When no client draws, `rows` itself is returned; otherwise
+    a missing generator raises ValueError."""
+    layout = minibatch_layout(rows, batch_size)
+    return rows if layout is None else layout.draw(rng)
 
 
 def design_matrix(xs: np.ndarray, degree: int) -> np.ndarray:

@@ -15,16 +15,23 @@ phi2 sees a client's data only through its sufficient statistics
 G = X'X and c = X'Y (ClientStats). The experiment driver builds them
 once per run for every client, from the training rows it stacks and
 validates for evaluation; a forward given none builds them the same
-way from its shards (client_stats). Each pass takes the active
-clients' entries (ClientStats.take) and keeps them on its tape with
-the pass's settings, which forward_network checks once: the cells,
-the loss and the reverse pass read both from there. Linear mode
-factors each client's G + rho I with its own Cholesky call and solves
-all clients' systems in one batched solve per cell; grad mode takes
-gradient steps on each client's minibatch Gram matrix. Each grad-mode
-cell draws every active client's batch with one call of its generator,
-through math_core.minibatch_rows, the helper the baselines use too.
-Clients may hold different numbers of rows.
+way from its shards (client_stats). Linear mode factors each client's
+G + rho I with its own Cholesky call and solves all clients' systems
+in one batched solve per cell; grad mode takes gradient steps on each
+client's minibatch Gram matrix. Clients may hold different numbers of
+rows.
+
+What does not depend on the state a cell receives is set up once per
+pass, before the first cell, and kept on the pass's tape with the
+pass's settings, which forward_network checks once: the active
+clients' entries of the statistics (ClientStats.take); their
+parameters for the pass's slots with the effective values, masks and
+dual steps derived from them (PassParams); and in grad mode the layout
+of the minibatch draws (math_core.minibatch_layout, which the
+baselines use too), on which each cell draws every active client's
+batch with one call of its generator. The cells, the loss and the
+reverse pass read all of these from the tape; a cell record's
+parameter fields are views of the pass's arrays.
 
 L cells concatenated form the network; every per-layer constant of the
 scheme (consensus weights, penalty scalars and aggregation weights) is
@@ -59,10 +66,11 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteInput
 from .math_core import (
     EPS,
+    MinibatchLayout,
     RowStack,
     chol_solve,
     clamp_positive,
-    minibatch_rows,
+    minibatch_layout,
     rectify,
     spd_cholesky,
     stack_rows,
@@ -223,6 +231,44 @@ def init_state(M: int, k: int, seed: int = 0) -> CellState:
     )
 
 
+@dataclass(frozen=True)
+class PassParams:
+    """The active clients' parameters for every slot a pass reads,
+    gathered once per pass, and what the cells derive from them alone:
+    [S, m] arrays for the penalties and logits, [S, m, k] for the
+    consensus weights, with S = 1 for tied parameters and L otherwise.
+    Slot s of the pass is slot s of the parameters."""
+
+    rho_eff: np.ndarray   # clamped penalties
+    rho_on: np.ndarray    # clamp pass-through mask
+    lam_eff: np.ndarray   # rectified consensus weights
+    lam_on: np.ndarray    # rectifier pass-through mask
+    step_w: np.ndarray    # phi1's dual step (dual_step_weights)
+    p: np.ndarray         # aggregation logits
+
+    @classmethod
+    def gather(cls, params: LearnableParams, client_indices: np.ndarray, L: int,
+               dual_update: str) -> "PassParams":
+        """Slots 0 .. slot(L) of the given clients' parameters."""
+        S = params.slot(L) + 1
+        rho_raw = params.rho_raw[:S, client_indices]
+        lam_raw = params.lam_raw[:S, client_indices]
+        rho_eff = clamp_positive(rho_raw)
+        return cls(
+            rho_eff=rho_eff,
+            rho_on=rho_raw > EPS,
+            lam_eff=rectify(lam_raw),
+            lam_on=lam_raw > 0.0,
+            step_w=dual_step_weights(rho_eff, dual_update),
+            p=params.p[:S, client_indices],
+        )
+
+    def slot(self, layer: int) -> int:
+        """The slot a 1-based layer reads: its own, or the one shared
+        slot of tied parameters."""
+        return 0 if self.rho_eff.shape[0] == 1 else layer - 1
+
+
 # ---------------------------------------------------------------------------
 # tape
 # ---------------------------------------------------------------------------
@@ -231,7 +277,9 @@ def init_state(M: int, k: int, seed: int = 0) -> CellState:
 class CellRecord:
     """What one cell computed, in forward order. The cell's inputs are
     not repeated here: they are the previous cell's outputs, or the
-    tape's initial state for the first cell (Tape.inputs)."""
+    tape's initial state for the first cell (Tape.inputs). The
+    parameter fields are views of slot `slot` of the tape's
+    PassParams."""
 
     layer: int
     slot: int
@@ -260,13 +308,15 @@ class CellRecord:
 @dataclass
 class Tape:
     """One forward pass: its settings, checked by forward_network before
-    the first cell, the active clients' statistics, the initial state
-    and the per-cell records. `client_indices` are the active clients
-    (0-based indices into the M_total clients), `stats` their entries
-    of the clients' statistics, and `slots` the parameters' slot count,
-    which may exceed the L cells the pass ran. Cell i's inputs live in
-    cell i-1's record, or in `init` for cell 0: read them through
-    `inputs`."""
+    the first cell, what the pass set up once for its cells, the
+    initial state and the per-cell records. `client_indices` are the
+    active clients (0-based indices into the M_total clients), `stats`
+    their entries of the clients' statistics, `params` their parameters
+    for the pass's slots, `batches` grad mode's minibatch layout (None
+    when no client draws, and in linear mode), and `slots` the
+    parameters' slot count, which may exceed the L cells the pass ran.
+    Cell i's inputs live in cell i-1's record, or in `init` for cell 0:
+    read them through `inputs`."""
 
     mode: str
     dual_update: str
@@ -275,7 +325,9 @@ class Tape:
     slots: int
     client_indices: np.ndarray
     stats: ClientStats
+    params: PassParams
     init: CellState
+    batches: Optional[MinibatchLayout] = None
     cells: List[CellRecord] = field(default_factory=list)
     grad_lr: float = GRAD_LR_DEFAULT
     grad_steps: int = GRAD_STEPS_DEFAULT
@@ -340,15 +392,15 @@ def client_stats(shards: Sequence) -> ClientStats:
     return ClientStats.of(stack_rows([sh.X_train for sh in shards], [sh.Y_train for sh in shards]))
 
 
-def _minibatch_stats(stats, batch_rng, batch_size):
+def _minibatch_stats(stats, batches, batch_rng):
     """Grad mode: each client's minibatch Gram matrix and X'Y (the
     full-shard statistics where no batch is drawn). One draw from
-    `batch_rng` serves every client."""
-    b = minibatch_rows(stats.rows, batch_size, batch_rng)
-    if b is stats.rows:
+    `batch_rng` on the pass's layout `batches` serves every client."""
+    if batches is None:
         return stats.gram, stats.xty
+    b = batches.draw(batch_rng)
     gram, xty = b.gram(), b.xt(b.Y)
-    drawn = b.counts != stats.rows.counts
+    drawn = batches.drawn
     if drawn.all():
         return gram, xty
     return np.where(drawn[:, None, None], gram, stats.gram), np.where(drawn[:, None], xty, stats.xty)
@@ -359,28 +411,48 @@ def _minibatch_stats(stats, batch_rng, batch_size):
 # ---------------------------------------------------------------------------
 
 def dual_step_weights(rho_eff: np.ndarray, dual_update: str) -> np.ndarray:
-    """Per-client dual step of phi1: the effective penalty under
-    ``rho_step``, 1 under ``unit_step``. The primal steps read the
-    scaled multiplier alpha / step."""
-    return rho_eff if dual_update == "rho_step" else np.ones(rho_eff.shape[0])
+    """Per-client dual step of phi1, shaped like the effective
+    penalties: those under ``rho_step``, 1 under ``unit_step``. The
+    primal steps read the scaled multiplier alpha / step."""
+    return rho_eff if dual_update == "rho_step" else np.ones(rho_eff.shape)
+
+
+def check_client_indices(client_indices, M: int) -> np.ndarray:
+    """`client_indices` as an array, or DimensionMismatch unless it is a
+    non-empty 1-d array of distinct integers in [0, M), in any order."""
+    idx = np.asarray(client_indices)
+    ok = (idx.ndim == 1 and idx.dtype.kind in "iu" and idx.size
+          and 0 <= idx.min() and idx.max() < M)
+    if ok:
+        # in range, the indices are distinct when they flag as many clients
+        # (np.unique would import numpy.ma, about 1.6 MB of peak memory)
+        flagged = np.zeros(M, dtype=bool)
+        flagged[idx] = True
+        ok = np.count_nonzero(flagged) == idx.size
+    if not ok:
+        raise DimensionMismatch(
+            f"client_indices must be a non-empty 1-d array of distinct integers"
+            f" in [0, {M}), got {idx.dtype} of shape {idx.shape}"
+        )
+    return idx
 
 
 def forward_cell(
     state: CellState,
-    params: LearnableParams,
     layer: int,
     tape: Tape,
     batch_rng: Optional[np.random.Generator] = None,
-    batch_size: Optional[int] = None,
 ) -> CellState:
     """Apply one cell (phi1..phi4) to the active clients' `state` and
     return the new state.
 
-    The pass's settings (mode, dual step, grad mode's step size and
-    count), its active clients and their statistics are read from
-    `tape`, which forward_network builds and checks. The cell appends
-    its CellRecord to the tape; the record holds the cell's outputs and
-    shares their arrays with the returned state, which nothing mutates.
+    Everything else the cell reads is on `tape`, which forward_network
+    builds and checks: the pass's settings (mode, dual step, grad
+    mode's step size and count), its active clients, their statistics
+    and parameters, and grad mode's minibatch layout, on which the cell
+    draws one batch from `batch_rng`. The cell appends its CellRecord
+    to the tape; the record holds the cell's outputs and shares their
+    arrays with the returned state, which nothing mutates.
 
     The record keeps v, z, alpha, step_w and w, so the vectors that
     cross the client/server boundary can be rebuilt from it bit for bit
@@ -388,15 +460,11 @@ def forward_cell(
     alpha_i / step_i, the exact array the aggregation consumes (step_i
     is the dual step, see dual_step_weights), and the aggregated w.
     """
-    if not 1 <= layer <= params.L:
-        raise DimensionMismatch(f"layer {layer} outside [1, {params.L}]")
-    idx, stats = tape.client_indices, tape.stats
-    s = params.slot(layer)
-    rho_raw = params.rho_raw[s, idx]
-    lam_raw = params.lam_raw[s, idx]
-    rho_eff = clamp_positive(rho_raw)
-    lam_eff = rectify(lam_raw)
-    step_w = dual_step_weights(rho_eff, tape.dual_update)
+    if not 1 <= layer <= tape.L:
+        raise DimensionMismatch(f"layer {layer} outside [1, {tape.L}]")
+    stats, pp = tape.stats, tape.params
+    s = pp.slot(layer)
+    rho_eff, lam_eff, step_w = pp.rho_eff[s], pp.lam_eff[s], pp.step_w[s]
 
     alpha = phi1_dual(state.alpha, state.v, state.z, state.w, step_w)
     a = alpha / step_w[:, None]
@@ -404,11 +472,11 @@ def forward_cell(
     if tape.mode == "linear":
         v, chol = phi2_v_linear(stats.gram, stats.xty, a, state.z, state.w, rho_eff)
     else:
-        gram, xty = _minibatch_stats(stats, batch_rng, batch_size)
+        gram, xty = _minibatch_stats(stats, tape.batches, batch_rng)
         v, iterates = phi2_v_grad(gram, xty, state.v, a, state.z, state.w, rho_eff,
                                   tape.grad_lr, tape.grad_steps)
     z = phi3_aux(a, v, state.w, rho_eff, lam_eff)
-    omega, w = phi4_global(v - z - a, params.p[s, idx])
+    omega, w = phi4_global(v - z - a, pp.p[s])
     if not (
         np.isfinite(v).all()
         and np.isfinite(z).all()
@@ -426,9 +494,9 @@ def forward_cell(
             alpha=alpha,
             w=w,
             rho_eff=rho_eff,
-            rho_on=(rho_raw > EPS),
+            rho_on=pp.rho_on[s],
             lam_eff=lam_eff,
-            lam_on=(lam_raw > 0.0),
+            lam_on=pp.lam_on[s],
             omega=omega,
             step_w=step_w,
             chol=chol,
@@ -456,9 +524,10 @@ def forward_network(
 ) -> Tuple[np.ndarray, Tape]:
     """Run L cells and return (final per-client models [m, k], tape).
 
-    Every setting, `client_indices` (distinct integers in [0, len(shards)),
-    in any order) and the shapes of `state0` ([m, k] arrays and a [k] w)
-    are checked before the first cell runs. The initial
+    Every setting, `client_indices` (see check_client_indices; every
+    shard's client by default) and the shapes of `state0` ([m, k]
+    arrays and a [k] w) are checked before the first cell runs, and the
+    pass's parameters and grad mode's minibatch layout set up. The initial
     state defaults to init_state(seed); pass `state0` to continue from
     carried-over iterates. The tape keeps `state0` itself as its initial
     state, so its arrays must not be changed afterwards. `population`
@@ -479,20 +548,8 @@ def forward_network(
         raise ValueError("forward_network: grad_lr must be positive")
     if grad_steps < 1:
         raise ValueError("forward_network: grad_steps must be >= 1")
-    idx = np.arange(len(shards)) if client_indices is None else np.asarray(client_indices)
-    ok = (idx.ndim == 1 and idx.dtype.kind in "iu" and idx.size
-          and 0 <= idx.min() and idx.max() < len(shards))
-    if ok:
-        # in range, the indices are distinct when they flag as many shards
-        # (np.unique would import numpy.ma, about 1.6 MB of peak memory)
-        flagged = np.zeros(len(shards), dtype=bool)
-        flagged[idx] = True
-        ok = np.count_nonzero(flagged) == idx.size
-    if not ok:
-        raise DimensionMismatch(
-            f"forward_network: client_indices must be a non-empty 1-d array of distinct integers"
-            f" in [0, {len(shards)}), got {idx.dtype} of shape {idx.shape}"
-        )
+    idx = check_client_indices(np.arange(len(shards)) if client_indices is None else client_indices,
+                               len(shards))
     if population is None:
         population = client_stats(shards)
     elif population.rows.counts.shape[0] != len(shards):
@@ -512,11 +569,13 @@ def forward_network(
         slots=params.rho_raw.shape[0],
         client_indices=idx.copy(),
         stats=stats,
+        params=PassParams.gather(params, idx, L, dual_update),
         init=init_state(*mk, seed) if state0 is None else state0,
+        batches=minibatch_layout(stats.rows, batch_size) if mode == "grad" else None,
         grad_lr=grad_lr,
         grad_steps=grad_steps,
     )
     state = tape.init
     for layer in range(1, L + 1):
-        state = forward_cell(state, params, layer, tape, batch_rng, batch_size)
+        state = forward_cell(state, layer, tape, batch_rng)
     return state.v, tape

@@ -60,6 +60,16 @@ def test_a_median_is_worse_only_beyond_the_relative_bound(lower):
     assert not worse(10.0, 10.0, 0.25, lower)
 
 
+def test_the_pair_change_is_the_median_of_each_pairs_relative_change():
+    change = bench_pairs.pair_change  # each pair: (base, change)
+    # drift: the medians of the sides differ by 0 (10 vs 10), yet every
+    # pair of this change reads 10 % lower
+    assert change([(10.0, 9.0), (20.0, 18.0), (40.0, 36.0)]) == "-10.00 %"
+    assert change([(10.0, 11.0), (10.0, 12.5), (10.0, 20.0), (10.0, 10.0)]) == "+17.50 %"
+    assert change([(0.0, 1.0), (4.0, 5.0)]) == "+25.00 %"   # a zero base has no ratio
+    assert change([(0.0, 1.0)]) == change([]) == "n/a"
+
+
 def test_only_a_larger_share_of_failed_operations_is_flagged():
     grew = bench_pairs.failed_share_grew  # each side: (failed, attempted)
     assert grew((0, 100), (1, 100))
@@ -139,6 +149,7 @@ def test_every_workload_gets_its_table_and_one_worse_workload_fails_the_command(
     s1_table, s3_table = out.split("s3-m100-grad-partial: 2 pairs")
     assert "WORSE" not in s1_table
     assert "round_ms_p50 (ms): base 10 [10, 10]  change 20 [20, 20]  change wins 0/2, ties 0  WORSE" in s3_table
+    assert "median pair change +100.00 %" in s3_table and "median pair change +0.00 %" in s1_table
 
     _fake_runs(monkeypatch, change_code=1)
     assert bench_pairs.main(argv) == 1

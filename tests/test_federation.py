@@ -240,6 +240,27 @@ class TestRoundStateAndLearning:
             assert np.array_equal(state.alpha[idle], before.alpha[idle])
         assert not np.array_equal(state.w, before.w)
 
+    @pytest.mark.parametrize("active", [
+        np.array([0.0, 2.0]),                  # float indices
+        np.array([]),                          # empty, float by default
+        np.array([], dtype=int),
+        np.array([True, False, True]),         # a mask, not indices
+        np.array([0, 0]),
+        np.array([1, 3]),
+    ])
+    def test_active_sets_are_checked_before_the_state_is_read(self, active):
+        shards = make_shards(M=3, seed=7)
+        cfg = round_cfg()
+        params = init_params(3, 4, cfg.L)
+        opt = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
+        state = init_state(3, 4, seed=0)
+        before = state.copy()
+        with pytest.raises(DimensionMismatch, match="client_indices must be"):
+            run_round(shards, params, opt, state, active, cfg, 1, 1)
+        for name in ("v", "z", "alpha", "w"):
+            assert np.array_equal(getattr(state, name), getattr(before, name))
+        assert opt.t == 0
+
     def test_round_advances_parameters(self):
         shards = make_shards(M=3, seed=8)
         rr, _, params = one_round(shards, round_cfg())

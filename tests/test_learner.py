@@ -1,11 +1,15 @@
 """Reverse pass: hand-derived adjoints vs finite differences, gradient
 boundary policies, and the optimizers."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import count_calls, make_shards, make_uneven_shards, random_params, zero_grads
 
+from fedunroll import learner
 from fedunroll.errors import LayoutMismatch, NonFiniteGradient, TapeMismatch
 from fedunroll.learner import (
     PARAM_FIELDS,
@@ -388,6 +392,42 @@ class TestFederatedLocalOnePass:
             backward(tape, shards, policy=policy)
             monkeypatch.undo()
             assert counts["chol_solve"] == L
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("L", [3, 10])
+def test_backward_writes_each_population_gradient_once(monkeypatch, mode, L):
+    # the reverse pass accumulates the active clients' gradients in dense
+    # buffers and writes each [slots, M(, k)] field once, at any L
+    writes = {}
+
+    def counting(name):
+        class Counting(np.ndarray):
+            def __setitem__(self, key, value):
+                writes[name] += 1
+                super().__setitem__(key, value)
+        return Counting
+
+    @dataclasses.dataclass
+    class Recorded(learner.ParamGradients):
+        def __post_init__(self):
+            for name in PARAM_FIELDS:
+                setattr(self, name, getattr(self, name).view(counting(name)))
+
+    shards = make_shards(M=6, n=20, seed=L)
+    kw = dict(L=L, mode=mode, seed=2, client_indices=np.array([4, 0, 2]),
+              batch_rng=np.random.default_rng(L), batch_size=8)
+    for tied, policy in itertools.product((False, True), ("exact", "federated_local")):
+        params = random_params(6, 4, L, np.random.default_rng(L), tied=tied)
+        _, tape = forward_network(shards, params, **kw)
+        want = backward(tape, shards, policy=policy)
+        writes.update(dict.fromkeys(PARAM_FIELDS, 0))
+        monkeypatch.setattr(learner, "ParamGradients", Recorded)
+        got = backward(tape, shards, policy=policy)
+        monkeypatch.undo()
+        assert writes == dict.fromkeys(PARAM_FIELDS, 1)
+        for name in PARAM_FIELDS:
+            assert np.array_equal(np.asarray(getattr(got, name)), getattr(want, name))
 
 
 class TestTapeChecks:

@@ -19,6 +19,7 @@ from fedunroll.math_core import (
     chol_solve,
     clamp_positive,
     design_matrix,
+    minibatch_layout,
     minibatch_rows,
     rectify,
     spd_cholesky,
@@ -516,6 +517,25 @@ class TestMinibatchRows:
         assert np.array_equal(b.counts, np.minimum(counts, size))
         assert np.array_equal(b.X, X) and np.array_equal(b.Y, Y)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("size", [8, 12, 45, 100])
+    def test_a_layout_drawn_repeatedly_equals_one_shot_draws(self, size):
+        # at 8 and 12 some clients keep all their rows; from 45 on (the
+        # largest count) no client draws and there is no layout
+        rows = _rows_of(make_uneven_shards([30, 6, 12, 45, 9], seed=8))
+        layout = minibatch_layout(rows, size)
+        assert (layout is None) == (size >= 45)
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(10):
+            want = minibatch_rows(rows, size, ref)
+            got = rows if layout is None else layout.draw(rng)
+            assert (want is rows) == (layout is None)
+            for name in ("X", "Y", "counts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if layout is not None:
+            with pytest.raises(ValueError):
+                layout.draw(None)
 
     def test_a_size_without_generators_is_rejected(self):
         rows = _rows_of(make_shards(M=2, n=20, seed=6))

@@ -609,6 +609,29 @@ def test_validation_counts_do_not_grow_with_clients(monkeypatch, mode):
     assert seen[0]["as_vector"] == seen[1]["as_vector"] <= L
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("L", [3, 10])
+def test_parameters_and_draw_layout_are_set_up_once_per_pass(monkeypatch, mode, L):
+    # gathering and clamping the parameters and laying out the minibatch
+    # draws depend on neither the cell nor its state; linear mode draws
+    # nothing
+    shards = make_shards(M=6, n=20, seed=L)
+    for tied in (False, True):
+        params = random_params(6, 4, L, np.random.default_rng(L), tied=tied)
+        counts = count_calls(monkeypatch, ("clamp_positive", "rectify", "minibatch_layout"))
+        _, tape = forward_network(shards, params, L=L, mode=mode, seed=1,
+                                  client_indices=np.array([4, 0, 2]),
+                                  batch_rng=np.random.default_rng(L), batch_size=8)
+        monkeypatch.undo()
+        assert counts == {"clamp_positive": 1, "rectify": 1,
+                          "minibatch_layout": 1 if mode == "grad" else 0}
+        assert len(tape.cells) == L
+        # the records' parameter fields are views of the pass's arrays
+        for rec in tape.cells:
+            assert np.shares_memory(rec.lam_eff, tape.params.lam_eff)
+            assert np.shares_memory(rec.rho_eff, tape.params.rho_eff)
+
+
 class _CountingGenerator:
     """A numpy Generator that counts the method calls made on it."""
 

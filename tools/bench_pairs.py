@@ -19,7 +19,10 @@ size, the line count of src/fedunroll/*.py as `wc -l` gives it. For
 every end-to-end metric that BENCHMARK.json declares, it prints each
 side's median [first quartile, third quartile], the number of pairs
 the working tree won (strictly better in the metric's direction) and
-the number of exact ties, which count for neither side, and marks it
+the number of exact ties, which count for neither side, and the median
+over the pairs of the relative change (change / base - 1, in percent):
+a paired figure, so drift of the machine between pairs does not enter
+it as it enters the difference of the two medians. It marks a metric
 WORSE when the working tree's median is worse than the base's by more
 than the metric's relative `bound`. It prints each side's count of failed
 operations and marks the working tree's MORE FAILURES when its share of
@@ -116,6 +119,14 @@ def spread(values: List[float]) -> str:
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
+def pair_change(pairs: List[Tuple[float, float]]) -> str:
+    """Median over the (base, change) pairs of change / base - 1, in
+    percent; pairs with a zero base have no relative change and are
+    left out ("n/a" when none is left)."""
+    rel = [c / b - 1.0 for b, c in pairs if b != 0]
+    return f"{100.0 * statistics.median(rel):+.2f} %" if rel else "n/a"
+
+
 def worse_beyond_bound(base: float, change: float, bound: float, lower: bool) -> bool:
     """True when `change` is worse than `base` in the metric's direction
     by more than `bound` times the base."""
@@ -170,7 +181,8 @@ def report(workload: str, seeds: List[int], runs: List[Tuple[int, str, int, Opti
             any_worse = True
         print(f"  {name} ({metric['unit']}): base {spread(values['base'])}  "
               f"change {spread(values['change'])}  "
-              f"change wins {wins}/{len(pairs)}, ties {ties}{flag}")
+              f"change wins {wins}/{len(pairs)}, ties {ties}{flag}  "
+              f"median pair change {pair_change(pairs)}")
     tally = {side: (sum(r["failed"] for _, s, _, r in runs if s == side and r),
                     sum(r["attempted"] for _, s, _, r in runs if s == side and r))
              for side in SIDES}
