@@ -11,12 +11,18 @@ phi2 -> phi1 inside each cell). Rectifier and clamp kinks use the
 subgradient-zero convention, so the adjoints are exact wherever the
 forward is differentiable.
 
-What depends on the parameters alone is computed once per pass: phi3's
-factors lam + rho, its square and rho / (lam + rho) are taken from the
-tape's PassParams for every slot at once. The cells add their terms
-into dense buffers over the pass's slots and active clients, in the
-same order as the cells run backwards, and the buffers are written into
-the population-shaped gradients once per field after the last cell.
+The reverse pass runs in two stages. The cell loop carries only the
+adjoint recursion, the state adjoints that flow from each cell into the
+one before it, and keeps per cell the few adjoints that the parameter
+terms read. After the loop, each parameter term (phi4's logit edge,
+phi3's consensus-weight and penalty edges, phi2's penalty edge and the
+dual step's) is one array operation over the stacked cells, reading the
+states from the tape and the parameters from its PassParams. The terms
+are added into dense buffers over the pass's slots and active clients
+in the order the cells run backwards, so the sums are the ones a pass
+adding each term as its cell runs would make, bit for bit, and the
+buffers are written into the population-shaped gradients once per
+field.
 
 Two boundary policies:
 
@@ -75,9 +81,22 @@ class ParamGradients:
 
 def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_client: bool):
     """Walk the tape backwards from the seed adjoint `vbar` of the final
-    models, accumulating the active clients' adjoints in dense buffers
-    shaped like the tape's PassParams, then writing them into `grads`
-    once per field.
+    models and write the active clients' gradients into `grads`, in two
+    stages.
+
+    The cell loop runs the adjoint recursion alone: vbar, zbar, albar and
+    wbar through phi4 -> phi1 of each cell, with phi2's solve (linear
+    mode) or its unrolled steps (grad mode). Per cell it keeps what the
+    parameter terms read and cannot rebuild from the tape: the w-adjoint
+    entering phi4, zbar at phi3, phi2's solve t or the vbar entering each
+    gradient step, and the adjoints of the scaled multiplier (abar) and
+    of alpha (albar) after phi2. After the loop each term is one array
+    operation over the cells' stacks, and the terms are added per slot in
+    the order the cells visit them: phi3, phi2, rho_step's a-term and
+    phi1 within a cell, the cells in reverse. Untied parameters give each
+    cell its own slot, so a term's stack is added whole; tied ones add
+    cell by cell into their one slot. Each field is then written into
+    `grads` once.
 
     With `per_client` (the federated_local policy) the adjoint of each
     broadcast w is an [m, k] array whose row i carries only client i's
@@ -85,79 +104,66 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     The aggregation-logit edge reads the sum of the rows.
     """
     m, k = tape.m_active, tape.k
-    pp = tape.params
-    lam_g = np.zeros(pp.lam_eff.shape)
-    rho_g = np.zeros(pp.rho_eff.shape)
-    p_g = np.zeros(pp.p.shape)
+    pp, cells, n = tape.params, tape.cells, len(tape.cells)
     # phi3's factors depend on the parameters alone: once per pass
     rho3 = pp.rho_eff[:, :, None]
     denom = pp.lam_eff + rho3
-    denom2 = denom**2
     sfacs = rho3 / denom
-    zbar = np.zeros((m, k))
-    albar = np.zeros((m, k))
-    wbar = np.zeros((m, k) if per_client else k)
 
     def to_w(rows):  # per-client [m, k] adjoint terms, in wbar's shape
         return rows if per_client else rows.sum(axis=0)
 
-    for i in reversed(range(len(tape.cells))):
-        rec, prev = tape.cells[i], tape.inputs(i)
-        s = rec.slot
-        rho = rec.rho_eff
+    # ---- stage 1: the recursion. Cell i's zbar lives in zbars[i + 1]
+    # (zbars[0] takes the initial state's, which is discarded), so its
+    # value at phi3 stays there without a copy. The lists keep per cell
+    # arrays that the loop does not change after storing them ----
+    zbars = np.zeros((n + 1, m, k))
+    w_in, solves, abars, albars = [None] * n, [None] * n, [None] * n, [None] * n
+    zbar, albar = zbars[n], np.zeros((m, k))
+    wbar = np.zeros((m, k) if per_client else k)
+    for i in reversed(range(n)):
+        rec = cells[i]
         # phi2-phi4 read the scaled multiplier a = alpha / step_w. `abar`
         # collects the adjoint of a; each term reaches alpha divided by
-        # step_w (added term by term, so unit_step sums are unchanged) and,
-        # under rho_step, reaches rho through d a / d rho = -a / rho.
+        # step_w (added term by term, so unit_step sums are unchanged)
         sw = rec.step_w[:, None]
-        a = rec.alpha / sw
 
-        # ---- phi4: w = sum(omega_i u_i), omega = softmax(theta); the
-        # logit edge is d w / d theta_i = omega_i (u_i - w) ----
-        u = rec.v - rec.z - a
+        # ---- phi4: w = sum(omega_i u_i), omega = softmax(theta) ----
         contrib = rec.omega[:, None] * wbar
         vbar += contrib
         zbar -= contrib
-        albar -= contrib / sw
+        albar = albar - contrib / sw  # a new array: albars[i + 1] stays as stored
         abar = -contrib
-        wsum = wbar.sum(axis=0) if per_client else wbar
-        p_g[s] += rec.omega * ((u - rec.w[None, :]) @ wsum)
+        w_in[i] = wbar
         wbar = np.zeros_like(wbar)
 
         # ---- phi3: z = rho * d / (lam + rho), d = v - w_prev - a ----
-        d = rec.v - prev.w[None, :] - a
-        sz = sfacs[s] * zbar
+        sz = sfacs[rec.slot] * zbar
         vbar += sz
         albar -= sz / sw
         abar -= sz
         wbar -= to_w(sz)
-        lam_g[s] += -zbar * rho[:, None] * d / denom2[s] * rec.lam_on
-        rho_g[s] += (zbar * d * rec.lam_eff / denom2[s]).sum(axis=1) * rec.rho_on
-        zbar = np.zeros((m, k))
+        zbar = zbars[i]
 
         # ---- phi2: `anchor_bar` is the adjoint of
-        # anchor = w_prev + z_prev + a, `rho_bar` the direct rho edge ----
-        anchor = prev.w + prev.z + a
-        rho_k = rho[:, None]
+        # anchor = w_prev + z_prev + a ----
+        rho_k = rec.rho_eff[:, None]
         if tape.mode == "linear":
             # v = A^{-1}(rho * anchor + X'Y), A = X'X + rho I
             t = chol_solve(rec.chol, vbar)
+            solves[i] = t
             anchor_bar = rho_k * t
-            rho_bar = rowdot(t, anchor - rec.v)
             vbar = np.zeros((m, k))  # the closed form does not read v_prev
         else:
-            # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2;
-            # step t starts from v_t: the cell's input v for t = 0
-            lr = tape.grad_lr
-            lr_rho = lr * rho_k
+            # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2
+            lr_rho = tape.grad_lr * rho_k
             H = 2.0 * rec.gram
             anchor_bar = np.zeros((m, k))
-            rho_bar = np.zeros(m)
+            entering = solves[i] = [None] * tape.grad_steps
             for t in range(tape.grad_steps - 1, -1, -1):
-                v_t = rec.v_iterates[t - 1] if t > 0 else prev.v
-                rho_bar += -lr * rowdot(vbar, v_t - anchor)
+                entering[t] = vbar
                 anchor_bar += lr_rho * vbar
-                vbar = vbar - lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
+                vbar = vbar - tape.grad_lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
         albar += anchor_bar / sw
         abar += anchor_bar
         zbar += anchor_bar
@@ -168,20 +174,75 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
             # along axis 0 adds them in order): training runs are
             # sensitive to the last bits of the gradient
             wbar = np.concatenate((wbar[None, :], anchor_bar)).sum(axis=0)
-        rho_g[s] += rho_bar * rec.rho_on
-        if tape.dual_update == "rho_step":
-            rho_g[s] -= (abar * a).sum(axis=1) / rho * rec.rho_on
+        abars[i], albars[i] = abar, albar
 
         # ---- phi1: alpha = alpha_prev + step_w * (z_prev - v_prev + w_prev) ----
-        vbar -= sw * albar
-        zbar += sw * albar
-        wbar += to_w(sw * albar)
-        if tape.dual_update == "rho_step":
-            resid = prev.z - prev.v + prev.w[None, :]
-            rho_g[s] += (albar * resid).sum(axis=1) * rec.rho_on
+        swal = sw * albar
+        vbar -= swal
+        zbar += swal
+        wbar += to_w(swal)
         # albar itself passes through unchanged to alpha_prev
-
     # adjoints of the initial state are discarded (constants).
+
+    # ---- stage 2: the parameter terms over the stacked cells, [n, m(, k)].
+    # Index 0 of V, Z and W is the initial state, so [:-1] are the cells'
+    # inputs and [1:] their outputs ----
+    init = tape.init
+    V = np.array([init.v] + [c.v for c in cells])
+    Z = np.array([init.z] + [c.z for c in cells])
+    W = np.array([init.w] + [c.w for c in cells])[:, None, :]
+    # the pass's slots for the cells: tied parameters broadcast their one
+    # slot, untied ones give cell i slot i
+    tied = pp.rho_eff.shape[0] == 1
+    sl = slice(None, 1 if tied else n)
+    rho, rho_on = pp.rho_eff[sl], pp.rho_on[sl]
+    denom2 = denom[sl] ** 2
+    a = np.array([c.alpha for c in cells]) / pp.step_w[sl][:, :, None]
+    zbar3 = zbars[1:]
+
+    # phi4's logit edge, d w / d theta_i = omega_i (u_i - w)
+    u = V[1:] - Z[1:] - a
+    wsum = np.array(w_in)
+    if per_client:
+        wsum = wsum.sum(axis=1)
+    omega = np.array([c.omega for c in cells])
+    p_terms = omega * ((u - W[1:]) @ wsum[:, :, None])[:, :, 0]
+    # phi3
+    d = V[1:] - W[:-1] - a
+    lam_terms = -zbar3 * rho[:, :, None] * d / denom2 * pp.lam_on[sl]
+    rho_terms = [(zbar3 * d * pp.lam_eff[sl] / denom2).sum(axis=2) * rho_on]
+    # phi2's direct rho edge
+    anchor = W[:-1] + Z[:-1] + a
+    if tape.mode == "linear":
+        rho_bar = rowdot(np.array(solves), anchor - V[1:])
+    else:
+        # step t starts from v_t: the cell's input v for t = 0
+        v_t = np.concatenate((V[:-1, None], np.array([c.v_iterates for c in cells])), axis=1)
+        steps = -tape.grad_lr * rowdot(np.array(solves), v_t - anchor[:, None])
+        rho_bar = np.zeros((n, m))
+        for t in range(tape.grad_steps - 1, -1, -1):
+            rho_bar += steps[:, t]
+    rho_terms.append(rho_bar * rho_on)
+    if tape.dual_update == "rho_step":
+        # a reaches rho through d a / d rho = -a / rho, and phi1's step is rho
+        rho_terms.append(-((np.array(abars) * a).sum(axis=2) / rho * rho_on))
+        resid = Z[:-1] - V[:-1] + W[:-1]
+        rho_terms.append((np.array(albars) * resid).sum(axis=2) * rho_on)
+
+    lam_g = np.zeros(pp.lam_eff.shape)
+    rho_g = np.zeros(pp.rho_eff.shape)
+    p_g = np.zeros(pp.p.shape)
+    if not tied:
+        lam_g[sl] += lam_terms
+        p_g[sl] += p_terms
+        for term in rho_terms:
+            rho_g[sl] += term
+    else:
+        for i in reversed(range(n)):
+            lam_g[0] += lam_terms[i]
+            p_g[0] += p_terms[i]
+            for term in rho_terms:
+                rho_g[0] += term[i]
     S, idx = p_g.shape[0], tape.client_indices
     grads.lam_raw[:S, idx] = lam_g
     grads.rho_raw[:S, idx] = rho_g

@@ -113,11 +113,13 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products a_i . b_i of [m, k] arrays, [m].
+    """Row-wise dot products a_i . b_i of [..., k] arrays, [...]; [m, k]
+    arrays give [m].
 
-    Each row goes through the same BLAS dot as `a_i @ b_i` would.
+    Each row goes through the same BLAS dot as `a_i @ b_i` would, so a
+    row's product does not depend on the leading axes it is stacked in.
     """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)

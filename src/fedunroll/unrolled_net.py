@@ -527,7 +527,8 @@ def forward_network(
     Every setting, `client_indices` (see check_client_indices; every
     shard's client by default) and the shapes of `state0` ([m, k]
     arrays and a [k] w) are checked before the first cell runs, and the
-    pass's parameters and grad mode's minibatch layout set up. The initial
+    pass's parameters and grad mode's minibatch layout set up; a layout
+    on which some client draws needs `batch_rng` (ValueError). The initial
     state defaults to init_state(seed); pass `state0` to continue from
     carried-over iterates. The tape keeps `state0` itself as its initial
     state, so its arrays must not be changed afterwards. `population`
@@ -561,6 +562,9 @@ def forward_network(
         and state0.w.shape == mk[1:]
     ):
         raise DimensionMismatch("forward_network: state shapes disagree with the active clients")
+    batches = minibatch_layout(stats.rows, batch_size) if mode == "grad" else None
+    if batches is not None and batch_rng is None:
+        raise ValueError("batch_size given without a generator")
     tape = Tape(
         mode=mode,
         dual_update=dual_update,
@@ -571,7 +575,7 @@ def forward_network(
         stats=stats,
         params=PassParams.gather(params, idx, L, dual_update),
         init=init_state(*mk, seed) if state0 is None else state0,
-        batches=minibatch_layout(stats.rows, batch_size) if mode == "grad" else None,
+        batches=batches,
         grad_lr=grad_lr,
         grad_steps=grad_steps,
     )

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the seed list it pairs runs over, the export of
 the base commit, the bound check on the medians, the comparison of
-the failed operations' shares and the code-size count."""
+the failed operations' shares, the code-size count and the verdict on
+a claimed gain."""
 
 import argparse
 import importlib.util
@@ -179,3 +180,54 @@ def test_an_untracked_benchmark_file_counts_as_a_difference(tmp_path, monkeypatc
     (tmp_path / "benchmarks" / "bench_new.py").unlink()
     (tmp_path / "BENCHMARK.json").write_text("{\"changed\": 1}\n")
     assert bench_pairs.benchmark_differs("HEAD")
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_a_claim_needs_nine_tenths_of_the_pairs_and_a_gain_beyond_the_base_spread(lower):
+    sign = 1.0 if lower else -1.0  # +: the change's value is worse
+
+    def pairs(*changes):  # the base reads 10, 10.1, ... in the worse direction, quartiles 0.45 apart
+        return [(10.0 - sign * 0.1 * i, 10.0 - sign * 0.1 * i + sign * d) for i, d in enumerate(changes)]
+
+    met = lambda p, runs=10: bench_pairs.claim_met(p, runs, lower)[0]
+    assert met(pairs(*[-2.0] * 10))                      # 10/10, the gain beyond the spread
+    assert met(pairs(*[-2.0] * 9, 1.0))                  # 9/10
+    assert met(pairs(*[-2.0] * 9, 0.0))                  # 9 wins and a tie
+    assert not met(pairs(*[-2.0] * 8, 1.0, 1.0))         # 8/10
+    assert not met(pairs(*[-2.0] * 8, 0.0, 0.0))         # ties count for neither side
+    assert not met(pairs(*[-2.0] * 9), runs=11)          # two pairs missing a value are not won
+    assert not met(pairs(*[-0.3] * 10))                  # 10/10, but within the base's spread
+    assert not met([], runs=10)
+    _, why = bench_pairs.claim_met(pairs(*[-2.0] * 10), 10, lower)
+    assert why.startswith("change wins 10/10 pairs (needs 9)")
+
+
+@pytest.mark.parametrize("claim", ["round_ms_p99@s1-m10-compare", "round_ms_p50@nope",
+                                   "round_ms_p50@s3-m100-grad-partial", "round_ms_p50", ""])
+def test_an_unknown_claim_is_a_usage_error_before_any_run(monkeypatch, capsys, claim):
+    calls = _fake_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "HEAD", "--workload", "s1-m10-compare", "--seeds", "1-2",
+                          "--claim", claim])
+    assert exc.value.code == 2
+    assert "give METRIC@WORKLOAD" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_the_claim_verdict_is_printed_last_and_leaves_the_exit_code(monkeypatch, capsys):
+    argv = ["--base", "HEAD", "--workload", "s1-m10-compare,s3-m100-grad-partial", "--seeds", "1-2",
+            "--claim", "round_ms_p50@s1-m10-compare"]
+    _fake_runs(monkeypatch, {"s1-m10-compare": {"round_ms_p50": 9.0}})
+    assert bench_pairs.main(argv) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("CLAIM MET: round_ms_p50 on s1-m10-compare: change wins 2/2 pairs")
+
+    _fake_runs(monkeypatch)  # every pair ties
+    assert bench_pairs.main(argv) == 0
+    assert "CLAIM NOT MET: round_ms_p50 on s1-m10-compare: change wins 0/2" in capsys.readouterr().out
+
+    _fake_runs(monkeypatch, {"s1-m10-compare": {"round_ms_p50": 9.0},
+                             "s3-m100-grad-partial": {"run_s": 20.0}})
+    assert bench_pairs.main(argv) == 1   # s3's WORSE run_s still fails the command
+    out = capsys.readouterr().out
+    assert "WORSE" in out and "CLAIM MET" in out

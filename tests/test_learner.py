@@ -395,6 +395,31 @@ class TestFederatedLocalOnePass:
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dual", DUAL_UPDATES)
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("partial", [False, True])
+def test_exact_backward_equals_the_oracle_bit_for_bit(mode, dual, tied, L, partial):
+    # the oracle adds each cell's parameter terms as the cell runs; the
+    # reverse pass adds them after the recursion, over the stacked cells,
+    # and must reach the same sums in the same order. L = 3 runs fewer
+    # layers than the 4 slots; tied slots sum over every cell
+    shards = make_shards(M=5, n=20, seed=70)
+    params = random_params(5, 4, 4, np.random.default_rng(71), tied=tied)
+    kw = dict(L=L, mode=mode, dual_update=dual, seed=72,
+              client_indices=np.array([3, 0, 2]) if partial else None,
+              batch_rng=np.random.default_rng(73), batch_size=12)
+    _, tape = forward_network(shards, params, **kw)
+    got = backward(tape, shards, "exact")
+    want = zero_grads(params)
+    seed = 2.0 * tape.stats.rows.xt(tape.final_residuals)
+    _oracle_reverse_pass(tape, want, seed, np.ones(tape.m_active, dtype=bool))
+    for name in PARAM_FIELDS:
+        assert np.any(getattr(want, name) != 0.0), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("L", [3, 10])
 def test_backward_writes_each_population_gradient_once(monkeypatch, mode, L):
     # the reverse pass accumulates the active clients' gradients in dense

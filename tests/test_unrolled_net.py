@@ -492,6 +492,7 @@ class TestNetwork:
         (dict(mode="grad", batch_size=0, batch_rng=np.random.default_rng(0)), ValueError),
         (dict(mode="grad", grad_lr=0.0), ValueError),
         (dict(mode="grad", grad_steps=0), ValueError),
+        (dict(mode="grad", batch_size=8), ValueError),  # 20 rows to draw from, no generator
         (dict(client_indices=np.array([0, 0])), DimensionMismatch),       # repeated
         (dict(client_indices=np.array([-1, 2])), DimensionMismatch),      # negative
         (dict(client_indices=np.array([0, 3])), DimensionMismatch),       # past the last shard

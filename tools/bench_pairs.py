@@ -14,6 +14,8 @@ is not is a usage error before any run. It refuses to run when
 file there included, since the comparison needs the same benchmark on
 both sides.
 
+    python3 tools/bench_pairs.py --base HEAD --workload s1-m10-compare --seeds 71-80 --claim round_ms_p50@s1-m10-compare
+
 It prints one table per workload, each headed by both sides' code
 size, the line count of src/fedunroll/*.py as `wc -l` gives it. For
 every end-to-end metric that BENCHMARK.json declares, it prints each
@@ -29,7 +31,16 @@ operations and marks the working tree's MORE FAILURES when its share of
 failed operations exceeds the base's. It then lists every run that
 exited non-zero, printed `"correct": false` or printed no JSON result,
 and exits 1 if any workload had such a run, a WORSE metric or MORE
-FAILURES. Standard library only.
+FAILURES.
+
+With `--claim METRIC@WORKLOAD` it last prints `CLAIM MET` or `CLAIM NOT
+MET` for that end-to-end metric on that workload, one of those run. A
+claimed gain needs both: the working tree wins at least 9 of every 10
+pairs run (a tie, or a pair missing a value, wins for neither side),
+and its median is better than the base's by more than the distance
+between the base's first and third quartiles. An unknown metric or a
+workload not run is a usage error before any run; the verdict does not
+change the exit code. Standard library only.
 """
 
 from __future__ import annotations
@@ -111,11 +122,19 @@ def _metrics(result: Optional[dict]) -> Dict[str, float]:
     return {name: m["value"] for name, m in (result or {}).get("metrics", {}).items()}
 
 
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """First quartile, median and third quartile of the values."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
 def spread(values: List[float]) -> str:
     """Median [Q1, Q3] of the values."""
     if not values:
         return "n/a"
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, q2, q3 = quartiles(values)
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
@@ -132,6 +151,24 @@ def worse_beyond_bound(base: float, change: float, bound: float, lower: bool) ->
     by more than `bound` times the base."""
     excess = change - base if lower else base - change
     return excess > bound * abs(base)
+
+
+def claim_met(pairs: List[Tuple[float, float]], runs: int, lower: bool) -> Tuple[bool, str]:
+    """Whether the (base, change) pairs of one metric show a gain, out of
+    `runs` pairs run, and why: the change must win at least 9 of every
+    10 pairs run, ties and pairs missing a value counting for neither
+    side, and over the pairs its median must beat the base's by more
+    than the base's quartile spread (Q3 - Q1)."""
+    wins = sum((c < b) if lower else (c > b) for b, c in pairs)
+    if not pairs:
+        return False, f"change wins {wins}/{runs} pairs, no pair has both values"
+    q1, base_median, q3 = quartiles([b for b, _ in pairs])
+    change_median = statistics.median(c for _, c in pairs)
+    gain = base_median - change_median if lower else change_median - base_median
+    met = 10 * wins >= 9 * runs and gain > q3 - q1
+    return met, (f"change wins {wins}/{runs} pairs (needs {(9 * runs + 9) // 10}), medians"
+                 f" {base_median:.6g} -> {change_median:.6g} differ by {gain:.6g} in the better"
+                 f" direction against the base's quartile spread {q3 - q1:.6g}")
 
 
 def failed_share_grew(base: Tuple[int, int], change: Tuple[int, int]) -> bool:
@@ -155,22 +192,36 @@ def benchmark_differs(base: str) -> bool:
     return same.returncode != 0 or bool(untracked)
 
 
+def by_side(runs: List[Tuple[int, str, int, Optional[dict]]]) -> Dict[str, Dict[int, Dict[str, float]]]:
+    """{side: {seed: {metric: value}}} of a workload's runs (seed, side,
+    exit code, result)."""
+    sides: Dict[str, Dict[int, Dict[str, float]]] = {side: {} for side in SIDES}
+    for seed, side, _, result in runs:
+        sides[side][seed] = _metrics(result)
+    return sides
+
+
+def metric_pairs(sides: Dict[str, Dict[int, Dict[str, float]]], seeds: List[int],
+                 name: str) -> List[Tuple[float, float]]:
+    """(base, change) values of metric `name`, for each seed whose two
+    runs both printed it."""
+    return [(sides["base"][s][name], sides["change"][s][name]) for s in seeds
+            if name in sides["base"].get(s, {}) and name in sides["change"].get(s, {})]
+
+
 def report(workload: str, seeds: List[int], runs: List[Tuple[int, str, int, Optional[dict]]],
            declared: List[dict], lines: Dict[str, int], header: str) -> bool:
     """Print one workload's table from its runs (seed, side, exit code,
     result); True when it shows a WORSE metric, MORE FAILURES or a
     failed run."""
-    by_side: Dict[str, Dict[int, dict]] = {side: {} for side in SIDES}
-    for seed, side, _, result in runs:
-        by_side[side][seed] = _metrics(result)
+    sides = by_side(runs)
     print(f"{workload}: {header}")
     print(f"  src/fedunroll/*.py lines: base {lines['base']}  change {lines['change']}")
     any_worse = False
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
-        values = {side: [m[name] for m in by_side[side].values() if name in m] for side in SIDES}
-        pairs = [(by_side["base"][s][name], by_side["change"][s][name]) for s in seeds
-                 if name in by_side["base"].get(s, {}) and name in by_side["change"].get(s, {})]
+        values = {side: [m[name] for m in sides[side].values() if name in m] for side in SIDES}
+        pairs = metric_pairs(sides, seeds, name)
         wins = sum((c < b) if lower else (c > b) for b, c in pairs)
         ties = sum(c == b for b, c in pairs)
         flag = ""
@@ -205,6 +256,8 @@ def main(argv=None) -> int:
                         help="a workload of BENCHMARK.json, or several separated by commas")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 71-80 or 71,72,75")
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--claim", metavar="METRIC@WORKLOAD",
+                        help="judge a claimed gain in an end-to-end metric on a workload run")
     args = parser.parse_args(argv)
     seeds, workloads = args.seeds, args.workload
 
@@ -215,6 +268,12 @@ def main(argv=None) -> int:
     if unknown or len(set(workloads)) != len(workloads):
         parser.error(f"--workload {','.join(workloads)}: name workloads of BENCHMARK.json"
                      f" ({', '.join(known)}), each once")
+    declared = {m["name"]: m for m in benchmark["end_to_end"]}
+    if args.claim is not None:
+        claim_metric, _, claim_workload = args.claim.partition("@")
+        if claim_metric not in declared or claim_workload not in workloads:
+            parser.error(f"--claim {args.claim}: give METRIC@WORKLOAD, an end-to-end metric of"
+                         f" BENCHMARK.json ({', '.join(declared)}) and a workload of --workload")
     if benchmark_differs(args.base):
         print(f"benchmarks/ or BENCHMARK.json differ from {args.base}; refusing to compare", file=sys.stderr)
         return 2
@@ -238,6 +297,10 @@ def main(argv=None) -> int:
 
     header = f"{len(seeds)} pairs, --seconds {args.seconds:g}, base {args.base}"
     bad = [report(w, seeds, runs[w], benchmark["end_to_end"], lines, header) for w in workloads]
+    if args.claim is not None:
+        pairs = metric_pairs(by_side(runs[claim_workload]), seeds, claim_metric)
+        met, why = claim_met(pairs, len(seeds), declared[claim_metric]["better"] == "lower")
+        print(f"CLAIM {'MET' if met else 'NOT MET'}: {claim_metric} on {claim_workload}: {why}")
     return 1 if any(bad) else 0
 
 
