@@ -21,7 +21,7 @@ penalties).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,10 +36,14 @@ RHO_DESCENT_REGIME = 100.0
 DESCENT_SLACK = 1e-9  # an increase this small is rounding, still descent
 
 
-def lagrangian(rec: CellRecord, rows: RowStack) -> float:
+def lagrangian(rec: CellRecord, rows: RowStack, residuals: Optional[np.ndarray] = None) -> float:
     """Augmented objective of the consensus splitting after one recorded
-    cell, on the active clients' training `rows`."""
-    F = rows.sse(rec.v)
+    cell, on the active clients' training `rows`. `residuals` are the
+    cell's X v - Y on them when the caller holds them already (the
+    final cell's Tape.final_residuals); otherwise they are computed."""
+    if residuals is None:
+        residuals = rows.residuals(rec.v)
+    F = rowdot(residuals, residuals)
     zlz = rowdot(rec.z, rec.lam_eff * rec.z)
     r = rec.z - rec.v + rec.w + rec.alpha / rec.step_w[:, None]
     per_client = F + zlz + 0.5 * rec.rho_eff * rowdot(r, r)

@@ -22,7 +22,8 @@ its RunLog stacks and validates for evaluation, and every round's
 forward takes the active clients' entries from them: no round stacks
 rows. A round's augmented objective is evaluated from its tape on the
 first read of RoundResult.lagrangian_final, which the driver makes once
-per round, for the last epoch. A round's active clients travel as an
+per round, for the last epoch, on the final residuals the loss reports
+and the reverse pass already share. A round's active clients travel as an
 array of 0-based indices; 1-based ids appear only in the transcript.
 
 The driver keeps per-client iterates across rounds and epochs:
@@ -158,8 +159,9 @@ class RoundResult:
     @cached_property
     def lagrangian_final(self) -> float:
         """The augmented objective after the last cell, evaluated on
-        first access."""
-        return float(lagrangian(self.tape.cells[-1], self.tape.stats.rows))
+        first access from the residuals the loss reports read."""
+        tape = self.tape
+        return float(lagrangian(tape.cells[-1], tape.stats.rows, tape.final_residuals))
 
     @cached_property
     def transcript(self) -> Transcript:

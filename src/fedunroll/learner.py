@@ -17,7 +17,9 @@ one before it, and keeps per cell the few adjoints that the parameter
 terms read. After the loop, each parameter term (phi4's logit edge,
 phi3's consensus-weight and penalty edges, phi2's penalty edge and the
 dual step's) is one array operation over the stacked cells, reading the
-states from the tape and the parameters from its PassParams. The terms
+states from the tape and the parameters from its PassParams, which the
+forward set up once per pass: phi3's denominators and linear mode's
+Cholesky factors among them, so the reverse pass computes neither. The terms
 are added into dense buffers over the pass's slots and active clients
 in the order the cells run backwards, so the sums are the ones a pass
 adding each term as its cell runs would make, bit for bit, and the
@@ -89,8 +91,9 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     mode) or its unrolled steps (grad mode). Per cell it keeps what the
     parameter terms read and cannot rebuild from the tape: the w-adjoint
     entering phi4, zbar at phi3, phi2's solve t or the vbar entering each
-    gradient step, and the adjoints of the scaled multiplier (abar) and
-    of alpha (albar) after phi2. After the loop each term is one array
+    gradient step, the adjoint of alpha (albar) after phi2 and, under
+    ``rho_step`` only, whose a-term alone reads it, that of the scaled
+    multiplier (abar). After the loop each term is one array
     operation over the cells' stacks, and the terms are added per slot in
     the order the cells visit them: phi3, phi2, rho_step's a-term and
     phi1 within a cell, the cells in reverse. Untied parameters give each
@@ -105,10 +108,10 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     """
     m, k = tape.m_active, tape.k
     pp, cells, n = tape.params, tape.cells, len(tape.cells)
-    # phi3's factors depend on the parameters alone: once per pass
-    rho3 = pp.rho_eff[:, :, None]
-    denom = pp.lam_eff + rho3
-    sfacs = rho3 / denom
+    # phi3's factors depend on the parameters alone: once per pass, on
+    # the denominators the forward set up
+    sfacs = pp.rho_eff[:, :, None] / pp.denom
+    rho_step = tape.dual_update == "rho_step"
 
     def to_w(rows):  # per-client [m, k] adjoint terms, in wbar's shape
         return rows if per_client else rows.sum(axis=0)
@@ -123,9 +126,10 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     wbar = np.zeros((m, k) if per_client else k)
     for i in reversed(range(n)):
         rec = cells[i]
-        # phi2-phi4 read the scaled multiplier a = alpha / step_w. `abar`
-        # collects the adjoint of a; each term reaches alpha divided by
-        # step_w (added term by term, so unit_step sums are unchanged)
+        # phi2-phi4 read the scaled multiplier a = alpha / step_w. Under
+        # rho_step `abar` collects the adjoint of a; each term reaches
+        # alpha divided by step_w (added term by term, so unit_step sums
+        # are unchanged)
         sw = rec.step_w[:, None]
 
         # ---- phi4: w = sum(omega_i u_i), omega = softmax(theta) ----
@@ -133,7 +137,8 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         vbar += contrib
         zbar -= contrib
         albar = albar - contrib / sw  # a new array: albars[i + 1] stays as stored
-        abar = -contrib
+        if rho_step:
+            abar = -contrib
         w_in[i] = wbar
         wbar = np.zeros_like(wbar)
 
@@ -141,7 +146,8 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         sz = sfacs[rec.slot] * zbar
         vbar += sz
         albar -= sz / sw
-        abar -= sz
+        if rho_step:
+            abar -= sz
         wbar -= to_w(sz)
         zbar = zbars[i]
 
@@ -165,7 +171,9 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
                 anchor_bar += lr_rho * vbar
                 vbar = vbar - tape.grad_lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
         albar += anchor_bar / sw
-        abar += anchor_bar
+        if rho_step:
+            abar += anchor_bar
+            abars[i] = abar
         zbar += anchor_bar
         if per_client:
             wbar += anchor_bar
@@ -174,7 +182,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
             # along axis 0 adds them in order): training runs are
             # sensitive to the last bits of the gradient
             wbar = np.concatenate((wbar[None, :], anchor_bar)).sum(axis=0)
-        abars[i], albars[i] = abar, albar
+        albars[i] = albar
 
         # ---- phi1: alpha = alpha_prev + step_w * (z_prev - v_prev + w_prev) ----
         swal = sw * albar
@@ -196,7 +204,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     tied = pp.rho_eff.shape[0] == 1
     sl = slice(None, 1 if tied else n)
     rho, rho_on = pp.rho_eff[sl], pp.rho_on[sl]
-    denom2 = denom[sl] ** 2
+    denom2 = pp.denom[sl] ** 2
     a = np.array([c.alpha for c in cells]) / pp.step_w[sl][:, :, None]
     zbar3 = zbars[1:]
 
@@ -223,7 +231,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         for t in range(tape.grad_steps - 1, -1, -1):
             rho_bar += steps[:, t]
     rho_terms.append(rho_bar * rho_on)
-    if tape.dual_update == "rho_step":
+    if rho_step:
         # a reaches rho through d a / d rho = -a / rho, and phi1's step is rho
         rho_terms.append(-((np.array(abars) * a).sum(axis=2) / rho * rho_on))
         resid = Z[:-1] - V[:-1] + W[:-1]
@@ -231,7 +239,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
 
     lam_g = np.zeros(pp.lam_eff.shape)
     rho_g = np.zeros(pp.rho_eff.shape)
-    p_g = np.zeros(pp.p.shape)
+    p_g = np.zeros(pp.rho_eff.shape)
     if not tied:
         lam_g[sl] += lam_terms
         p_g[sl] += p_terms

@@ -2,8 +2,7 @@
 
 One iteration of the underlying splitting scheme is modeled as a
 four-layer cell. Each layer is one array operation over the batch of
-active clients, which carry a leading client axis; only linear mode's
-factorizations visit the clients one by one:
+active clients, which carry a leading client axis:
 
   phi1  dual ascent on the consensus multiplier alpha
   phi2  personalized-model update v (closed form, or a few gradient steps)
@@ -15,23 +14,28 @@ phi2 sees a client's data only through its sufficient statistics
 G = X'X and c = X'Y (ClientStats). The experiment driver builds them
 once per run for every client, from the training rows it stacks and
 validates for evaluation; a forward given none builds them the same
-way from its shards (client_stats). Linear mode factors each client's
-G + rho I with its own Cholesky call and solves all clients' systems
-in one batched solve per cell; grad mode takes gradient steps on each
-client's minibatch Gram matrix. Clients may hold different numbers of
-rows.
+way from its shards (client_stats). Linear mode solves all clients'
+systems in one batched solve per cell, on Cholesky factors of G + rho I
+that the pass sets up; grad mode takes gradient steps on each client's
+minibatch Gram matrix. Clients may hold different numbers of rows.
 
 What does not depend on the state a cell receives is set up once per
 pass, before the first cell, and kept on the pass's tape with the
 pass's settings, which forward_network checks once: the active
 clients' entries of the statistics (ClientStats.take); their
-parameters for the pass's slots with the effective values, masks and
-dual steps derived from them (PassParams); and in grad mode the layout
-of the minibatch draws (math_core.minibatch_layout, which the
-baselines use too), on which each cell draws every active client's
-batch with one call of its generator. The cells, the loss and the
-reverse pass read all of these from the tape; a cell record's
-parameter fields are views of the pass's arrays.
+parameters for the pass's slots with what derives from them
+(PassParams): the effective values, masks and dual steps, phi3's
+denominators, phi4's softmax numerators and, in linear mode, the
+Cholesky factors of each slot's G + rho I, one checked call per slot
+and client (linear_factors), so a tied pass factors each client once;
+and in grad mode the layout of the minibatch draws
+(math_core.minibatch_layout, which the baselines use too), on which
+each cell draws every active client's batch with one call of its
+generator. setup_pass builds these. The cells then only solve, divide
+and normalize; they, the loss and the reverse pass read all of the
+setup from the tape, and a cell record's parameter fields and factors
+are views of the pass's arrays. A factorization that fails therefore
+raises before the first cell runs.
 
 L cells concatenated form the network; every per-layer constant of the
 scheme (consensus weights, penalty scalars and aggregation weights) is
@@ -95,22 +99,16 @@ def phi1_dual(alpha_prev, v_prev, z_prev, w_prev, step) -> np.ndarray:
     return alpha_prev + step[:, None] * (z_prev - v_prev + w_prev)
 
 
-def phi2_v_linear(G, c, alpha, z_prev, w_prev, rho) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form v update on the sufficient statistics G = X'X [m, k, k]
-    and c = X'Y [m, k]: solve (G + rho I) v = rho(w+z+alpha) + c, the
+def phi2_v_linear(chol, c, alpha, z_prev, w_prev, rho) -> np.ndarray:
+    """Closed-form v update: solve (G + rho I) v = rho(w+z+alpha) + c on
+    the Cholesky factors `chol` [m, k, k] of G + rho I (linear_factors,
+    which the pass runs before its first cell) and c = X'Y [m, k], the
     minimizer of 1/2 ||X v - Y||^2 + rho/2 ||z+w+alpha-v||^2 (half the
     SSE; phi2_v_grad steps on the whole SSE, see ROADMAP.md item 11).
-
-    Returns v and the Cholesky factors of G + rho I, which the reverse
-    pass reuses. `alpha` here and in phi2_v_grad and phi3_aux is the
-    scaled multiplier (alpha / step in the cell's terms).
+    `alpha` here and in phi2_v_grad and phi3_aux is the scaled
+    multiplier (alpha / step in the cell's terms).
     """
-    A = G + rho[:, None, None] * np.eye(c.shape[1])
-    # each client factors its own matrix, one checked call per client and
-    # cell, because the benchmark pins that factorization count; the
-    # solves run batched
-    chol = np.stack([spd_cholesky(a) for a in A])
-    return chol_solve(chol, rho[:, None] * (w_prev + z_prev + alpha) + c), chol
+    return chol_solve(chol, rho[:, None] * (w_prev + z_prev + alpha) + c)
 
 
 def phi2_v_grad(G, c, v, alpha, z_prev, w_prev, rho, lr: float,
@@ -136,27 +134,49 @@ def phi2_v_grad(G, c, v, alpha, z_prev, w_prev, rho, lr: float,
     return v, iterates
 
 
-def phi3_aux(alpha, v, w_prev, rho, lam) -> np.ndarray:
-    """Entrywise z[j] = rho * (v - w - alpha)[j] / (lam_j + rho), on the
-    effective (rectified, so nonnegative) consensus weights lam.
+def phi3_aux(alpha, v, w_prev, rho, denom) -> np.ndarray:
+    """Entrywise z[j] = rho * (v - w - alpha)[j] / (lam_j + rho), given
+    the denominators lam + rho [m, k] on the effective (rectified, so
+    nonnegative) consensus weights lam, which the pass adds once for
+    all its cells (PassParams.denom).
 
     Large consensus weights pin the corresponding coordinate of z to 0
     (full consensus); zero weights pass the deviation through.
     """
-    rho = rho[:, None]
-    return rho * (v - w_prev - alpha) / (lam + rho)
+    return rho[:, None] * (v - w_prev - alpha) / denom
 
 
-def phi4_global(u, theta) -> Tuple[np.ndarray, np.ndarray]:
+def phi4_global(u, e) -> Tuple[np.ndarray, np.ndarray]:
     """Server side of the aggregation: the weights omega of the received
     client vectors u_i = v_i - z_i - alpha_i [m, k], the softmax of the
-    clients' logits theta [m], and their weighted mean w. The logits are
-    shifted by the largest, so exp cannot overflow and the largest term
-    is 1: the sum never vanishes, and a single client's weight is
-    exactly 1. The only client data this touches is u."""
-    e = np.exp(theta - theta.max())
+    clients' logits given by its numerators e [m] (softmax_numerators,
+    which the pass computes once for all its cells), and their weighted
+    mean w. The only client data this touches is u."""
     omega = e / e.sum()
     return omega, omega @ u
+
+
+def softmax_numerators(theta: np.ndarray) -> np.ndarray:
+    """exp(theta - max theta) along the last axis, the numerators of the
+    logits' softmax. The shift by the largest logit keeps exp from
+    overflowing and makes the largest term 1: the sum never vanishes,
+    and a single client's weight is exactly 1."""
+    return np.exp(theta - theta.max(axis=-1, keepdims=True))
+
+
+def linear_factors(gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Linear mode's Cholesky factors of G_i + rho I for the Gram
+    matrices G [m, k, k] and penalties rho [..., m], shaped
+    [..., m, k, k]. Each matrix gets its own checked spd_cholesky call,
+    because the benchmark pins that factorization count, and its factor
+    overwrites it, so the factors take no second array."""
+    k = gram.shape[-1]
+    # in C order whatever the inputs' layout, so that the reshape is a
+    # view and each factor lands in A
+    A = np.add(gram, rho[..., None, None] * np.eye(k), out=np.empty(rho.shape + (k, k)))
+    for a in A.reshape(-1, k, k):
+        a[...] = spd_cholesky(a)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -234,33 +254,42 @@ def init_state(M: int, k: int, seed: int = 0) -> CellState:
 @dataclass(frozen=True)
 class PassParams:
     """The active clients' parameters for every slot a pass reads,
-    gathered once per pass, and what the cells derive from them alone:
-    [S, m] arrays for the penalties and logits, [S, m, k] for the
-    consensus weights, with S = 1 for tied parameters and L otherwise.
-    Slot s of the pass is slot s of the parameters."""
+    gathered once per pass, and what the cells derive from them and the
+    clients' statistics alone: [S, m] arrays for the penalties and
+    the logits' softmax numerators, [S, m, k] for the consensus
+    weights, with S = 1 for tied parameters and L otherwise. Slot s of
+    the pass is slot s of the parameters."""
 
     rho_eff: np.ndarray   # clamped penalties
     rho_on: np.ndarray    # clamp pass-through mask
     lam_eff: np.ndarray   # rectified consensus weights
     lam_on: np.ndarray    # rectifier pass-through mask
     step_w: np.ndarray    # phi1's dual step (dual_step_weights)
-    p: np.ndarray         # aggregation logits
+    denom: np.ndarray     # phi3's denominators lam_eff + rho_eff
+    p_exp: np.ndarray     # phi4's softmax numerators of the aggregation logits
+    # linear mode: Cholesky factors of G + rho_eff I (linear_factors),
+    # [S, m, k, k]; None in grad mode
+    chol: Optional[np.ndarray] = None
 
     @classmethod
     def gather(cls, params: LearnableParams, client_indices: np.ndarray, L: int,
-               dual_update: str) -> "PassParams":
-        """Slots 0 .. slot(L) of the given clients' parameters."""
+               dual_update: str, gram: Optional[np.ndarray] = None) -> "PassParams":
+        """Slots 0 .. slot(L) of the given clients' parameters; with
+        their Gram matrices `gram` [m, k, k], linear mode's factors too."""
         S = params.slot(L) + 1
         rho_raw = params.rho_raw[:S, client_indices]
         lam_raw = params.lam_raw[:S, client_indices]
         rho_eff = clamp_positive(rho_raw)
+        lam_eff = rectify(lam_raw)
         return cls(
             rho_eff=rho_eff,
             rho_on=rho_raw > EPS,
-            lam_eff=rectify(lam_raw),
+            lam_eff=lam_eff,
             lam_on=lam_raw > 0.0,
             step_w=dual_step_weights(rho_eff, dual_update),
-            p=params.p[:S, client_indices],
+            denom=lam_eff + rho_eff[:, :, None],
+            p_exp=softmax_numerators(params.p[:S, client_indices]),
+            chol=None if gram is None else linear_factors(gram, rho_eff),
         )
 
     def slot(self, layer: int) -> int:
@@ -278,8 +307,8 @@ class CellRecord:
     """What one cell computed, in forward order. The cell's inputs are
     not repeated here: they are the previous cell's outputs, or the
     tape's initial state for the first cell (Tape.inputs). The
-    parameter fields are views of slot `slot` of the tape's
-    PassParams."""
+    parameter fields and linear mode's factors are views of slot
+    `slot` of the tape's PassParams."""
 
     layer: int
     slot: int
@@ -297,7 +326,7 @@ class CellRecord:
     omega: np.ndarray
     # dual step used by phi1 (rho_eff or ones); phi2-phi4 read alpha / step_w
     step_w: np.ndarray
-    # linear mode: cached Cholesky factors of X'X + rho I, [m, k, k]
+    # linear mode: the Cholesky factors of X'X + rho I, [m, k, k]
     chol: Optional[np.ndarray] = None
     # grad mode: the iterates v_1 .. v_{steps-1} between the input and
     # output v [steps-1, m, k], and the Gram matrices X_b'X_b [m, k, k]
@@ -437,6 +466,18 @@ def check_client_indices(client_indices, M: int) -> np.ndarray:
     return idx
 
 
+def setup_pass(params: LearnableParams, stats: ClientStats, client_indices: np.ndarray,
+               L: int, mode: str, dual_update: str,
+               batch_size: Optional[int]) -> Tuple[PassParams, Optional[MinibatchLayout]]:
+    """What a pass sets up before its first cell from its settings, the
+    active clients' parameters and their statistics `stats`: the
+    PassParams (with linear mode's factors) and grad mode's minibatch
+    layout (None in linear mode)."""
+    linear = mode == "linear"
+    pp = PassParams.gather(params, client_indices, L, dual_update, stats.gram if linear else None)
+    return pp, None if linear else minibatch_layout(stats.rows, batch_size)
+
+
 def forward_cell(
     state: CellState,
     layer: int,
@@ -470,13 +511,14 @@ def forward_cell(
     a = alpha / step_w[:, None]
     chol = iterates = gram = None
     if tape.mode == "linear":
-        v, chol = phi2_v_linear(stats.gram, stats.xty, a, state.z, state.w, rho_eff)
+        chol = pp.chol[s]
+        v = phi2_v_linear(chol, stats.xty, a, state.z, state.w, rho_eff)
     else:
         gram, xty = _minibatch_stats(stats, tape.batches, batch_rng)
         v, iterates = phi2_v_grad(gram, xty, state.v, a, state.z, state.w, rho_eff,
                                   tape.grad_lr, tape.grad_steps)
-    z = phi3_aux(a, v, state.w, rho_eff, lam_eff)
-    omega, w = phi4_global(v - z - a, pp.p[s])
+    z = phi3_aux(a, v, state.w, rho_eff, pp.denom[s])
+    omega, w = phi4_global(v - z - a, pp.p_exp[s])
     if not (
         np.isfinite(v).all()
         and np.isfinite(z).all()
@@ -527,8 +569,9 @@ def forward_network(
     Every setting, `client_indices` (see check_client_indices; every
     shard's client by default) and the shapes of `state0` ([m, k]
     arrays and a [k] w) are checked before the first cell runs, and the
-    pass's parameters and grad mode's minibatch layout set up; a layout
-    on which some client draws needs `batch_rng` (ValueError). The initial
+    pass set up (setup_pass): linear mode's factorizations raise
+    NonFiniteInput or NotPD for any slot before the first cell, and a
+    layout on which some client draws needs `batch_rng` (ValueError). The initial
     state defaults to init_state(seed); pass `state0` to continue from
     carried-over iterates. The tape keeps `state0` itself as its initial
     state, so its arrays must not be changed afterwards. `population`
@@ -562,7 +605,7 @@ def forward_network(
         and state0.w.shape == mk[1:]
     ):
         raise DimensionMismatch("forward_network: state shapes disagree with the active clients")
-    batches = minibatch_layout(stats.rows, batch_size) if mode == "grad" else None
+    pass_params, batches = setup_pass(params, stats, idx, L, mode, dual_update, batch_size)
     if batches is not None and batch_rng is None:
         raise ValueError("batch_size given without a generator")
     tape = Tape(
@@ -573,7 +616,7 @@ def forward_network(
         slots=params.rho_raw.shape[0],
         client_indices=idx.copy(),
         stats=stats,
-        params=PassParams.gather(params, idx, L, dual_update),
+        params=pass_params,
         init=init_state(*mk, seed) if state0 is None else state0,
         batches=batches,
         grad_lr=grad_lr,

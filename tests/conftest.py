@@ -10,8 +10,8 @@ import numpy as np
 from fedunroll import baselines, math_core
 from fedunroll.datagen import DataShard
 from fedunroll.learner import ParamGradients
-from fedunroll.math_core import design_matrix, minibatch_layout, stack_rows
-from fedunroll.unrolled_net import LearnableParams, PassParams, client_stats, forward_cell, init_params
+from fedunroll.math_core import design_matrix, stack_rows
+from fedunroll.unrolled_net import LearnableParams, client_stats, forward_cell, init_params, setup_pass
 
 
 def make_shards(M=3, k=4, n=20, n_test=8, seed=0, noise=0.1):
@@ -119,11 +119,9 @@ def replay_tape(tape, shards, params, batch_rng=None, batch_size=None) -> bool:
     # the replay reads its rows from `shards` and its parameters from
     # `params`, not from the recording
     stats = client_stats(shards).take(tape.client_indices)
-    replay = dataclasses.replace(
-        tape, cells=[], stats=stats,
-        params=PassParams.gather(params, tape.client_indices, tape.L, tape.dual_update),
-        batches=minibatch_layout(stats.rows, batch_size) if tape.mode == "grad" else None,
-    )
+    pass_params, batches = setup_pass(params, stats, tape.client_indices, tape.L, tape.mode,
+                                      tape.dual_update, batch_size)
+    replay = dataclasses.replace(tape, cells=[], stats=stats, params=pass_params, batches=batches)
     for rec in tape.cells:
         state = forward_cell(state, rec.layer, replay, batch_rng)
         if not all(

@@ -1,7 +1,7 @@
 """tools/bench_pairs.py: the seed list it pairs runs over, the export of
 the base commit, the bound check on the medians, the comparison of
-the failed operations' shares, the code-size count and the verdict on
-a claimed gain."""
+the failed operations' shares, the code-size count and its split by
+line kind, and the verdict on a claimed gain."""
 
 import argparse
 import importlib.util
@@ -95,6 +95,31 @@ def test_code_size_counts_the_package_modules_as_wc_does(tmp_path):
     assert bench_pairs.source_lines(str(tmp_path / "empty")) == 0
 
 
+def test_code_size_splits_the_lines_into_code_docstring_comment_and_blank(tmp_path):
+    pkg = tmp_path / "src" / "fedunroll"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n'    # 3 docstring lines, the blank one inside included
+        "\n"                              # blank
+        "# a comment\n"                   # comment
+        "x = 1  # code with a comment\n"  # code
+        "\n"                              # blank
+        "def f():\n"                      # code
+        "    '''One line.'''\n"           # docstring
+        "    return (\n"                  # code
+        "        # inside a statement\n"  # comment
+        '        "not a docstring"\n'     # code: a string inside an expression
+        "    )\n"                         # code
+        'y = """a\n\nb"""\n'              # 3 code lines: an assigned string
+    )
+    (pkg / "b.py").write_text('"""Only a docstring."""\n')
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    kinds = bench_pairs.line_kinds((pkg / "a.py").read_bytes())
+    assert kinds == {"code": 8, "docstring": 4, "comment": 2, "blank": 2}
+    assert bench_pairs.code_size(str(tmp_path)) == "17 (code 8, docstring 5, comment 2, blank 2)"
+    assert bench_pairs.code_size(str(tmp_path / "empty")) == "0 (code 0, docstring 0, comment 0, blank 0)"
+
+
 def _fake_runs(monkeypatch, change_values=None, change_code=0):
     """Stub out git, the export and the benchmark runs; every run prints
     all declared metrics at 10, except the change side's values given
@@ -143,6 +168,9 @@ def test_every_workload_gets_its_table_and_one_worse_workload_fails_the_command(
     out = capsys.readouterr().out
     tables = [out.index(f"{w}: 2 pairs") for w in workloads]
     assert tables == sorted(tables) and "WORSE" not in out
+    # the stubbed export leaves the base without modules
+    assert out.count("  src/fedunroll/*.py lines: base 0 (code 0, docstring 0, comment 0, blank 0)"
+                     f"  change {bench_pairs.code_size(bench_pairs.ROOT)}\n") == 2
 
     _fake_runs(monkeypatch, {"s3-m100-grad-partial": {"round_ms_p50": 20.0}})
     assert bench_pairs.main(argv) == 1

@@ -307,6 +307,33 @@ class TestRoundStateAndLearning:
         assert len(calls) == 1
         assert rr.losses == rr.tape.stats.rows.sse(rr.tape.final_v()).tolist()
 
+    @pytest.mark.parametrize("mode", ["linear", "grad"])
+    def test_the_objective_reads_the_rounds_final_residuals(self, monkeypatch, mode):
+        # the epochs of a round and the objective read after its last one
+        # make one residual computation per epoch, and the objective is
+        # the one its own residuals give, bit for bit
+        calls = []
+        original = math_core.RowStack.residuals
+
+        def counted(self, V):
+            calls.append(None)
+            return original(self, V)
+
+        shards = make_shards(M=3, seed=9)
+        cfg = round_cfg(mode=mode, batch_size=8)
+        params = init_params(3, 4, cfg.L)
+        opt = init_optimizer(params, kind=cfg.optimizer, lr=cfg.lr)
+        state = init_state(3, 4, seed=0)
+        monkeypatch.setattr(math_core.RowStack, "residuals", counted)
+        for epoch in (1, 2):
+            rr = run_round(shards, params, opt, state, full_participation(3), cfg,
+                           round_index=1, epoch=epoch)
+            params = rr.params
+        objective = rr.lagrangian_final
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert objective == federation.lagrangian(rr.tape.cells[-1], rr.tape.stats.rows)
+
 
 @pytest.mark.parametrize("dual_update", ["rho_step", "unit_step"])
 @pytest.mark.parametrize("policy", ["exact", "federated_local"])

@@ -18,7 +18,7 @@ from conftest import count_calls, make_shards, make_uneven_shards, random_params
 
 from fedunroll import unrolled_net
 from fedunroll.errors import DimensionMismatch, NonFiniteInput
-from fedunroll.math_core import stack_rows
+from fedunroll.math_core import spd_cholesky, stack_rows
 from fedunroll.unrolled_net import (
     DUAL_UPDATES,
     MODES,
@@ -30,11 +30,13 @@ from fedunroll.unrolled_net import (
     forward_network,
     init_params,
     init_state,
+    linear_factors,
     phi1_dual,
     phi2_v_grad,
     phi2_v_linear,
     phi3_aux,
     phi4_global,
+    softmax_numerators,
 )
 
 
@@ -97,8 +99,8 @@ class TestLayerOps:
         Y = rng.normal(size=12)
         alpha, z, w = (rng.normal(size=3) for _ in range(3))
         rho = 0.8
-        v, _ = phi2_v_linear((X.T @ X)[None], (X.T @ Y)[None], alpha[None], z[None], w,
-                             np.array([rho]))
+        v = phi2_v_linear(linear_factors((X.T @ X)[None], np.array([rho])), (X.T @ Y)[None],
+                          alpha[None], z[None], w, np.array([rho]))
         grad = (X.T @ X + rho * np.eye(3)) @ v[0] - (rho * (w + z + alpha) + X.T @ Y)
         assert np.allclose(grad, 0.0, atol=1e-10)
 
@@ -108,8 +110,8 @@ class TestLayerOps:
         Y = rng.normal(size=15)
         alpha, z, w = (rng.normal(size=4) for _ in range(3))
         rho = 1.3
-        v, _ = phi2_v_linear((X.T @ X)[None], (X.T @ Y)[None], alpha[None], z[None], w,
-                             np.array([rho]))
+        v = phi2_v_linear(linear_factors((X.T @ X)[None], np.array([rho])), (X.T @ Y)[None],
+                          alpha[None], z[None], w, np.array([rho]))
         want = np.linalg.solve(X.T @ X + rho * np.eye(4), rho * (w + z + alpha) + X.T @ Y)
         assert np.allclose(v[0], want, atol=1e-12)
 
@@ -145,7 +147,7 @@ class TestLayerOps:
         alpha, v, w = (rng.normal(size=3) for _ in range(3))
         lam = np.array([0.5, 0.0, 4.0])   # effective weights, already rectified
         rho = 0.6
-        z = phi3_aux(alpha[None], v[None], w, np.array([rho]), lam[None])
+        z = phi3_aux(alpha[None], v[None], w, np.array([rho]), (lam + rho)[None])
         d = v - w - alpha
         want = np.array(
             [rho * d[0] / (0.5 + rho), rho * d[1] / rho, rho * d[2] / (4.0 + rho)]
@@ -160,14 +162,14 @@ class TestLayerOps:
         alpha, v = (rng.normal(size=(1, 2)) for _ in range(2))
         w = rng.normal(size=2)
         rho = np.array([0.5 + rng.uniform(0, 2)])
-        z_small = phi3_aux(alpha, v, w, rho, np.array([[lam_small, 1.0]]))
-        z_big = phi3_aux(alpha, v, w, rho, np.array([[lam_small + extra, 1.0]]))
+        z_small = phi3_aux(alpha, v, w, rho, np.array([[lam_small, 1.0]]) + rho[:, None])
+        z_big = phi3_aux(alpha, v, w, rho, np.array([[lam_small + extra, 1.0]]) + rho[:, None])
         assert abs(z_big[0, 0]) <= abs(z_small[0, 0]) + 1e-12
 
     def test_aggregation_single_client_exact(self):
         rng = np.random.default_rng(5)
         u = rng.normal(size=(1, 4))
-        omega, w = phi4_global(u, np.array([0.37]))
+        omega, w = phi4_global(u, softmax_numerators(np.array([0.37])))
         assert omega[0] == 1.0
         assert np.array_equal(w, u[0])
 
@@ -210,7 +212,7 @@ class TestLayerOps:
     def test_aggregation_is_convex_combination(self):
         rng = np.random.default_rng(7)
         u = rng.normal(size=(4, 3))
-        _, w = phi4_global(u, rng.normal(size=4))
+        _, w = phi4_global(u, softmax_numerators(rng.normal(size=4)))
         assert np.all(w <= u.max(axis=0) + 1e-12)
         assert np.all(w >= u.min(axis=0) - 1e-12)
 
@@ -226,18 +228,21 @@ class TestLayerOps:
         w = rng.normal(size=k)
         rho = rng.uniform(0.5, 2.0, m)
         a1 = phi1_dual(alpha, v, z, w, rho)
-        v1, chol = phi2_v_linear(G, c, alpha, z, w, rho)
+        chol = linear_factors(G, rho)
+        v1 = phi2_v_linear(chol, c, alpha, z, w, rho)
         vg, its = phi2_v_grad(G, c, v, alpha, z, w, rho, 0.01, 3)
-        z1 = phi3_aux(alpha, v, w, rho, lam)
+        z1 = phi3_aux(alpha, v, w, rho, lam + rho[:, None])
         for i in range(m):
             one = slice(i, i + 1)
             assert np.array_equal(a1[one], phi1_dual(alpha[one], v[one], z[one], w, rho[one]))
-            vi, Li = phi2_v_linear(G[one], c[one], alpha[one], z[one], w, rho[one])
+            Li = linear_factors(G[one], rho[one])
+            vi = phi2_v_linear(Li, c[one], alpha[one], z[one], w, rho[one])
             assert np.array_equal(v1[one], vi) and np.array_equal(chol[one], Li)
             vi, its_i = phi2_v_grad(G[one], c[one], v[one], alpha[one], z[one], w, rho[one],
                                     0.01, 3)
             assert np.array_equal(vg[one], vi) and np.array_equal(its[:, one], its_i)
-            assert np.array_equal(z1[one], phi3_aux(alpha[one], v[one], w, rho[one], lam[one]))
+            assert np.array_equal(z1[one], phi3_aux(alpha[one], v[one], w, rho[one],
+                                                    lam[one] + rho[one, None]))
 
     def test_linear_update_factors_are_each_clients_lapack_factor(self):
         rng = np.random.default_rng(9)
@@ -247,11 +252,16 @@ class TestLayerOps:
         c, alpha, z = (rng.normal(size=(m, k)) for _ in range(3))
         w = rng.normal(size=k)
         rho = rng.uniform(0.5, 2.0, m)
-        _, chol = phi2_v_linear(G, c, alpha, z, w, rho)
+        chol = linear_factors(G, rho)
         assert chol.shape == (m, k, k)
         for i in range(m):
             want = np.linalg.cholesky(G[i] + rho[i] * np.eye(k))
             assert np.array_equal(chol[i], want)
+        # and the update solves its system on them
+        v = phi2_v_linear(chol, c, alpha, z, w, rho)
+        A = G + rho[:, None, None] * np.eye(k)
+        assert np.allclose((A @ v[:, :, None])[:, :, 0], rho[:, None] * (w + z + alpha) + c,
+                           atol=1e-12)
 
 
 class TestCellAgainstStraightLine:
@@ -631,6 +641,46 @@ def test_parameters_and_draw_layout_are_set_up_once_per_pass(monkeypatch, mode, 
         for rec in tape.cells:
             assert np.shares_memory(rec.lam_eff, tape.params.lam_eff)
             assert np.shares_memory(rec.rho_eff, tape.params.rho_eff)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_linear_factors_are_set_up_once_per_pass_as_views(monkeypatch, tied):
+    # one checked factorization per slot and active client, before the
+    # first cell: a tied pass factors each client once, an untied one
+    # once per layer; each record's factors are a view of the pass's
+    # array and equal the client's own factorization bit for bit
+    L, m = 4, 3
+    shards = make_shards(M=6, n=20, seed=11)
+    params = random_params(6, 4, L, np.random.default_rng(11), tied=tied)
+    counts = count_calls(monkeypatch, ("spd_cholesky",))
+    _, tape = forward_network(shards, params, L=L, seed=1, client_indices=np.array([5, 1, 3]))
+    monkeypatch.undo()
+    assert counts["spd_cholesky"] == (m if tied else m * L)
+    pp = tape.params
+    assert pp.chol.shape == ((1 if tied else L), m, 4, 4)
+    for rec in tape.cells:
+        assert np.shares_memory(rec.chol, pp.chol)
+        for i in range(m):
+            A = tape.stats.gram[i] + pp.rho_eff[rec.slot, i] * np.eye(4)
+            assert np.array_equal(rec.chol[i], spd_cholesky(A))
+
+
+def test_a_failed_factorization_in_a_later_slot_raises_before_the_first_cell(monkeypatch):
+    L = 3
+    shards = make_shards(M=4, seed=12)
+    params = random_params(4, 4, L, np.random.default_rng(12))
+    params.rho_raw[2, 1] = np.nan
+    calls = []
+    original = unrolled_net.forward_cell
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(unrolled_net, "forward_cell", counted)
+    with pytest.raises(NonFiniteInput):
+        forward_network(shards, params, L=L, seed=1)
+    assert calls == []
 
 
 class _CountingGenerator:

@@ -17,7 +17,11 @@ both sides.
     python3 tools/bench_pairs.py --base HEAD --workload s1-m10-compare --seeds 71-80 --claim round_ms_p50@s1-m10-compare
 
 It prints one table per workload, each headed by both sides' code
-size, the line count of src/fedunroll/*.py as `wc -l` gives it. For
+size: the line count of src/fedunroll/*.py as `wc -l` gives it, then
+the same lines split into code, docstring, comment and blank by the
+standard library's tokenizer (a docstring is a string that is a
+statement of its own; the split counts a last line without a newline,
+which `wc -l` does not, and the package's modules have none). For
 every end-to-end metric that BENCHMARK.json declares, it prints each
 side's median [first quartile, third quartile], the number of pairs
 the working tree won (strictly better in the metric's direction) and
@@ -56,6 +60,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -99,6 +104,52 @@ def source_lines(tree: str) -> int:
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
     return total
+
+
+LINE_KINDS = ("code", "docstring", "comment", "blank")
+
+
+def line_kinds(source: bytes) -> Dict[str, int]:
+    """Lines of Python `source` by kind, from its tokens: a line with any
+    code token is code, else one inside a docstring (a string that is a
+    statement of its own) is docstring, else one holding a comment is
+    comment, and the rest, whitespace only, are blank. Every line counts,
+    a last one without a newline too."""
+    ranks: Dict[int, int] = {}  # line number -> index into LINE_KINDS, the lowest wins
+
+    def mark(tok, rank):
+        for line in range(tok.start[0], tok.end[0] + 1):
+            ranks[line] = min(ranks.get(line, rank), rank)
+
+    toks = []  # the tokens but comments and line breaks inside statements
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            mark(tok, 2)
+        elif tok.type not in (tokenize.ENCODING, tokenize.NL):
+            toks.append(tok)
+    starts = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+    for i, tok in enumerate(toks):
+        if tok.type in starts or tok.type == tokenize.ENDMARKER:
+            continue
+        docstring = (tok.type == tokenize.STRING and (i == 0 or toks[i - 1].type in starts)
+                     and toks[i + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER))
+        mark(tok, 1 if docstring else 0)
+    counts = dict.fromkeys(LINE_KINDS, 0)
+    for rank in ranks.values():
+        counts[LINE_KINDS[rank]] += 1
+    counts["blank"] = len(source.splitlines()) - len(ranks)
+    return counts
+
+
+def code_size(tree: str) -> str:
+    """source_lines of `tree`, then the same modules' lines by kind
+    (line_kinds), summed over the modules."""
+    total = dict.fromkeys(LINE_KINDS, 0)
+    for path in glob.glob(os.path.join(tree, "src", "fedunroll", "*.py")):
+        with open(path, "rb") as fh:
+            for kind, n in line_kinds(fh.read()).items():
+                total[kind] += n
+    return f"{source_lines(tree)} ({', '.join(f'{kind} {n}' for kind, n in total.items())})"
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> Tuple[int, Optional[dict]]:
@@ -210,13 +261,13 @@ def metric_pairs(sides: Dict[str, Dict[int, Dict[str, float]]], seeds: List[int]
 
 
 def report(workload: str, seeds: List[int], runs: List[Tuple[int, str, int, Optional[dict]]],
-           declared: List[dict], lines: Dict[str, int], header: str) -> bool:
+           declared: List[dict], sizes: Dict[str, str], header: str) -> bool:
     """Print one workload's table from its runs (seed, side, exit code,
     result); True when it shows a WORSE metric, MORE FAILURES or a
     failed run."""
     sides = by_side(runs)
     print(f"{workload}: {header}")
-    print(f"  src/fedunroll/*.py lines: base {lines['base']}  change {lines['change']}")
+    print(f"  src/fedunroll/*.py lines: base {sizes['base']}  change {sizes['change']}")
     any_worse = False
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -284,7 +335,7 @@ def main(argv=None) -> int:
     try:
         export_tree(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
-        lines = {side: source_lines(tree) for side, tree in trees.items()}
+        sizes = {side: code_size(tree) for side, tree in trees.items()}
         for workload in workloads:
             for i, seed in enumerate(seeds):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
@@ -296,7 +347,7 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     header = f"{len(seeds)} pairs, --seconds {args.seconds:g}, base {args.base}"
-    bad = [report(w, seeds, runs[w], benchmark["end_to_end"], lines, header) for w in workloads]
+    bad = [report(w, seeds, runs[w], benchmark["end_to_end"], sizes, header) for w in workloads]
     if args.claim is not None:
         pairs = metric_pairs(by_side(runs[claim_workload]), seeds, claim_metric)
         met, why = claim_met(pairs, len(seeds), declared[claim_metric]["better"] == "lower")
