@@ -63,7 +63,8 @@ class CellTrace:
 
 
 def trace_from_tape(tape: Tape, params_trained: bool = False) -> CellTrace:
-    """Evaluate the objective and step norms after every recorded cell."""
+    """Evaluate the objective and step norms after every recorded cell.
+    The last cell's objective reads the tape's final residuals."""
     L = len(tape.cells)
     m = tape.m_active
     lags = np.empty(L)
@@ -73,7 +74,7 @@ def trace_from_tape(tape: Tape, params_trained: bool = False) -> CellTrace:
     rho_min = np.inf
     for li, rec in enumerate(tape.cells):
         prev = tape.inputs(li)
-        lags[li] = lagrangian(rec, tape.stats.rows)
+        lags[li] = lagrangian(rec, tape.stats.rows, tape.final_residuals if li == L - 1 else None)
         dv[li] = np.linalg.norm(rec.v - prev.v, axis=1)
         da[li] = np.linalg.norm(rec.alpha - prev.alpha, axis=1)
         dw[li] = np.linalg.norm(rec.w - prev.w)

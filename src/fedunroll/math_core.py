@@ -14,12 +14,21 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, EmptyData, NonFiniteInput, NotPD
 
 # Positivity floor for the penalty scalars rho: values are clamped
 # to [EPS, inf) at the point of use.
 EPS = 1e-6
+
+# The LAPACK gufuncs that np.linalg.cholesky and np.linalg.solve run,
+# under the error state those set around them: LAPACK's failure flag
+# (invalid) raises FloatingPointError, the other flags are ignored.
+# As decorators, the error state is set per call and per thread.
+_LAPACK_ERRSTATE = np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+_cholesky_lo = _LAPACK_ERRSTATE(_umath_linalg.cholesky_lo)
+_solve = _LAPACK_ERRSTATE(_umath_linalg.solve)
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -72,14 +81,22 @@ def spd_cholesky(A: np.ndarray) -> np.ndarray:
     for a NaN or infinite entry, NotPD for asymmetry beyond 1e-12 times
     max(1, max|A|) of that matrix, and NotPD for a non-positive pivot.
     Stacked and single matrices go through the same lines. On exactly
-    symmetric finite input a call costs one np.linalg.cholesky plus one
-    subtraction A - A' and a count of its nonzero entries: when that
+    symmetric finite input a call costs one cholesky_lo gufunc call plus
+    one subtraction A - A' and a count of its nonzero entries: when that
     count is 0 every check would pass (a NaN entry, or an infinite one,
     leaves a NaN or infinite entry in A - A'). Otherwise two reductions
     follow: one over |A| gives each matrix's scale and, since NaN and inf
     propagate into a max, its finiteness; one over A - A' gives its
     asymmetry. An infinite entry can make numpy warn of inf - inf in the
     subtraction before NonFiniteInput is raised.
+
+    The factor is np.linalg.cholesky's bit for bit: the same gufunc,
+    called under the same error state (_LAPACK_ERRSTATE) but without
+    np.linalg's Python wrapper. Linear mode makes one checked call per
+    slot and active client (the benchmark pins that count), and on
+    k = 4 the wrapper cost more than the factorization. A failed pivot
+    raises NotPD("spd_cholesky: Matrix is not positive definite"),
+    whatever error state the caller set.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -97,19 +114,26 @@ def spd_cholesky(A: np.ndarray) -> np.ndarray:
                 raise NonFiniteInput("spd_cholesky: contains non-finite entries")
             raise NotPD("spd_cholesky: matrix is not symmetric")
     try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotPD(f"spd_cholesky: {exc}") from exc
+        return _cholesky_lo(A, signature="d->d")
+    except FloatingPointError as exc:
+        raise NotPD("spd_cholesky: Matrix is not positive definite") from exc
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b given the lower Cholesky factor L of A.
 
     L [..., k, k] and b [..., k] may carry a leading stack axis; each
-    system is solved as it would be on its own, bit for bit.
+    system is solved as it would be on its own, bit for bit. Two calls
+    of LAPACK's solve gufunc, with L and then L', give what two
+    np.linalg.solve calls give, without their Python wrapper, and under
+    the same error state: a factor with a zero pivot (A singular) raises
+    NotPD where np.linalg.solve raised LinAlgError.
     """
-    y = np.linalg.solve(L, b[..., None])
-    return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
+    try:
+        y = _solve(L, b[..., None], signature="dd->d")
+        return _solve(np.swapaxes(L, -1, -2), y, signature="dd->d")[..., 0]
+    except FloatingPointError as exc:
+        raise NotPD("chol_solve: factor is singular") from exc
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py: the seed list it pairs runs over, the export of
 the base commit, the bound check on the medians, the comparison of
 the failed operations' shares, the code-size count and its split by
-line kind, and the verdict on a claimed gain."""
+line kind, the verdict on a claimed gain, and the JSON file of the
+figures."""
 
 import argparse
 import importlib.util
@@ -259,3 +260,46 @@ def test_the_claim_verdict_is_printed_last_and_leaves_the_exit_code(monkeypatch,
     assert bench_pairs.main(argv) == 1   # s3's WORSE run_s still fails the command
     out = capsys.readouterr().out
     assert "WORSE" in out and "CLAIM MET" in out
+
+
+def test_json_holds_the_tables_figures_and_the_claim_verdict(monkeypatch, capsys, tmp_path):
+    workloads = ["s1-m10-compare", "s3-m100-grad-partial"]
+    path = tmp_path / "BENCH_x.json"
+    argv = ["--base", "HEAD", "--workload", ",".join(workloads), "--seeds", "1-3", "--seconds", "1",
+            "--claim", "round_ms_p50@s1-m10-compare", "--json", str(path)]
+    _fake_runs(monkeypatch, {"s1-m10-compare": {"round_ms_p50": 9.0},
+                             "s3-m100-grad-partial": {"run_s": 20.0}})
+    assert bench_pairs.main(argv) == 1
+    out = capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    assert (doc["base"], doc["seeds"], doc["seconds"], doc["exit_code"]) == ("HEAD", [1, 2, 3], 1.0, 1)
+    # the stubbed export leaves the base without modules
+    assert doc["code_size"] == {"base": {"lines": 0, "code": 0, "docstring": 0, "comment": 0, "blank": 0},
+                                "change": bench_pairs.code_split(bench_pairs.ROOT)}
+    assert list(doc["workloads"]) == workloads
+    s1, s3 = (doc["workloads"][w] for w in workloads)
+    assert list(s1["metrics"]) == [m["name"] for m in _declared()]
+    p50 = s1["metrics"]["round_ms_p50"]
+    assert (p50["unit"], p50["better"], p50["bound"]) == ("ms", "lower", 0.25)
+    assert p50["base"] == {"q1": 10.0, "median": 10.0, "q3": 10.0}
+    assert p50["change"] == {"q1": 9.0, "median": 9.0, "q3": 9.0}
+    assert (p50["pairs"], p50["wins"], p50["ties"], p50["worse"]) == (3, 3, 0, False)
+    assert p50["median_pair_change_pct"] == pytest.approx(-10.0)
+    assert (s1["metrics"]["run_s"]["wins"], s1["metrics"]["run_s"]["ties"]) == (0, 3)
+    run_s = s3["metrics"]["run_s"]
+    assert run_s["worse"] and run_s["median_pair_change_pct"] == pytest.approx(100.0)
+    assert "run_s (s): base 10 [10, 10]  change 20 [20, 20]  change wins 0/3, ties 0  WORSE" in out
+    for summary in (s1, s3):
+        assert summary["operations"] == {"base": {"failed": 0, "attempted": 15},
+                                         "change": {"failed": 0, "attempted": 15}}
+        assert summary["more_failures"] is False and summary["failed_runs"] == []
+    claim = doc["claim"]
+    assert (claim["metric"], claim["workload"], claim["met"]) == ("round_ms_p50", "s1-m10-compare", True)
+    assert out.strip().splitlines()[-1] == f"CLAIM MET: round_ms_p50 on s1-m10-compare: {claim['why']}"
+
+    _fake_runs(monkeypatch, change_code=1)
+    assert bench_pairs.main(argv[:-4] + ["--json", str(path)]) == 1
+    doc = json.loads(path.read_text())
+    assert doc["claim"] is None and doc["exit_code"] == 1
+    assert doc["workloads"]["s1-m10-compare"]["failed_runs"] == [
+        {"side": "change", "seed": s, "exit": 1, "json_result": True, "correct": True} for s in (1, 2, 3)]

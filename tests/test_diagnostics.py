@@ -11,6 +11,7 @@ import pytest
 
 from conftest import count_calls, make_shards, random_params
 
+from fedunroll import math_core
 from fedunroll.diagnostics import (
     RHO_DESCENT_REGIME,
     CellTrace,
@@ -210,3 +211,26 @@ class TestWeightReport:
         trace = trace_from_tape(tape)
         assert counts["stack_rows"] == 0
         assert np.all(np.isfinite(trace.lagrangians))
+
+    @pytest.mark.parametrize("mode", ["linear", "grad"])
+    def test_trace_reads_the_tapes_final_residuals(self, monkeypatch, mode):
+        # the last cell's objective reads Tape.final_residuals: L - 1
+        # residual computations once they are cached, L from a fresh
+        # tape, and every objective is the one its own residuals give
+        shards = make_shards(M=3, n=15, seed=332)
+        params = random_params(3, 4, 4, np.random.default_rng(332))
+        _, tape = forward_network(shards, params, mode=mode, seed=3)
+        want = [lagrangian(rec, tape.stats.rows) for rec in tape.cells]
+        calls = []
+        original = math_core.RowStack.residuals
+
+        def counted(self, V):
+            calls.append(None)
+            return original(self, V)
+
+        monkeypatch.setattr(math_core.RowStack, "residuals", counted)
+        fresh = trace_from_tape(tape)
+        assert len(calls) == 4
+        cached = trace_from_tape(tape)
+        assert len(calls) == 4 + 3
+        assert fresh.lagrangians.tolist() == cached.lagrangians.tolist() == want

@@ -1,6 +1,9 @@
 """Numeric primitives: validation, factorizations, features, stacked
 client rows and their minibatches."""
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +322,99 @@ class TestCholeskyGuard:
     def test_signed_zero_mirror_factors_like_lapack(self):
         A = np.array([[4.0, 0.0, 1.0], [-0.0, 9.0, 0.0], [1.0, -0.0, 16.0]])
         assert np.linalg.cholesky(A).tobytes() == spd_cholesky(A).tobytes()
+
+
+def _np_linalg_chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """chol_solve as two np.linalg.solve calls, with L and then L'."""
+    y = np.linalg.solve(L, b[..., None])
+    return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
+
+
+def _error_state(state: str) -> contextlib.ExitStack:
+    """The caller's floating-point error state: numpy's default with
+    every warning an error, all raising, or all ignored."""
+    stack = contextlib.ExitStack()
+    if state == "default":
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("error")
+    else:
+        stack.enter_context(np.errstate(all=state))
+    return stack
+
+
+class TestLapackGufuncs:
+    """spd_cholesky and chol_solve call LAPACK's gufuncs without
+    np.linalg's wrapper: the same bytes as np.linalg, NotPD where
+    np.linalg raised LinAlgError, whatever the caller's error state."""
+
+    def test_factor_and_solve_match_np_linalg_bytewise(self):
+        rng = np.random.default_rng(21)
+        A = _spd_stack(6, 4, seed=21)
+        b = rng.normal(size=(6, 4))
+        for M, rhs in ((A[3], b[3]), (A, b)):
+            L = spd_cholesky(M)
+            assert L.tobytes() == np.linalg.cholesky(M).tobytes()
+            assert chol_solve(L, rhs).tobytes() == _np_linalg_chol_solve(L, rhs).tobytes()
+
+    def test_linear_factors_views_match_np_linalg_bytewise(self):
+        # linear_factors factors each [k, k] view of one [S, m, k, k]
+        # array from gathered penalties, whose layout is client-major;
+        # the cells solve on each slot's [m, k, k] view with strided
+        # right-hand sides
+        rng = np.random.default_rng(22)
+        G = client_stats(make_uneven_shards([3, 17, 40, 9], seed=22)).gram
+        rho = np.ascontiguousarray(rng.uniform(0.1, 5.0, size=(4, 3))).T  # [S=3, m=4], strides (8, 24)
+        A = np.add(G, rho[..., None, None] * np.eye(4), out=np.empty(rho.shape + (4, 4)))
+        F = np.empty_like(A)
+        for a, f in zip(A.reshape(-1, 4, 4), F.reshape(-1, 4, 4)):
+            f[...] = spd_cholesky(a)
+            assert f.tobytes() == np.linalg.cholesky(a).tobytes()
+        b = np.asfortranarray(rng.normal(size=(4, 4)))
+        for s in range(3):
+            rhs = rho[s][:, None] * b
+            assert chol_solve(F[s], rhs).tobytes() == _np_linalg_chol_solve(F[s], rhs).tobytes()
+            assert chol_solve(F[s, ::2], b[::2]).tobytes() == \
+                _np_linalg_chol_solve(F[s, ::2], b[::2]).tobytes()
+
+    @pytest.mark.parametrize("state", ["default", "raise", "ignore"])
+    def test_indefinite_raises_not_pd_under_any_error_state(self, state):
+        A = _spd_stack(3, 4, seed=23)
+        A[1, 2, 2] = -A[1, 2, 2]
+        for M in (A[1], A):
+            with _error_state(state), pytest.raises(NotPD) as exc:
+                spd_cholesky(M)
+            assert str(exc.value) == "spd_cholesky: Matrix is not positive definite"
+            assert str(exc.value) == str(pytest.raises(NotPD, _checked_cholesky_oracle, M).value)
+
+    @pytest.mark.parametrize("state", ["default", "raise", "ignore"])
+    @pytest.mark.parametrize("d", range(4))
+    def test_a_zero_pivot_in_the_factor_raises_not_pd_not_linalg_error(self, state, d):
+        L = spd_cholesky(_spd_stack(3, 4, seed=24))
+        L[1, d, d] = 0.0
+        b = np.random.default_rng(24).normal(size=(3, 4))
+        for F, rhs in ((L[1], b[1]), (L, b)):
+            with pytest.raises(np.linalg.LinAlgError):
+                _np_linalg_chol_solve(F, rhs)
+            with _error_state(state), pytest.raises(NotPD, match="chol_solve"):
+                chol_solve(F, rhs)
+
+    def test_the_callers_error_state_is_left_as_it_was(self):
+        A = _spd_stack(2, 3, seed=25)
+        bad = A.copy()
+        bad[0, 0, 0] = -1.0
+        for outer in ({}, {"all": "raise"}, {"all": "ignore"}, {"under": "warn", "invalid": "print"}):
+            with np.errstate(**outer):
+                before = np.geterr()
+                L = spd_cholesky(A)
+                chol_solve(L, np.ones((2, 3)))
+                assert np.geterr() == before
+                with pytest.raises(NotPD):
+                    spd_cholesky(bad)
+                assert np.geterr() == before
+                L[1, 2, 2] = 0.0
+                with pytest.raises(NotPD):
+                    chol_solve(L, np.ones((2, 3)))
+                assert np.geterr() == before
 
 
 class TestDesignMatrix:

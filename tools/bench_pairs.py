@@ -44,7 +44,19 @@ pairs run (a tie, or a pair missing a value, wins for neither side),
 and its median is better than the base's by more than the distance
 between the base's first and third quartiles. An unknown metric or a
 workload not run is a usage error before any run; the verdict does not
-change the exit code. Standard library only.
+change the exit code.
+
+    python3 tools/bench_pairs.py --base HEAD --workload s2-m100-fedlocal --seeds 71-80 --json BENCH_x.json
+
+With `--json PATH` it also writes what it printed to PATH as one JSON
+object: the base ref, the seeds and the run length; both sides' code
+size (`code_split`: the line count and its split by kind); per
+workload (`summarize`) and per end-to-end metric both sides' median and
+quartiles, the pairs with both values, the pairs won, the ties, the
+median pair change in percent and the WORSE flag, then both sides'
+failed and attempted operations, the MORE FAILURES flag and the failed
+runs; the claim and its verdict (null without `--claim`); and the exit
+code. Standard library only.
 """
 
 from __future__ import annotations
@@ -141,15 +153,21 @@ def line_kinds(source: bytes) -> Dict[str, int]:
     return counts
 
 
-def code_size(tree: str) -> str:
-    """source_lines of `tree`, then the same modules' lines by kind
-    (line_kinds), summed over the modules."""
+def code_split(tree: str) -> Dict[str, int]:
+    """{"lines": source_lines of `tree`, then each kind: the same
+    modules' lines of that kind (line_kinds), summed over the modules}."""
     total = dict.fromkeys(LINE_KINDS, 0)
     for path in glob.glob(os.path.join(tree, "src", "fedunroll", "*.py")):
         with open(path, "rb") as fh:
             for kind, n in line_kinds(fh.read()).items():
                 total[kind] += n
-    return f"{source_lines(tree)} ({', '.join(f'{kind} {n}' for kind, n in total.items())})"
+    return {"lines": source_lines(tree), **total}
+
+
+def code_size(tree: str) -> str:
+    """The code_split of `tree` as one line: the line count, then the split."""
+    split = code_split(tree)
+    return f"{split['lines']} ({', '.join(f'{kind} {split[kind]}' for kind in LINE_KINDS)})"
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> Tuple[int, Optional[dict]]:
@@ -181,20 +199,30 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, q2, q3
 
 
-def spread(values: List[float]) -> str:
-    """Median [Q1, Q3] of the values."""
-    if not values:
+def spread(q: Optional[Dict[str, float]]) -> str:
+    """Median [Q1, Q3] of one side's quartiles ({"q1", "median", "q3"},
+    None without values)."""
+    if q is None:
         return "n/a"
-    q1, q2, q3 = quartiles(values)
-    return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
+    return f"{q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]"
+
+
+def median_pair_change(pairs: List[Tuple[float, float]]) -> Optional[float]:
+    """Median over the (base, change) pairs of change / base - 1, in
+    percent; pairs with a zero base have no relative change and are
+    left out (None when none is left)."""
+    rel = [c / b - 1.0 for b, c in pairs if b != 0]
+    return 100.0 * statistics.median(rel) if rel else None
+
+
+def percent(change: Optional[float]) -> str:
+    """A change in percent as printed: signed, two decimals, or "n/a"."""
+    return "n/a" if change is None else f"{change:+.2f} %"
 
 
 def pair_change(pairs: List[Tuple[float, float]]) -> str:
-    """Median over the (base, change) pairs of change / base - 1, in
-    percent; pairs with a zero base have no relative change and are
-    left out ("n/a" when none is left)."""
-    rel = [c / b - 1.0 for b, c in pairs if b != 0]
-    return f"{100.0 * statistics.median(rel):+.2f} %" if rel else "n/a"
+    """median_pair_change of the pairs as printed (percent)."""
+    return percent(median_pair_change(pairs))
 
 
 def worse_beyond_bound(base: float, change: float, bound: float, lower: bool) -> bool:
@@ -260,44 +288,68 @@ def metric_pairs(sides: Dict[str, Dict[int, Dict[str, float]]], seeds: List[int]
             if name in sides["base"].get(s, {}) and name in sides["change"].get(s, {})]
 
 
-def report(workload: str, seeds: List[int], runs: List[Tuple[int, str, int, Optional[dict]]],
-           declared: List[dict], sizes: Dict[str, str], header: str) -> bool:
-    """Print one workload's table from its runs (seed, side, exit code,
-    result); True when it shows a WORSE metric, MORE FAILURES or a
-    failed run."""
+def summarize(seeds: List[int], runs: List[Tuple[int, str, int, Optional[dict]]],
+              declared: List[dict]) -> dict:
+    """One workload's figures from its runs (seed, side, exit code,
+    result): for each declared end-to-end metric both sides' quartiles
+    (None without values), the pairs with both values, the change's wins
+    and the ties among them, the median pair change in percent and
+    whether the change is WORSE; both sides' failed and attempted
+    operations and whether the change's share is larger; and the runs
+    that failed."""
     sides = by_side(runs)
-    print(f"{workload}: {header}")
-    print(f"  src/fedunroll/*.py lines: base {sizes['base']}  change {sizes['change']}")
-    any_worse = False
+    metrics = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
-        values = {side: [m[name] for m in sides[side].values() if name in m] for side in SIDES}
+        entry = {key: metric[key] for key in ("unit", "better", "bound")}
+        for side in SIDES:
+            values = [m[name] for m in sides[side].values() if name in m]
+            entry[side] = dict(zip(("q1", "median", "q3"), quartiles(values))) if values else None
         pairs = metric_pairs(sides, seeds, name)
-        wins = sum((c < b) if lower else (c > b) for b, c in pairs)
-        ties = sum(c == b for b, c in pairs)
-        flag = ""
-        if values["base"] and values["change"] and worse_beyond_bound(
-                statistics.median(values["base"]), statistics.median(values["change"]),
-                metric["bound"], lower):
-            flag = f"  WORSE (bound {metric['bound']:g})"
-            any_worse = True
-        print(f"  {name} ({metric['unit']}): base {spread(values['base'])}  "
-              f"change {spread(values['change'])}  "
-              f"change wins {wins}/{len(pairs)}, ties {ties}{flag}  "
-              f"median pair change {pair_change(pairs)}")
+        entry.update(
+            pairs=len(pairs),
+            wins=sum((c < b) if lower else (c > b) for b, c in pairs),
+            ties=sum(c == b for b, c in pairs),
+            median_pair_change_pct=median_pair_change(pairs),
+            worse=bool(entry["base"] and entry["change"] and worse_beyond_bound(
+                entry["base"]["median"], entry["change"]["median"], metric["bound"], lower)),
+        )
+        metrics[name] = entry
     tally = {side: (sum(r["failed"] for _, s, _, r in runs if s == side and r),
                     sum(r["attempted"] for _, s, _, r in runs if s == side and r))
              for side in SIDES}
-    more_failures = failed_share_grew(tally["base"], tally["change"])
+    return {
+        "metrics": metrics,
+        "operations": {side: {"failed": f, "attempted": a} for side, (f, a) in tally.items()},
+        "more_failures": failed_share_grew(tally["base"], tally["change"]),
+        "failed_runs": [{"side": side, "seed": seed, "exit": code, "json_result": result is not None,
+                         "correct": None if result is None else result.get("correct")}
+                        for seed, side, code, result in runs
+                        if code != 0 or result is None or result.get("correct") is not True],
+    }
+
+
+def report(workload: str, summary: dict, sizes: Dict[str, str], header: str) -> bool:
+    """Print one workload's table from its summary; True when it shows a
+    WORSE metric, MORE FAILURES or a failed run."""
+    print(f"{workload}: {header}")
+    print(f"  src/fedunroll/*.py lines: base {sizes['base']}  change {sizes['change']}")
+    for name, m in summary["metrics"].items():
+        flag = f"  WORSE (bound {m['bound']:g})" if m["worse"] else ""
+        print(f"  {name} ({m['unit']}): base {spread(m['base'])}  "
+              f"change {spread(m['change'])}  "
+              f"change wins {m['wins']}/{m['pairs']}, ties {m['ties']}{flag}  "
+              f"median pair change {percent(m['median_pair_change_pct'])}")
     for side in SIDES:
-        flag = "  MORE FAILURES" if side == "change" and more_failures else ""
-        print(f"  {side}: {tally[side][0]} of {tally[side][1]} operations failed{flag}")
-    bad = [(seed, side, code, result) for seed, side, code, result in runs
-           if code != 0 or result is None or result.get("correct") is not True]
-    for seed, side, code, result in bad:
-        correct = "no JSON result" if result is None else f'"correct": {json.dumps(result.get("correct"))}'
-        print(f"  FAILED RUN: {side} seed {seed}: exit {code}, {correct}")
-    return bool(bad) or any_worse or more_failures
+        ops = summary["operations"][side]
+        flag = "  MORE FAILURES" if side == "change" and summary["more_failures"] else ""
+        print(f"  {side}: {ops['failed']} of {ops['attempted']} operations failed{flag}")
+    for run in summary["failed_runs"]:
+        correct = (f'"correct": {json.dumps(run["correct"])}' if run["json_result"]
+                   else "no JSON result")
+        print(f"  FAILED RUN: {run['side']} seed {run['seed']}: exit {run['exit']}, {correct}")
+    return (bool(summary["failed_runs"]) or summary["more_failures"]
+            or any(m["worse"] for m in summary["metrics"].values()))
 
 
 def main(argv=None) -> int:
@@ -309,6 +361,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--claim", metavar="METRIC@WORKLOAD",
                         help="judge a claimed gain in an end-to-end metric on a workload run")
+    parser.add_argument("--json", metavar="PATH", help="also write the figures to PATH as JSON")
     args = parser.parse_args(argv)
     seeds, workloads = args.seeds, args.workload
 
@@ -335,6 +388,7 @@ def main(argv=None) -> int:
     try:
         export_tree(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
+        splits = {side: code_split(tree) for side, tree in trees.items()}
         sizes = {side: code_size(tree) for side, tree in trees.items()}
         for workload in workloads:
             for i, seed in enumerate(seeds):
@@ -347,12 +401,22 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     header = f"{len(seeds)} pairs, --seconds {args.seconds:g}, base {args.base}"
-    bad = [report(w, seeds, runs[w], benchmark["end_to_end"], sizes, header) for w in workloads]
+    summaries = {w: summarize(seeds, runs[w], benchmark["end_to_end"]) for w in workloads}
+    bad = [report(w, summaries[w], sizes, header) for w in workloads]
+    claim = None
     if args.claim is not None:
         pairs = metric_pairs(by_side(runs[claim_workload]), seeds, claim_metric)
         met, why = claim_met(pairs, len(seeds), declared[claim_metric]["better"] == "lower")
+        claim = {"metric": claim_metric, "workload": claim_workload, "met": met, "why": why}
         print(f"CLAIM {'MET' if met else 'NOT MET'}: {claim_metric} on {claim_workload}: {why}")
-    return 1 if any(bad) else 0
+    code = 1 if any(bad) else 0
+    if args.json is not None:
+        with open(args.json, "w") as fh:
+            json.dump({"base": args.base, "seeds": seeds, "seconds": args.seconds,
+                       "code_size": splits, "workloads": summaries, "claim": claim,
+                       "exit_code": code}, fh, indent=2)
+            fh.write("\n")
+    return code
 
 
 if __name__ == "__main__":
