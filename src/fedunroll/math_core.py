@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+from numpy._core.multiarray import count_nonzero
 from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, EmptyData, NonFiniteInput, NotPD
@@ -22,13 +24,15 @@ from .errors import DimensionMismatch, EmptyData, NonFiniteInput, NotPD
 # to [EPS, inf) at the point of use.
 EPS = 1e-6
 
-# The LAPACK gufuncs that np.linalg.cholesky and np.linalg.solve run,
-# under the error state those set around them: LAPACK's failure flag
-# (invalid) raises FloatingPointError, the other flags are ignored.
-# As decorators, the error state is set per call and per thread.
-_LAPACK_ERRSTATE = np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
-_cholesky_lo = _LAPACK_ERRSTATE(_umath_linalg.cholesky_lo)
-_solve = _LAPACK_ERRSTATE(_umath_linalg.solve)
+# The error state np.linalg sets around its LAPACK gufuncs: LAPACK's
+# failure flag (invalid) raises FloatingPointError, the other flags are
+# ignored. It is built once, here; spd_cholesky and chol_solve enter it
+# with one set and one reset of numpy's per-thread (per-context) state,
+# which is what np.errstate does per call after building it again. All
+# four flags are set, so the handler it captures is never called, and
+# the package calls the gufuncs on float64 arrays, which they do not
+# cast, so its buffer size does not change what they compute.
+_LAPACK_STATE = _make_extobj(all="ignore", invalid="raise")
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -72,7 +76,7 @@ def clamp_positive(raw):
     return np.maximum(raw, EPS)
 
 
-def spd_cholesky(A: np.ndarray) -> np.ndarray:
+def spd_cholesky(A: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix, or of
     every matrix of a stack [..., k, k] in one batched factorization.
 
@@ -81,42 +85,52 @@ def spd_cholesky(A: np.ndarray) -> np.ndarray:
     for a NaN or infinite entry, NotPD for asymmetry beyond 1e-12 times
     max(1, max|A|) of that matrix, and NotPD for a non-positive pivot.
     Stacked and single matrices go through the same lines. On exactly
-    symmetric finite input a call costs one cholesky_lo gufunc call plus
-    one subtraction A - A' and a count of its nonzero entries: when that
-    count is 0 every check would pass (a NaN entry, or an infinite one,
-    leaves a NaN or infinite entry in A - A'). Otherwise two reductions
-    follow: one over |A| gives each matrix's scale and, since NaN and inf
-    propagate into a max, its finiteness; one over A - A' gives its
-    asymmetry. An infinite entry can make numpy warn of inf - inf in the
-    subtraction before NonFiniteInput is raised.
+    symmetric finite input a call costs one cholesky_lo gufunc call, one
+    subtraction A - A', a count of its nonzero entries (numpy's C
+    count_nonzero) and one set and reset of the prebuilt error state
+    (_LAPACK_STATE): when that count is 0 every check would pass (a NaN
+    entry, or an infinite one, leaves a NaN or infinite entry in A - A').
+    Otherwise two reductions follow: one over |A| gives each matrix's
+    scale and, since NaN and inf propagate into a max, its finiteness;
+    one over A - A' gives its asymmetry. An infinite entry can make numpy
+    warn of inf - inf in the subtraction before NonFiniteInput is raised.
 
     The factor is np.linalg.cholesky's bit for bit: the same gufunc,
-    called under the same error state (_LAPACK_ERRSTATE) but without
-    np.linalg's Python wrapper. Linear mode makes one checked call per
-    slot and active client (the benchmark pins that count), and on
-    k = 4 the wrapper cost more than the factorization. A failed pivot
-    raises NotPD("spd_cholesky: Matrix is not positive definite"),
-    whatever error state the caller set.
+    under the same error state, without np.linalg's Python wrapper. It
+    is written to `out` when given (A itself included) and `out` is
+    returned; an `out` of another shape than A's raises DimensionMismatch
+    after A's own shape checks. The checks run before anything is
+    written, so a matrix they reject leaves `out` as it was; a failed
+    pivot leaves NaN in it, as LAPACK's gufunc writes. Linear mode makes
+    one checked call per slot and active client (the benchmark pins that
+    count), each in place. A failed pivot raises
+    NotPD("spd_cholesky: Matrix is not positive definite"), whatever
+    error state the caller set.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"spd_cholesky: matrix must be square, got {A.shape}")
     if A.shape[-1] < 1:
         raise EmptyData("spd_cholesky: needs at least one row and one column")
+    if out is not None and out.shape != A.shape:
+        raise DimensionMismatch(f"spd_cholesky: out has shape {out.shape}, the factor {A.shape}")
     d = A - A.swapaxes(-1, -2)
-    if np.count_nonzero(d):
+    if count_nonzero(d):
         scale = np.maximum.reduce(np.abs(A), axis=(-2, -1), initial=1.0)
         # A - A' is antisymmetric, so its largest entry is its largest magnitude
         asym = np.maximum.reduce(d, axis=(-2, -1))
         ok = (asym <= 1e-12 * scale) & (scale < np.inf)
-        if np.count_nonzero(ok) != ok.size:
+        if count_nonzero(ok) != ok.size:
             if not np.isfinite(scale).all():
                 raise NonFiniteInput("spd_cholesky: contains non-finite entries")
             raise NotPD("spd_cholesky: matrix is not symmetric")
+    token = _extobj_contextvar.set(_LAPACK_STATE)
     try:
-        return _cholesky_lo(A, signature="d->d")
+        return _umath_linalg.cholesky_lo(A, signature="d->d", out=out)
     except FloatingPointError as exc:
         raise NotPD("spd_cholesky: Matrix is not positive definite") from exc
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,14 +140,18 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     system is solved as it would be on its own, bit for bit. Two calls
     of LAPACK's solve gufunc, with L and then L', give what two
     np.linalg.solve calls give, without their Python wrapper, and under
-    the same error state: a factor with a zero pivot (A singular) raises
-    NotPD where np.linalg.solve raised LinAlgError.
+    the same error state, entered once for both (_LAPACK_STATE): a
+    factor with a zero pivot (A singular) raises NotPD where
+    np.linalg.solve raised LinAlgError.
     """
+    token = _extobj_contextvar.set(_LAPACK_STATE)
     try:
-        y = _solve(L, b[..., None], signature="dd->d")
-        return _solve(np.swapaxes(L, -1, -2), y, signature="dd->d")[..., 0]
+        y = _umath_linalg.solve(L, b[..., None], signature="dd->d")
+        return _umath_linalg.solve(np.swapaxes(L, -1, -2), y, signature="dd->d")[..., 0]
     except FloatingPointError as exc:
         raise NotPD("chol_solve: factor is singular") from exc
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

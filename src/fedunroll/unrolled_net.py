@@ -168,14 +168,15 @@ def linear_factors(gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Linear mode's Cholesky factors of G_i + rho I for the Gram
     matrices G [m, k, k] and penalties rho [..., m], shaped
     [..., m, k, k]. Each matrix gets its own checked spd_cholesky call,
-    because the benchmark pins that factorization count, and its factor
-    overwrites it, so the factors take no second array."""
+    because the benchmark pins that factorization count, which writes
+    its factor over it (out=): the factors take no second array and no
+    copy."""
     k = gram.shape[-1]
     # in C order whatever the inputs' layout, so that the reshape is a
     # view and each factor lands in A
     A = np.add(gram, rho[..., None, None] * np.eye(k), out=np.empty(rho.shape + (k, k)))
     for a in A.reshape(-1, k, k):
-        a[...] = spd_cholesky(a)
+        spd_cholesky(a, out=a)
     return A
 
 

@@ -1,14 +1,17 @@
 """tools/bench_pairs.py: the seed list it pairs runs over, the export of
 the base commit, the bound check on the medians, the comparison of
 the failed operations' shares, the code-size count and its split by
-line kind, the verdict on a claimed gain, and the JSON file of the
-figures."""
+line kind, the verdict on a claimed gain, the resolution of the base
+ref, and the JSON file of the figures and the run's environment."""
 
 import argparse
 import importlib.util
 import json
 import os
+import platform
 import subprocess
+
+import numpy as np
 
 import pytest
 
@@ -121,6 +124,10 @@ def test_code_size_splits_the_lines_into_code_docstring_comment_and_blank(tmp_pa
     assert bench_pairs.code_size(str(tmp_path / "empty")) == "0 (code 0, docstring 0, comment 0, blank 0)"
 
 
+# the commit the stubbed git resolves every base ref to
+_FAKE_COMMIT = "0123456789abcdef0123456789abcdef01234567"
+
+
 def _fake_runs(monkeypatch, change_values=None, change_code=0):
     """Stub out git, the export and the benchmark runs; every run prints
     all declared metrics at 10, except the change side's values given
@@ -138,6 +145,7 @@ def _fake_runs(monkeypatch, change_values=None, change_code=0):
                   "failed": 0, "attempted": 5, "correct": True}
         return (change_code if side == "change" else 0), result
 
+    monkeypatch.setattr(bench_pairs, "resolve_commit", lambda ref: _FAKE_COMMIT)
     monkeypatch.setattr(bench_pairs, "benchmark_differs", lambda base: False)
     monkeypatch.setattr(bench_pairs, "export_tree", lambda ref, dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
@@ -186,10 +194,39 @@ def test_every_workload_gets_its_table_and_one_worse_workload_fails_the_command(
     assert capsys.readouterr().out.count("FAILED RUN: change") == 4
 
 
+def _git_in(repo, *args) -> str:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def test_the_base_ref_resolves_to_its_commit(tmp_path, monkeypatch):
+    (tmp_path / "f.txt").write_text("x\n")
+    _git_in(tmp_path, "init", "-q")
+    _git_in(tmp_path, "add", "-A")
+    _git_in(tmp_path, "commit", "-q", "-m", "base")
+    _git_in(tmp_path, "tag", "-a", "v1", "-m", "an annotated tag")
+    head = _git_in(tmp_path, "rev-parse", "HEAD").strip()
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    assert bench_pairs.resolve_commit("HEAD") == head
+    assert bench_pairs.resolve_commit(head[:10]) == head
+    assert bench_pairs.resolve_commit("v1") == head  # the tag's commit, not the tag object
+    assert bench_pairs.resolve_commit("nope") is None
+    assert bench_pairs.resolve_commit("HEAD~1") is None
+
+
+def test_a_base_that_names_no_commit_is_a_usage_error_before_any_run(monkeypatch, capsys):
+    calls = _fake_runs(monkeypatch)
+    monkeypatch.setattr(bench_pairs, "resolve_commit", lambda ref: None)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "nope", "--workload", "s1-m10-compare", "--seeds", "1-2"])
+    assert exc.value.code == 2
+    assert "--base nope: names no commit" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_an_untracked_benchmark_file_counts_as_a_difference(tmp_path, monkeypatch):
     def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-                       cwd=tmp_path, check=True, capture_output=True)
+        _git_in(tmp_path, *args)
 
     (tmp_path / "benchmarks").mkdir()
     (tmp_path / "benchmarks" / "run.py").write_text("print()\n")
@@ -273,6 +310,9 @@ def test_json_holds_the_tables_figures_and_the_claim_verdict(monkeypatch, capsys
     out = capsys.readouterr().out
     doc = json.loads(path.read_text())
     assert (doc["base"], doc["seeds"], doc["seconds"], doc["exit_code"]) == ("HEAD", [1, 2, 3], 1.0, 1)
+    assert doc["base_commit"] == _FAKE_COMMIT
+    assert doc["environment"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                  "cpu_count": os.cpu_count()}
     # the stubbed export leaves the base without modules
     assert doc["code_size"] == {"base": {"lines": 0, "code": 0, "docstring": 0, "comment": 0, "blank": 0},
                                 "change": bench_pairs.code_split(bench_pairs.ROOT)}

@@ -3,6 +3,7 @@ client rows and their minibatches."""
 
 import contextlib
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -415,6 +416,128 @@ class TestLapackGufuncs:
                 with pytest.raises(NotPD):
                     chol_solve(L, np.ones((2, 3)))
                 assert np.geterr() == before
+
+
+    def test_the_callers_handler_and_buffer_size_are_left_as_they_were(self):
+        # the LAPACK state is built once, at import: it sets all four
+        # flags, so the caller's handler is neither called nor replaced,
+        # and the caller's buffer size neither changes the factor nor is
+        # changed by the call
+        calls = []
+        A = _spd_stack(2, 3, seed=26)
+        bad = A.copy()
+        bad[0, 0, 0] = -1.0
+        b = np.ones((2, 3))
+        state = lambda: (np.geterr(), np.geterrcall(), np.getbufsize())
+        with np.errstate(all="call", call=lambda kind, flag: calls.append(kind)):
+            np.setbufsize(64)  # restored when the errstate block exits
+            before = state()
+            L = spd_cholesky(A)
+            assert L.tobytes() == np.linalg.cholesky(A).tobytes()
+            assert chol_solve(L, b).tobytes() == _np_linalg_chol_solve(L, b).tobytes()
+            assert state() == before
+            with pytest.raises(NotPD):
+                spd_cholesky(bad)
+            assert state() == before
+            L[1, 2, 2] = 0.0
+            with pytest.raises(NotPD):
+                chol_solve(L, b)
+            assert state() == before
+            assert calls == []
+            np.sqrt(np.array(-1.0))  # the handler is live in this state
+            assert len(calls) == 1
+        assert np.getbufsize() == 8192
+
+    def test_a_failure_in_a_worker_thread_leaves_the_main_threads_state(self):
+        A = _spd_stack(2, 3, seed=27)
+        bad = A.copy()
+        bad[1, 1, 1] = -1.0
+        b = np.ones((2, 3))
+        state = lambda: (np.geterr(), np.geterrcall(), np.getbufsize())
+
+        def fail():
+            before = state()
+            for _ in range(50):
+                with pytest.raises(NotPD):
+                    spd_cholesky(bad)
+                L = spd_cholesky(A)
+                L[0, 1, 1] = 0.0
+                with pytest.raises(NotPD):
+                    chol_solve(L, b)
+            return before, state()
+
+        with np.errstate(all="warn", under="raise"), ThreadPoolExecutor(max_workers=1) as pool:
+            np.setbufsize(128)
+            main = state()
+            worker = pool.submit(fail)
+            for _ in range(50):
+                chol_solve(spd_cholesky(A), b)
+                assert state() == main
+            before, after = worker.result()
+            assert state() == main
+        # the worker runs in its own context, with numpy's default state
+        assert after == before == (np.geterr(), np.geterrcall(), np.getbufsize())
+        assert before != main
+
+
+class TestCholeskyInPlace:
+    """spd_cholesky(A, out=A), as linear_factors calls it: the factor
+    overwrites A bit for bit as np.linalg.cholesky gives it, and a
+    matrix the checks reject is left as it was."""
+
+    def test_a_matrix_and_the_views_of_a_stack_get_np_linalgs_bytes(self):
+        A = _spd_stack(1, 4, seed=31)[0]
+        want = np.linalg.cholesky(A)
+        assert spd_cholesky(A, out=A) is A
+        assert A.tobytes() == want.tobytes()
+        # linear_factors' layout: [S, m, k, k] in C order, from penalties
+        # gathered client-major
+        rho = np.ascontiguousarray(np.random.default_rng(32).uniform(0.1, 5.0, size=(5, 3))).T
+        G = _spd_stack(5, 4, seed=32)
+        S = np.add(G, rho[..., None, None] * np.eye(4), out=np.empty(rho.shape + (4, 4)))
+        whole = S.copy()
+        want = np.stack([np.linalg.cholesky(a) for a in S.reshape(-1, 4, 4)]).reshape(S.shape)
+        for a in S.reshape(-1, 4, 4):
+            assert spd_cholesky(a, out=a) is a
+        assert S.tobytes() == want.tobytes()
+        assert spd_cholesky(whole, out=whole) is whole
+        assert whole.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("defect", [d for d in _DEFECTS if d not in
+                                        ("none", "asym_within", "signed_zero_pair", "indefinite")])
+    def test_a_rejected_matrix_raises_as_without_out_and_is_left_as_it_was(self, defect):
+        rng = np.random.default_rng(33)
+        S = _spd_stack(3, 4, seed=33)
+        S = S + np.swapaxes(S, 1, 2)
+        for A in (_with_defect(S[0], defect, rng),
+                  np.stack([S[0], _with_defect(S[1], defect, rng), S[2]])):
+            before = A.tobytes()
+            want = TestCholeskyGuard._outcome(spd_cholesky, A)
+            assert want[0] in (NotPD, NonFiniteInput)
+            assert TestCholeskyGuard._outcome(lambda M: spd_cholesky(M, out=M), A) == want
+            assert A.tobytes() == before
+
+    def test_a_failed_pivot_raises_as_without_out(self):
+        A = _spd_stack(1, 4, seed=34)[0]
+        A[2, 2] = -A[2, 2]
+        with pytest.raises(NotPD) as exc:
+            spd_cholesky(A, out=A)
+        assert str(exc.value) == "spd_cholesky: Matrix is not positive definite"
+        assert np.isnan(A).all()  # LAPACK's gufunc writes NaN on failure
+
+    @pytest.mark.parametrize("m, shape", [
+        (None, (3, 3)), (None, (2, 4, 4)), (None, (1, 4, 4)), (None, (16,)),
+        (2, (4, 4)), (2, (1, 4, 4)), (2, (3, 4, 4)), (2, (2, 4, 3)),
+    ])
+    def test_an_out_of_another_shape_raises_before_anything_is_written(self, m, shape):
+        # numpy would broadcast a factor into a larger out; spd_cholesky
+        # takes only A's shape
+        A = _spd_stack(2, 4, seed=35)
+        out = np.zeros(shape)
+        with pytest.raises(DimensionMismatch, match="out has shape"):
+            spd_cholesky(A[0] if m is None else A, out=out)
+        assert not out.any()
 
 
 class TestDesignMatrix:

@@ -55,17 +55,24 @@ workload (`summarize`) and per end-to-end metric both sides' median and
 quartiles, the pairs with both values, the pairs won, the ties, the
 median pair change in percent and the WORSE flag, then both sides'
 failed and attempted operations, the MORE FAILURES flag and the failed
-runs; the claim and its verdict (null without `--claim`); and the exit
-code. Standard library only.
+runs; the claim and its verdict (null without `--claim`); the exit
+code; and the run's environment: the commit the base ref resolved to
+(`base_commit`), which is the commit exported, and the Python version,
+numpy version (null when numpy is not installed) and CPU count
+(`os.cpu_count()`) of the interpreter that ran both sides. A base ref
+that names no commit is a usage error before any run. Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import importlib.metadata
 import io
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -98,6 +105,23 @@ def parse_seeds(text: str) -> List[int]:
     if repeated:
         raise argparse.ArgumentTypeError(f"seeds given more than once: {repeated}")
     return seeds
+
+
+def resolve_commit(ref: str) -> Optional[str]:
+    """The full SHA of the commit `ref` names, or None when it names none."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}"],
+                          cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def environment() -> Dict[str, object]:
+    """The Python version, numpy version (None when numpy is not
+    installed) and CPU count of this interpreter, which runs both sides."""
+    try:
+        numpy_version = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy_version = None
+    return {"python": platform.python_version(), "numpy": numpy_version, "cpu_count": os.cpu_count()}
 
 
 def export_tree(ref: str, dest: str) -> None:
@@ -378,7 +402,10 @@ def main(argv=None) -> int:
         if claim_metric not in declared or claim_workload not in workloads:
             parser.error(f"--claim {args.claim}: give METRIC@WORKLOAD, an end-to-end metric of"
                          f" BENCHMARK.json ({', '.join(declared)}) and a workload of --workload")
-    if benchmark_differs(args.base):
+    base_commit = resolve_commit(args.base)
+    if base_commit is None:
+        parser.error(f"--base {args.base}: names no commit")
+    if benchmark_differs(base_commit):
         print(f"benchmarks/ or BENCHMARK.json differ from {args.base}; refusing to compare", file=sys.stderr)
         return 2
 
@@ -386,7 +413,7 @@ def main(argv=None) -> int:
     base_tree = os.path.join(tmp, "base")
     runs: Dict[str, List[Tuple[int, str, int, Optional[dict]]]] = {w: [] for w in workloads}
     try:
-        export_tree(args.base, base_tree)
+        export_tree(base_commit, base_tree)
         trees = {"base": base_tree, "change": ROOT}
         splits = {side: code_split(tree) for side, tree in trees.items()}
         sizes = {side: code_size(tree) for side, tree in trees.items()}
@@ -412,7 +439,8 @@ def main(argv=None) -> int:
     code = 1 if any(bad) else 0
     if args.json is not None:
         with open(args.json, "w") as fh:
-            json.dump({"base": args.base, "seeds": seeds, "seconds": args.seconds,
+            json.dump({"base": args.base, "base_commit": base_commit, "seeds": seeds,
+                       "seconds": args.seconds, "environment": environment(),
                        "code_size": splits, "workloads": summaries, "claim": claim,
                        "exit_code": code}, fh, indent=2)
             fh.write("\n")
