@@ -18,13 +18,13 @@ terms read. After the loop, each parameter term (phi4's logit edge,
 phi3's consensus-weight and penalty edges, phi2's penalty edge and the
 dual step's) is one array operation over the stacked cells, reading the
 states from the tape and the parameters from its PassParams, which the
-forward set up once per pass: phi3's denominators and linear mode's
-Cholesky factors among them, so the reverse pass computes neither. The terms
-are added into dense buffers over the pass's slots and active clients
-in the order the cells run backwards, so the sums are the ones a pass
-adding each term as its cell runs would make, bit for bit, and the
-buffers are written into the population-shaped gradients once per
-field.
+forward set up once per pass: phi3's denominators, phi4's weights and
+linear mode's Cholesky factors among them, so the reverse pass computes
+none of them. The terms are added into dense buffers over the pass's
+slots and active clients in the order the cells run backwards, so the
+sums are the ones a pass adding each term as its cell runs would make,
+bit for bit, and the buffers are written into the population-shaped
+gradients once per field.
 
 Two boundary policies:
 
@@ -81,6 +81,23 @@ class ParamGradients:
                 )
 
 
+def _grad_steps_adjoint(vbar, H, rho_k, lr: float, steps: int):
+    """The adjoints through phi2_v_grad's `steps` gradient steps of size
+    `lr`, last step first, from the adjoint `vbar` [m, k] of their output,
+    with H = 2 G and the penalties `rho_k` [m, 1]. Returns the adjoints
+    entering the steps as a [steps, m, k] stack in the loop's order (row j
+    enters step steps - 1 - j), that of the first step's input v, and
+    that of the anchor: the steps' terms lr rho vbar summed in the loop's
+    order, from the +0.0 a running sum starts at (initial=0.0), so its
+    signed zeros are the running sum's."""
+    entering = np.empty((steps,) + vbar.shape)
+    entering[0] = vbar
+    for j in range(steps):
+        vbar = np.subtract(vbar, lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar),
+                           out=entering[j + 1] if j + 1 < steps else None)
+    return entering, vbar, np.add.reduce(lr * rho_k * entering, axis=0, initial=0.0)
+
+
 def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_client: bool):
     """Walk the tape backwards from the seed adjoint `vbar` of the final
     models and write the active clients' gradients into `grads`, in two
@@ -90,11 +107,13 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     wbar through phi4 -> phi1 of each cell, with phi2's solve (linear
     mode) or its unrolled steps (grad mode). Per cell it keeps what the
     parameter terms read and cannot rebuild from the tape: the w-adjoint
-    entering phi4, zbar at phi3, phi2's solve t or the vbar entering each
-    gradient step, the adjoint of alpha (albar) after phi2 and, under
-    ``rho_step`` only, whose a-term alone reads it, that of the scaled
-    multiplier (abar). After the loop each term is one array
-    operation over the cells' stacks, and the terms are added per slot in
+    entering phi4, zbar at phi3, phi2's solve t or the stack of vbars
+    entering its gradient steps (_grad_steps_adjoint), the adjoint of
+    alpha (albar) after phi2 and, under ``rho_step`` only, whose a-term
+    alone reads it, that of the scaled multiplier (abar). After the loop
+    each term is one array operation over the cells' stacks, reading the
+    parameters, phi4's weights among them, from the pass's PassParams
+    rather than from the records, and the terms are added per slot in
     the order the cells visit them: phi3, phi2, rho_step's a-term and
     phi1 within a cell, the cells in reverse. Untied parameters give each
     cell its own slot, so a term's stack is added whole; tied ones add
@@ -162,14 +181,8 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
             vbar = np.zeros((m, k))  # the closed form does not read v_prev
         else:
             # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2
-            lr_rho = tape.grad_lr * rho_k
-            H = 2.0 * rec.gram
-            anchor_bar = np.zeros((m, k))
-            entering = solves[i] = [None] * tape.grad_steps
-            for t in range(tape.grad_steps - 1, -1, -1):
-                entering[t] = vbar
-                anchor_bar += lr_rho * vbar
-                vbar = vbar - tape.grad_lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
+            solves[i], vbar, anchor_bar = _grad_steps_adjoint(
+                vbar, 2.0 * rec.gram, rho_k, tape.grad_lr, tape.grad_steps)
         albar += anchor_bar / sw
         if rho_step:
             abar += anchor_bar
@@ -213,8 +226,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     wsum = np.array(w_in)
     if per_client:
         wsum = wsum.sum(axis=1)
-    omega = np.array([c.omega for c in cells])
-    p_terms = omega * ((u - W[1:]) @ wsum[:, :, None])[:, :, 0]
+    p_terms = pp.omega[sl] * ((u - W[1:]) @ wsum[:, :, None])[:, :, 0]
     # phi3
     d = V[1:] - W[:-1] - a
     lam_terms = -zbar3 * rho[:, :, None] * d / denom2 * pp.lam_on[sl]
@@ -224,12 +236,13 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     if tape.mode == "linear":
         rho_bar = rowdot(np.array(solves), anchor - V[1:])
     else:
-        # step t starts from v_t: the cell's input v for t = 0
-        v_t = np.concatenate((V[:-1, None], np.array([c.v_iterates for c in cells])), axis=1)
+        # step t starts from v_t, the cell's input v for t = 0; both
+        # stacks run from the last step to the first, as `entering` does
+        v_t = np.concatenate((np.array([c.v_iterates[::-1] for c in cells]), V[:-1, None]), axis=1)
         steps = -tape.grad_lr * rowdot(np.array(solves), v_t - anchor[:, None])
         rho_bar = np.zeros((n, m))
-        for t in range(tape.grad_steps - 1, -1, -1):
-            rho_bar += steps[:, t]
+        for j in range(tape.grad_steps):
+            rho_bar += steps[:, j]
     rho_terms.append(rho_bar * rho_on)
     if rho_step:
         # a reaches rho through d a / d rho = -a / rho, and phi1's step is rho

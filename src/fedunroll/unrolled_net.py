@@ -24,18 +24,19 @@ pass, before the first cell, and kept on the pass's tape with the
 pass's settings, which forward_network checks once: the active
 clients' entries of the statistics (ClientStats.take); their
 parameters for the pass's slots with what derives from them
-(PassParams): the effective values, masks and dual steps, phi3's
-denominators, phi4's softmax numerators and, in linear mode, the
-Cholesky factors of each slot's G + rho I, one checked call per slot
-and client (linear_factors), so a tied pass factors each client once;
-and in grad mode the layout of the minibatch draws
-(math_core.minibatch_layout, which the baselines use too), on which
-each cell draws every active client's batch with one call of its
-generator. setup_pass builds these. The cells then only solve, divide
-and normalize; they, the loss and the reverse pass read all of the
-setup from the tape, and a cell record's parameter fields and factors
-are views of the pass's arrays. A factorization that fails therefore
-raises before the first cell runs.
+(PassParams, slot-major, so a cell's slot is one contiguous view):
+the effective values, masks and dual steps, phi3's denominators,
+phi4's aggregation weights and, in linear mode, the Cholesky factors
+of each slot's G + rho I, one checked call per slot and client
+(linear_factors), so a tied pass factors each client once; and in
+grad mode the layout of the minibatch draws (math_core.minibatch_layout,
+which the baselines use too), on which each cell draws every active
+client's batch with one call of its generator. setup_pass builds
+these. The cells then only solve, divide and aggregate; they, the loss
+and the reverse pass read all of the setup from the tape, and a cell
+record's parameter fields, weights and factors are views of the pass's
+arrays. A factorization that fails therefore raises before the first
+cell runs.
 
 L cells concatenated form the network; every per-layer constant of the
 scheme (consensus weights, penalty scalars and aggregation weights) is
@@ -104,7 +105,8 @@ def phi2_v_linear(chol, c, alpha, z_prev, w_prev, rho) -> np.ndarray:
     the Cholesky factors `chol` [m, k, k] of G + rho I (linear_factors,
     which the pass runs before its first cell) and c = X'Y [m, k], the
     minimizer of 1/2 ||X v - Y||^2 + rho/2 ||z+w+alpha-v||^2 (half the
-    SSE; phi2_v_grad steps on the whole SSE, see ROADMAP.md item 11).
+    SSE; phi2_v_grad steps on the whole SSE, see the ROADMAP.md item "One
+    v-subproblem, and a grad mode that works").
     `alpha` here and in phi2_v_grad and phi3_aux is the scaled
     multiplier (alpha / step in the cell's terms).
     """
@@ -115,22 +117,25 @@ def phi2_v_grad(G, c, v, alpha, z_prev, w_prev, rho, lr: float,
                 steps: int) -> Tuple[np.ndarray, np.ndarray]:
     """v update by `steps` gradient steps of size `lr` on
     ||X v - Y||^2 + rho/2 ||z+w+alpha-v||^2 (the whole SSE; phi2_v_linear
-    minimizes half of it, see ROADMAP.md item 11), whose data gradient
-    on G = X'X and c = X'Y is 2(G v - c).
+    minimizes half of it, see the ROADMAP.md item "One v-subproblem, and
+    a grad mode that works"), whose data gradient on G = X'X and
+    c = X'Y is 2(G v - c).
 
     Returns v_steps and the iterates in between, v_1 ... v_{steps-1},
-    shaped (steps - 1,) + v.shape.
+    shaped (steps - 1,) + v.shape; each step writes its iterate into
+    its row. An entry that turns non-finite stays non-finite through
+    the later steps (x - y is non-finite whenever x is), so the one
+    check after the last step raises NonFiniteGradient exactly when a
+    check after every step would.
     """
     rho = rho[:, None]
     anchor = z_prev + w_prev + alpha
     iterates = np.empty((steps - 1,) + v.shape)
     for t in range(steps):
-        if t > 0:
-            iterates[t - 1] = v
         g = 2.0 * ((G @ v[:, :, None])[:, :, 0] - c) + rho * (v - anchor)
-        v = v - lr * g
-        if not np.isfinite(v).all():
-            raise NonFiniteGradient("phi2_v_grad: iterate became non-finite")
+        v = np.subtract(v, lr * g, out=iterates[t] if t < steps - 1 else None)
+    if not np.isfinite(v).all():
+        raise NonFiniteGradient("phi2_v_grad: iterate became non-finite")
     return v, iterates
 
 
@@ -146,22 +151,24 @@ def phi3_aux(alpha, v, w_prev, rho, denom) -> np.ndarray:
     return rho[:, None] * (v - w_prev - alpha) / denom
 
 
-def phi4_global(u, e) -> Tuple[np.ndarray, np.ndarray]:
-    """Server side of the aggregation: the weights omega of the received
-    client vectors u_i = v_i - z_i - alpha_i [m, k], the softmax of the
-    clients' logits given by its numerators e [m] (softmax_numerators,
-    which the pass computes once for all its cells), and their weighted
-    mean w. The only client data this touches is u."""
-    omega = e / e.sum()
-    return omega, omega @ u
+def phi4_global(u, omega) -> np.ndarray:
+    """Server side of the aggregation: the weighted mean w = omega @ u of
+    the received client vectors u_i = v_i - z_i - alpha_i [m, k], given
+    the clients' aggregation weights omega [m] (softmax_weights, which
+    the pass computes once for all its cells). The only client data
+    this touches is u."""
+    return omega @ u
 
 
-def softmax_numerators(theta: np.ndarray) -> np.ndarray:
-    """exp(theta - max theta) along the last axis, the numerators of the
-    logits' softmax. The shift by the largest logit keeps exp from
-    overflowing and makes the largest term 1: the sum never vanishes,
-    and a single client's weight is exactly 1."""
-    return np.exp(theta - theta.max(axis=-1, keepdims=True))
+def softmax_weights(theta: np.ndarray) -> np.ndarray:
+    """The softmax of the logits theta along the last axis:
+    e = exp(theta - max theta) over its sum. The shift by the largest
+    logit keeps exp from overflowing and makes the largest term 1: the
+    sum never vanishes, and a single client's weight is exactly 1. On a
+    C-ordered theta each row is summed as the 1-d array e_row.sum()
+    sums it (pairwise); another layout may sum it in another order."""
+    e = np.exp(theta - theta.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def linear_factors(gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -257,9 +264,10 @@ class PassParams:
     """The active clients' parameters for every slot a pass reads,
     gathered once per pass, and what the cells derive from them and the
     clients' statistics alone: [S, m] arrays for the penalties and
-    the logits' softmax numerators, [S, m, k] for the consensus
-    weights, with S = 1 for tied parameters and L otherwise. Slot s of
-    the pass is slot s of the parameters."""
+    phi4's aggregation weights, [S, m, k] for the consensus weights,
+    with S = 1 for tied parameters and L otherwise. Slot s of the pass
+    is slot s of the parameters. Every array is slot-major and
+    C-ordered, so the per-slot view a cell reads is contiguous."""
 
     rho_eff: np.ndarray   # clamped penalties
     rho_on: np.ndarray    # clamp pass-through mask
@@ -267,7 +275,7 @@ class PassParams:
     lam_on: np.ndarray    # rectifier pass-through mask
     step_w: np.ndarray    # phi1's dual step (dual_step_weights)
     denom: np.ndarray     # phi3's denominators lam_eff + rho_eff
-    p_exp: np.ndarray     # phi4's softmax numerators of the aggregation logits
+    omega: np.ndarray     # phi4's weights, the softmax of the aggregation logits
     # linear mode: Cholesky factors of G + rho_eff I (linear_factors),
     # [S, m, k, k]; None in grad mode
     chol: Optional[np.ndarray] = None
@@ -278,8 +286,11 @@ class PassParams:
         """Slots 0 .. slot(L) of the given clients' parameters; with
         their Gram matrices `gram` [m, k, k], linear mode's factors too."""
         S = params.slot(L) + 1
-        rho_raw = params.rho_raw[:S, client_indices]
-        lam_raw = params.lam_raw[:S, client_indices]
+        # np.take lays its result out slot-major in C order, where
+        # params.rho_raw[:S, client_indices] would put the client axis
+        # outermost and leave every per-slot view strided
+        rho_raw, lam_raw, p = (np.take(a[:S], client_indices, axis=1)
+                               for a in (params.rho_raw, params.lam_raw, params.p))
         rho_eff = clamp_positive(rho_raw)
         lam_eff = rectify(lam_raw)
         return cls(
@@ -289,7 +300,7 @@ class PassParams:
             lam_on=lam_raw > 0.0,
             step_w=dual_step_weights(rho_eff, dual_update),
             denom=lam_eff + rho_eff[:, :, None],
-            p_exp=softmax_numerators(params.p[:S, client_indices]),
+            omega=softmax_weights(p),
             chol=None if gram is None else linear_factors(gram, rho_eff),
         )
 
@@ -308,8 +319,8 @@ class CellRecord:
     """What one cell computed, in forward order. The cell's inputs are
     not repeated here: they are the previous cell's outputs, or the
     tape's initial state for the first cell (Tape.inputs). The
-    parameter fields and linear mode's factors are views of slot
-    `slot` of the tape's PassParams."""
+    parameter fields, phi4's weights and linear mode's factors are
+    views of slot `slot` of the tape's PassParams."""
 
     layer: int
     slot: int
@@ -519,7 +530,8 @@ def forward_cell(
         v, iterates = phi2_v_grad(gram, xty, state.v, a, state.z, state.w, rho_eff,
                                   tape.grad_lr, tape.grad_steps)
     z = phi3_aux(a, v, state.w, rho_eff, pp.denom[s])
-    omega, w = phi4_global(v - z - a, pp.p_exp[s])
+    omega = pp.omega[s]
+    w = phi4_global(v - z - a, omega)
     if not (
         np.isfinite(v).all()
         and np.isfinite(z).all()

@@ -398,7 +398,7 @@ def test_criterion_8_degenerate_configurations_reduce_exactly():
     # single client: the broadcast equals that client's consensus vector
     # v - z - alpha / step (phi4 reads the scaled multiplier)
     vs, zs, As = (rng.normal(size=(1, 4)) for _ in range(3))
-    _, w = phi4_global(vs - zs - As, np.array([1.0]))
+    w = phi4_global(vs - zs - As, np.array([1.0]))
     single_op = np.array_equal(w, (vs - zs - As)[0])
 
     shard = make_shards(M=1, k=4, n=30, seed=6)

@@ -186,10 +186,10 @@ class TestTranscript:
         seen = []
         original = unrolled_net.phi4_global
 
-        def recording(u, theta):
-            omega, w = original(u, theta)
+        def recording(u, omega):
+            w = original(u, omega)
             seen.append((u.copy(), w.copy()))
-            return omega, w
+            return w
 
         monkeypatch.setattr(unrolled_net, "phi4_global", recording)
         shards = make_shards(M=6, n=30, seed=22)

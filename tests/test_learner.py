@@ -419,6 +419,60 @@ def test_exact_backward_equals_the_oracle_bit_for_bit(mode, dual, tied, L, parti
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def _grad_steps_running_sum(vbar, H, rho_k, lr, steps):
+    """The adjoint of grad mode's steps with anchor_bar as a running sum
+    from zeros, step by step."""
+    lr_rho = lr * rho_k
+    anchor_bar = np.zeros(vbar.shape)
+    entering = []
+    for _ in range(steps):
+        entering.append(vbar)
+        anchor_bar += lr_rho * vbar
+        vbar = vbar - lr * ((H @ vbar[:, :, None])[:, :, 0] + rho_k * vbar)
+    return np.array(entering), vbar, anchor_bar
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_grad_steps_adjoint_equals_the_running_sum_with_its_signed_zeros(steps):
+    # rows of +0.0 and -0.0 among nonzero ones: the running sum starts at
+    # +0.0, so a row of -0.0 terms sums to +0.0 there, and must here too
+    rng = np.random.default_rng(steps)
+    m, k = 6, 4
+    X = rng.normal(size=(m, 9, k))
+    H = 2.0 * (X.transpose(0, 2, 1) @ X)
+    rho_k = rng.uniform(0.1, 3.0, (m, 1))
+    vbar = rng.normal(size=(m, k))
+    vbar[1] = 0.0
+    vbar[3] = -0.0
+    vbar[4, :2] = -0.0
+    got = learner._grad_steps_adjoint(vbar.copy(), H, rho_k, 0.01, steps)
+    want = _grad_steps_running_sum(vbar.copy(), H, rho_k, 0.01, steps)
+    assert np.signbit(want[2][3]).sum() == 0
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("tied", [False, True])
+def test_a_seed_with_zero_rows_gives_the_running_sum_gradients_byte_for_byte(mode, tied):
+    # the entering adjoints of two clients are zero (+0.0 and -0.0) all
+    # the way back: every gradient byte, signed zeros included, is the
+    # oracle's, which adds each term as its cell runs
+    shards = make_shards(M=6, n=20, seed=74)
+    params = random_params(6, 4, 4, np.random.default_rng(75), tied=tied)
+    _, tape = forward_network(shards, params, mode=mode, seed=76,
+                              client_indices=np.array([4, 0, 5, 2]),
+                              batch_rng=np.random.default_rng(77), batch_size=12)
+    seed = 2.0 * tape.stats.rows.xt(tape.final_residuals)
+    seed[1] = 0.0
+    seed[3] = -0.0
+    got, want = zero_grads(params), zero_grads(params)
+    learner._reverse_pass(tape, got, seed.copy(), per_client=False)
+    _oracle_reverse_pass(tape, want, seed.copy(), np.ones(tape.m_active, dtype=bool))
+    for name in PARAM_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("L", [3, 10])
 def test_backward_writes_each_population_gradient_once(monkeypatch, mode, L):

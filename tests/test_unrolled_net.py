@@ -7,7 +7,7 @@ numpy.linalg.solve instead of the package's vectorized/Cholesky path.
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from conftest import count_calls, make_shards, make_uneven_shards, random_params, replay_tape
 
 from fedunroll import unrolled_net
-from fedunroll.errors import DimensionMismatch, NonFiniteInput
-from fedunroll.math_core import spd_cholesky, stack_rows
+from fedunroll.errors import DimensionMismatch, NonFiniteGradient, NonFiniteInput
+from fedunroll.math_core import clamp_positive, rectify, spd_cholesky, stack_rows
 from fedunroll.unrolled_net import (
     DUAL_UPDATES,
     MODES,
@@ -36,7 +36,7 @@ from fedunroll.unrolled_net import (
     phi2_v_linear,
     phi3_aux,
     phi4_global,
-    softmax_numerators,
+    softmax_weights,
 )
 
 
@@ -142,6 +142,46 @@ class TestLayerOps:
         assert GRAD_LR_DEFAULT == 0.01
         assert GRAD_STEPS_DEFAULT == 5
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_iterate_that_overflows_at_the_first_step_raises(self):
+        # the steps check finiteness once, after the last step; an
+        # overflow at the first of 5 steps must still raise
+        m, k, lr = 3, 4, 0.5
+        G = np.repeat(1e308 * np.eye(k)[None], m, axis=0)
+        v = np.random.default_rng(21).uniform(2.0, 3.0, (m, k))
+        zeros = np.zeros((m, k))
+        first = v - lr * 2.0 * (G @ v[:, :, None])[:, :, 0]
+        assert not np.isfinite(first).any()  # every entry, at step 1 of 5
+        with pytest.raises(NonFiniteGradient, match=r"^phi2_v_grad: iterate became non-finite$"):
+            phi2_v_grad(G, zeros, v, zeros, zeros, np.zeros(k), np.ones(m), lr, 5)
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_finite_steps_equal_a_loop_that_checks_every_step_bit_for_bit(self, steps):
+        def checked_every_step(G, c, v, alpha, z_prev, w_prev, rho, lr, steps):
+            rho = rho[:, None]
+            anchor = z_prev + w_prev + alpha
+            iterates = np.empty((steps - 1,) + v.shape)
+            for t in range(steps):
+                if t > 0:
+                    iterates[t - 1] = v
+                g = 2.0 * ((G @ v[:, :, None])[:, :, 0] - c) + rho * (v - anchor)
+                v = v - lr * g
+                if not np.isfinite(v).all():
+                    raise NonFiniteGradient("phi2_v_grad: iterate became non-finite")
+            return v, iterates
+
+        rng = np.random.default_rng(steps)
+        m, k = 6, 5
+        X = rng.normal(size=(m, 12, k))
+        args = (X.transpose(0, 2, 1) @ X, rng.normal(size=(m, k)), rng.normal(size=(m, k)),
+                rng.normal(size=(m, k)), rng.normal(size=(m, k)), rng.normal(size=k),
+                rng.uniform(0.1, 3.0, m), 0.01, steps)
+        v, iterates = phi2_v_grad(*args)
+        want_v, want_iterates = checked_every_step(*args)
+        assert v.tobytes() == want_v.tobytes()
+        assert iterates.shape == want_iterates.shape
+        assert iterates.tobytes() == want_iterates.tobytes()
+
     def test_aux_update_formula(self):
         rng = np.random.default_rng(4)
         alpha, v, w = (rng.normal(size=3) for _ in range(3))
@@ -169,9 +209,9 @@ class TestLayerOps:
     def test_aggregation_single_client_exact(self):
         rng = np.random.default_rng(5)
         u = rng.normal(size=(1, 4))
-        omega, w = phi4_global(u, softmax_numerators(np.array([0.37])))
+        omega = softmax_weights(np.array([0.37]))
         assert omega[0] == 1.0
-        assert np.array_equal(w, u[0])
+        assert np.array_equal(phi4_global(u, omega), u[0])
 
     def test_aggregation_weights_are_a_softmax_on_every_active_subset(self):
         # positive and summing to one over whichever clients are active,
@@ -212,7 +252,7 @@ class TestLayerOps:
     def test_aggregation_is_convex_combination(self):
         rng = np.random.default_rng(7)
         u = rng.normal(size=(4, 3))
-        _, w = phi4_global(u, softmax_numerators(rng.normal(size=4)))
+        w = phi4_global(u, softmax_weights(rng.normal(size=4)))
         assert np.all(w <= u.max(axis=0) + 1e-12)
         assert np.all(w >= u.min(axis=0) - 1e-12)
 
@@ -663,6 +703,60 @@ def test_linear_factors_are_set_up_once_per_pass_as_views(monkeypatch, tied):
         for i in range(m):
             A = tape.stats.gram[i] + pp.rho_eff[rec.slot, i] * np.eye(4)
             assert np.array_equal(rec.chol[i], spd_cholesky(A))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dual_update", DUAL_UPDATES)
+@pytest.mark.parametrize("tied", [False, True])
+def test_pass_arrays_are_slot_major_and_each_cells_views_contiguous(mode, dual_update, tied):
+    # every PassParams array is C-ordered with the slot axis first, so
+    # each per-slot view a cell reads is contiguous; its entries are the
+    # given clients' parameters, in the order given
+    L, M, k = 4, 7, 4
+    idx = np.array([5, 1, 6, 3])
+    shards = make_shards(M=M, k=k, n=20, seed=13)
+    params = random_params(M, k, L, np.random.default_rng(13), tied=tied)
+    _, tape = forward_network(shards, params, L=L, mode=mode, dual_update=dual_update, seed=1,
+                              client_indices=idx, batch_rng=np.random.default_rng(13), batch_size=8)
+    pp, S = tape.params, 1 if tied else L
+    arrays = {f.name: getattr(pp, f.name) for f in fields(pp)}
+    assert (arrays.pop("chol") is None) == (mode == "grad")
+    for name, arr in arrays.items():
+        assert arr.shape[:2] == (S, idx.size), name
+        assert arr.flags.c_contiguous, name
+    gathered = [np.array([[getattr(params, f)[s, i] for i in idx] for s in range(S)])
+                for f in ("rho_raw", "lam_raw")]
+    assert np.array_equal(pp.rho_eff, clamp_positive(gathered[0]))
+    assert np.array_equal(pp.lam_eff, rectify(gathered[1]))
+    for rec in tape.cells:
+        s = rec.slot
+        for view in (pp.rho_eff[s], pp.lam_eff[s], pp.step_w[s], pp.denom[s], pp.omega[s],
+                     rec.rho_eff, rec.lam_eff, rec.step_w, rec.omega):
+            assert view.flags.c_contiguous
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_pass_weights_are_each_slots_own_softmax_bit_for_bit(tied):
+    # at m >= 9 clients numpy sums a row pairwise, not left to right: the
+    # per-pass weights must be e / e.sum() of each slot's contiguous row
+    # of logits, byte for byte, on unsorted subsets, and sum to one
+    L, M, k = 6, 40, 3
+    rng = np.random.default_rng(17)
+    shards = make_shards(M=M, k=k, n=10, seed=17)
+    params = random_params(M, k, L, rng, tied=tied)
+    params.p = rng.normal(0.0, 3.0, params.p.shape)
+    for m in (9, 23, 37):
+        idx = rng.permutation(M)[:m]
+        _, tape = forward_network(shards, params, L=L, seed=1, client_indices=idx)
+        omega = tape.params.omega
+        assert omega.shape == (1 if tied else L, m)
+        for s, row in enumerate(omega):
+            theta = params.p[s][idx]
+            e = np.exp(theta - theta.max())
+            assert row.tobytes() == (e / e.sum()).tobytes()
+            assert abs(row.sum() - 1.0) <= 4e-16 * m
+        for rec in tape.cells:
+            assert rec.omega.tobytes() == omega[rec.slot].tobytes()
 
 
 def test_a_failed_factorization_in_a_later_slot_raises_before_the_first_cell(monkeypatch):
