@@ -6,12 +6,13 @@ The augmented objective evaluated after each cell,
                     + rho_i/2 * ||z_i - v_i + w + alpha_i / step_i||^2 ),
 
 is the quantity whose layer-over-layer monotonicity the descent checker
-inspects. It reads the effective (rectified/clamped) parameter values
-and phi4's aggregation weights omega, which sum to one over the active
-clients, from the cell's record, and F_i from the active clients' rows
-the tape holds (Tape.stats.rows). alpha_i / step_i is the scaled
-multiplier the primal steps read: step_i is rho_i under the
-``rho_step`` dual convention and 1 under ``unit_step`` (see
+inspects. It reads v, z, alpha and w from the cell's record; the
+effective (rectified/clamped) parameter values, dual steps and phi4's
+aggregation weights omega, which sum to one over the active clients,
+from the tape's PassParams at the record's slot; and F_i from the
+active clients' rows the tape holds (Tape.stats.rows). alpha_i / step_i
+is the scaled multiplier the primal steps read: step_i is rho_i under
+the ``rho_step`` dual convention and 1 under ``unit_step`` (see
 unrolled_net). Under large fixed penalties the value is non-increasing
 with either convention; the checker classifies any violation as
 expected (small or learned penalties) or anomalous (large fixed
@@ -21,12 +22,12 @@ penalties).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .math_core import RowStack, rectify, rowdot
-from .unrolled_net import CellRecord, LearnableParams, Tape
+from .math_core import rectify, rowdot
+from .unrolled_net import LearnableParams, Tape
 
 # Minimum effective penalty above which descent violations are treated
 # as anomalous rather than expected (the regime where the forward is a
@@ -36,18 +37,22 @@ RHO_DESCENT_REGIME = 100.0
 DESCENT_SLACK = 1e-9  # an increase this small is rounding, still descent
 
 
-def lagrangian(rec: CellRecord, rows: RowStack, residuals: Optional[np.ndarray] = None) -> float:
-    """Augmented objective of the consensus splitting after one recorded
-    cell, on the active clients' training `rows`. `residuals` are the
-    cell's X v - Y on them when the caller holds them already (the
-    final cell's Tape.final_residuals); otherwise they are computed."""
-    if residuals is None:
-        residuals = rows.residuals(rec.v)
+def lagrangian(tape: Tape, i: int) -> float:
+    """Augmented objective of the consensus splitting after the tape's
+    cell i, on the active clients' training rows. The last cell's
+    residuals X v - Y are the tape's final_residuals, which the loss
+    reports and the reverse pass share; any other cell's are computed."""
+    rec, pp = tape.cells[i], tape.params
+    s = rec.slot
+    if i == len(tape.cells) - 1:
+        residuals = tape.final_residuals
+    else:
+        residuals = tape.stats.rows.residuals(rec.v)
     F = rowdot(residuals, residuals)
-    zlz = rowdot(rec.z, rec.lam_eff * rec.z)
-    r = rec.z - rec.v + rec.w + rec.alpha / rec.step_w[:, None]
-    per_client = F + zlz + 0.5 * rec.rho_eff * rowdot(r, r)
-    return float((rec.omega * per_client).sum())
+    zlz = rowdot(rec.z, pp.lam_eff[s] * rec.z)
+    r = rec.z - rec.v + rec.w + rec.alpha / pp.step_w[s][:, None]
+    per_client = F + zlz + 0.5 * pp.rho_eff[s] * rowdot(r, r)
+    return float((pp.omega[s] * per_client).sum())
 
 
 @dataclass
@@ -63,28 +68,26 @@ class CellTrace:
 
 
 def trace_from_tape(tape: Tape, params_trained: bool = False) -> CellTrace:
-    """Evaluate the objective and step norms after every recorded cell.
-    The last cell's objective reads the tape's final residuals."""
+    """Evaluate the objective and step norms after every recorded cell."""
     L = len(tape.cells)
     m = tape.m_active
     lags = np.empty(L)
     dv = np.empty((L, m))
     da = np.empty((L, m))
     dw = np.empty(L)
-    rho_min = np.inf
     for li, rec in enumerate(tape.cells):
         prev = tape.inputs(li)
-        lags[li] = lagrangian(rec, tape.stats.rows, tape.final_residuals if li == L - 1 else None)
+        lags[li] = lagrangian(tape, li)
         dv[li] = np.linalg.norm(rec.v - prev.v, axis=1)
         da[li] = np.linalg.norm(rec.alpha - prev.alpha, axis=1)
         dw[li] = np.linalg.norm(rec.w - prev.w)
-        rho_min = min(rho_min, float(rec.rho_eff.min()))
     return CellTrace(
         lagrangians=lags,
         dv_norms=dv,
         dalpha_norms=da,
         dw_norms=dw,
-        rho_min=rho_min,
+        # the cells read every slot of the pass
+        rho_min=float(tape.params.rho_eff.min()),
         params_trained=params_trained,
     )
 

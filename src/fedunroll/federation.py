@@ -138,7 +138,7 @@ def round_transcript(tape: Tape, losses: Sequence[float], round_index: int, epoc
     ids = (tape.client_indices + 1).tolist()
     t = Transcript(round_index=round_index, epoch=epoch)
     for c in tape.cells:
-        u = c.v - c.z - c.alpha / c.step_w[:, None]
+        u = c.v - c.z - c.alpha / tape.params.step_w[c.slot][:, None]
         t.messages.extend(RoundMessage("client_vector", c.layer, cid, ui) for cid, ui in zip(ids, u))
         t.messages.append(RoundMessage("global_broadcast", c.layer, None, c.w.copy()))
     t.messages.extend(RoundMessage("loss_report", None, cid, F) for cid, F in zip(ids, losses))
@@ -160,8 +160,7 @@ class RoundResult:
     def lagrangian_final(self) -> float:
         """The augmented objective after the last cell, evaluated on
         first access from the residuals the loss reports read."""
-        tape = self.tape
-        return float(lagrangian(tape.cells[-1], tape.stats.rows, tape.final_residuals))
+        return lagrangian(self.tape, len(self.tape.cells) - 1)
 
     @cached_property
     def transcript(self) -> Transcript:

@@ -51,7 +51,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LayoutMismatch, NonFiniteGradient, NonFiniteInput, TapeMismatch
-from .math_core import chol_solve, rowdot
+from .math_core import EPS, chol_solve, rowdot
 from .unrolled_net import CellState, LearnableParams, Tape, forward_network
 
 POLICIES = ("exact", "federated_local")
@@ -111,14 +111,15 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     entering its gradient steps (_grad_steps_adjoint), the adjoint of
     alpha (albar) after phi2 and, under ``rho_step`` only, whose a-term
     alone reads it, that of the scaled multiplier (abar). After the loop
-    each term is one array operation over the cells' stacks, reading the
-    parameters, phi4's weights among them, from the pass's PassParams
-    rather than from the records, and the terms are added per slot in
-    the order the cells visit them: phi3, phi2, rho_step's a-term and
-    phi1 within a cell, the cells in reverse. Untied parameters give each
-    cell its own slot, so a term's stack is added whole; tied ones add
-    cell by cell into their one slot. Each field is then written into
-    `grads` once.
+    each term is one array operation over the cells' stacks, and the
+    terms are added per slot in the order the cells visit them: phi3,
+    phi2, rho_step's a-term and phi1 within a cell, the cells in
+    reverse. Untied parameters give each cell its own slot, so a term's
+    stack is added whole; tied ones add cell by cell into their one
+    slot. Each field is then written into `grads` once. Both stages read
+    the parameters, phi4's weights and linear mode's factors from the
+    pass's PassParams at each record's slot, and derive the clamp's and
+    rectifier's pass-through masks from the effective values.
 
     With `per_client` (the federated_local policy) the adjoint of each
     broadcast w is an [m, k] array whose row i carries only client i's
@@ -144,15 +145,15 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     zbar, albar = zbars[n], np.zeros((m, k))
     wbar = np.zeros((m, k) if per_client else k)
     for i in reversed(range(n)):
-        rec = cells[i]
+        s = cells[i].slot
         # phi2-phi4 read the scaled multiplier a = alpha / step_w. Under
         # rho_step `abar` collects the adjoint of a; each term reaches
         # alpha divided by step_w (added term by term, so unit_step sums
         # are unchanged)
-        sw = rec.step_w[:, None]
+        sw = pp.step_w[s][:, None]
 
         # ---- phi4: w = sum(omega_i u_i), omega = softmax(theta) ----
-        contrib = rec.omega[:, None] * wbar
+        contrib = pp.omega[s][:, None] * wbar
         vbar += contrib
         zbar -= contrib
         albar = albar - contrib / sw  # a new array: albars[i + 1] stays as stored
@@ -162,7 +163,7 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
         wbar = np.zeros_like(wbar)
 
         # ---- phi3: z = rho * d / (lam + rho), d = v - w_prev - a ----
-        sz = sfacs[rec.slot] * zbar
+        sz = sfacs[s] * zbar
         vbar += sz
         albar -= sz / sw
         if rho_step:
@@ -172,17 +173,17 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
 
         # ---- phi2: `anchor_bar` is the adjoint of
         # anchor = w_prev + z_prev + a ----
-        rho_k = rec.rho_eff[:, None]
+        rho_k = pp.rho_eff[s][:, None]
         if tape.mode == "linear":
             # v = A^{-1}(rho * anchor + X'Y), A = X'X + rho I
-            t = chol_solve(rec.chol, vbar)
+            t = chol_solve(pp.chol[s], vbar)
             solves[i] = t
             anchor_bar = rho_k * t
             vbar = np.zeros((m, k))  # the closed form does not read v_prev
         else:
             # unrolled gradient steps on F(v) + rho/2 ||anchor - v||^2
             solves[i], vbar, anchor_bar = _grad_steps_adjoint(
-                vbar, 2.0 * rec.gram, rho_k, tape.grad_lr, tape.grad_steps)
+                vbar, 2.0 * cells[i].gram, rho_k, tape.grad_lr, tape.grad_steps)
         albar += anchor_bar / sw
         if rho_step:
             abar += anchor_bar
@@ -216,7 +217,10 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     # slot, untied ones give cell i slot i
     tied = pp.rho_eff.shape[0] == 1
     sl = slice(None, 1 if tied else n)
-    rho, rho_on = pp.rho_eff[sl], pp.rho_on[sl]
+    rho, lam = pp.rho_eff[sl], pp.lam_eff[sl]
+    # the clamp and the rectifier pass values through where they exceed
+    # their floors, and max(x, c) > c exactly when x > c
+    rho_on = rho > EPS
     denom2 = pp.denom[sl] ** 2
     a = np.array([c.alpha for c in cells]) / pp.step_w[sl][:, :, None]
     zbar3 = zbars[1:]
@@ -229,8 +233,8 @@ def _reverse_pass(tape: Tape, grads: ParamGradients, vbar: np.ndarray, per_clien
     p_terms = pp.omega[sl] * ((u - W[1:]) @ wsum[:, :, None])[:, :, 0]
     # phi3
     d = V[1:] - W[:-1] - a
-    lam_terms = -zbar3 * rho[:, :, None] * d / denom2 * pp.lam_on[sl]
-    rho_terms = [(zbar3 * d * pp.lam_eff[sl] / denom2).sum(axis=2) * rho_on]
+    lam_terms = -zbar3 * rho[:, :, None] * d / denom2 * (lam > 0.0)
+    rho_terms = [(zbar3 * d * lam / denom2).sum(axis=2) * rho_on]
     # phi2's direct rho edge
     anchor = W[:-1] + Z[:-1] + a
     if tape.mode == "linear":

@@ -25,18 +25,17 @@ pass's settings, which forward_network checks once: the active
 clients' entries of the statistics (ClientStats.take); their
 parameters for the pass's slots with what derives from them
 (PassParams, slot-major, so a cell's slot is one contiguous view):
-the effective values, masks and dual steps, phi3's denominators,
+the effective values and dual steps, phi3's denominators,
 phi4's aggregation weights and, in linear mode, the Cholesky factors
 of each slot's G + rho I, one checked call per slot and client
 (linear_factors), so a tied pass factors each client once; and in
 grad mode the layout of the minibatch draws (math_core.minibatch_layout,
 which the baselines use too), on which each cell draws every active
 client's batch with one call of its generator. setup_pass builds
-these. The cells then only solve, divide and aggregate; they, the loss
-and the reverse pass read all of the setup from the tape, and a cell
-record's parameter fields, weights and factors are views of the pass's
-arrays. A factorization that fails therefore raises before the first
-cell runs.
+these. The cells then only solve, divide and aggregate; they, the loss,
+the reverse pass and the diagnostics read all of the setup from the
+tape, at the slot a cell's record names. A factorization that fails
+therefore raises before the first cell runs.
 
 L cells concatenated form the network; every per-layer constant of the
 scheme (consensus weights, penalty scalars and aggregation weights) is
@@ -70,7 +69,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteInput
 from .math_core import (
-    EPS,
     MinibatchLayout,
     RowStack,
     chol_solve,
@@ -207,10 +205,6 @@ class LearnableParams:
     L: int
     tied: bool = False
 
-    def slot(self, layer: int) -> int:
-        """Parameter slot for a 1-based layer index."""
-        return 0 if self.tied else layer - 1
-
     def copy(self) -> "LearnableParams":
         return LearnableParams(
             lam_raw=self.lam_raw.copy(),
@@ -267,12 +261,12 @@ class PassParams:
     phi4's aggregation weights, [S, m, k] for the consensus weights,
     with S = 1 for tied parameters and L otherwise. Slot s of the pass
     is slot s of the parameters. Every array is slot-major and
-    C-ordered, so the per-slot view a cell reads is contiguous."""
+    C-ordered, so the per-slot view a cell reads is contiguous. Readers
+    take a cell's values here, at the slot its record names. The clamp
+    and rectifier pass values through where rho_eff > EPS, lam_eff > 0."""
 
     rho_eff: np.ndarray   # clamped penalties
-    rho_on: np.ndarray    # clamp pass-through mask
     lam_eff: np.ndarray   # rectified consensus weights
-    lam_on: np.ndarray    # rectifier pass-through mask
     step_w: np.ndarray    # phi1's dual step (dual_step_weights)
     denom: np.ndarray     # phi3's denominators lam_eff + rho_eff
     omega: np.ndarray     # phi4's weights, the softmax of the aggregation logits
@@ -283,9 +277,9 @@ class PassParams:
     @classmethod
     def gather(cls, params: LearnableParams, client_indices: np.ndarray, L: int,
                dual_update: str, gram: Optional[np.ndarray] = None) -> "PassParams":
-        """Slots 0 .. slot(L) of the given clients' parameters; with
+        """The pass's slots of the given clients' parameters; with
         their Gram matrices `gram` [m, k, k], linear mode's factors too."""
-        S = params.slot(L) + 1
+        S = 1 if params.tied else L
         # np.take lays its result out slot-major in C order, where
         # params.rho_raw[:S, client_indices] would put the client axis
         # outermost and leave every per-slot view strided
@@ -295,9 +289,7 @@ class PassParams:
         lam_eff = rectify(lam_raw)
         return cls(
             rho_eff=rho_eff,
-            rho_on=rho_raw > EPS,
             lam_eff=lam_eff,
-            lam_on=lam_raw > 0.0,
             step_w=dual_step_weights(rho_eff, dual_update),
             denom=lam_eff + rho_eff[:, :, None],
             omega=softmax_weights(p),
@@ -318,9 +310,9 @@ class PassParams:
 class CellRecord:
     """What one cell computed, in forward order. The cell's inputs are
     not repeated here: they are the previous cell's outputs, or the
-    tape's initial state for the first cell (Tape.inputs). The
-    parameter fields, phi4's weights and linear mode's factors are
-    views of slot `slot` of the tape's PassParams."""
+    tape's initial state for the first cell (Tape.inputs). Nor are its
+    parameters, weights and factors: they are slot `slot` of the tape's
+    PassParams."""
 
     layer: int
     slot: int
@@ -329,17 +321,6 @@ class CellRecord:
     z: np.ndarray
     alpha: np.ndarray
     w: np.ndarray
-    # effective parameter values and clamp/rectifier pass-through masks
-    rho_eff: np.ndarray
-    rho_on: np.ndarray
-    lam_eff: np.ndarray
-    lam_on: np.ndarray
-    # phi4's aggregation weights, the softmax of the active clients' logits
-    omega: np.ndarray
-    # dual step used by phi1 (rho_eff or ones); phi2-phi4 read alpha / step_w
-    step_w: np.ndarray
-    # linear mode: the Cholesky factors of X'X + rho I, [m, k, k]
-    chol: Optional[np.ndarray] = None
     # grad mode: the iterates v_1 .. v_{steps-1} between the input and
     # output v [steps-1, m, k], and the Gram matrices X_b'X_b [m, k, k]
     v_iterates: Optional[np.ndarray] = None
@@ -507,31 +488,29 @@ def forward_cell(
     to the tape; the record holds the cell's outputs and shares their
     arrays with the returned state, which nothing mutates.
 
-    The record keeps v, z, alpha, step_w and w, so the vectors that
-    cross the client/server boundary can be rebuilt from it bit for bit
-    when asked for (federation.round_transcript): u_i = v_i - z_i -
-    alpha_i / step_i, the exact array the aggregation consumes (step_i
-    is the dual step, see dual_step_weights), and the aggregated w.
+    The record keeps v, z, alpha and w, so with the dual step at its
+    slot (step_i, see dual_step_weights) the vectors that cross the
+    client/server boundary can be rebuilt bit for bit when asked for
+    (federation.round_transcript): u_i = v_i - z_i - alpha_i / step_i,
+    the exact array the aggregation consumes, and the aggregated w.
     """
     if not 1 <= layer <= tape.L:
         raise DimensionMismatch(f"layer {layer} outside [1, {tape.L}]")
     stats, pp = tape.stats, tape.params
     s = pp.slot(layer)
-    rho_eff, lam_eff, step_w = pp.rho_eff[s], pp.lam_eff[s], pp.step_w[s]
+    rho_eff, step_w = pp.rho_eff[s], pp.step_w[s]
 
     alpha = phi1_dual(state.alpha, state.v, state.z, state.w, step_w)
     a = alpha / step_w[:, None]
-    chol = iterates = gram = None
+    iterates = gram = None
     if tape.mode == "linear":
-        chol = pp.chol[s]
-        v = phi2_v_linear(chol, stats.xty, a, state.z, state.w, rho_eff)
+        v = phi2_v_linear(pp.chol[s], stats.xty, a, state.z, state.w, rho_eff)
     else:
         gram, xty = _minibatch_stats(stats, tape.batches, batch_rng)
         v, iterates = phi2_v_grad(gram, xty, state.v, a, state.z, state.w, rho_eff,
                                   tape.grad_lr, tape.grad_steps)
     z = phi3_aux(a, v, state.w, rho_eff, pp.denom[s])
-    omega = pp.omega[s]
-    w = phi4_global(v - z - a, omega)
+    w = phi4_global(v - z - a, pp.omega[s])
     if not (
         np.isfinite(v).all()
         and np.isfinite(z).all()
@@ -540,25 +519,8 @@ def forward_cell(
     ):
         raise NonFiniteInput(f"forward_cell: non-finite state after layer {layer}")
 
-    tape.cells.append(
-        CellRecord(
-            layer=layer,
-            slot=s,
-            v=v,
-            z=z,
-            alpha=alpha,
-            w=w,
-            rho_eff=rho_eff,
-            rho_on=pp.rho_on[s],
-            lam_eff=lam_eff,
-            lam_on=pp.lam_on[s],
-            omega=omega,
-            step_w=step_w,
-            chol=chol,
-            v_iterates=iterates,
-            gram=gram,
-        )
-    )
+    tape.cells.append(CellRecord(layer=layer, slot=s, v=v, z=z, alpha=alpha, w=w,
+                                 v_iterates=iterates, gram=gram))
     return CellState(v=v, z=z, alpha=alpha, w=w)
 
 

@@ -405,7 +405,7 @@ def test_criterion_8_degenerate_configurations_reduce_exactly():
     params1 = random_params(1, 4, 4, rng)
     _, tape = forward_network(shard, params1, L=4, seed=6)
     single_net = all(
-        np.array_equal(rec.w, (rec.v - rec.z - rec.alpha / rec.step_w[:, None])[0])
+        np.array_equal(rec.w, (rec.v - rec.z - rec.alpha / tape.params.step_w[rec.slot][:, None])[0])
         for rec in tape.cells
     )
 

@@ -1,6 +1,8 @@
 """Round execution: message transcripts, participation, carried state,
 and the experiment driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -153,7 +155,7 @@ class TestTranscript:
                 m.payload for m in t.messages
                 if m.kind == "global_broadcast" and m.layer == layer
             )
-            theta = params.p[params.slot(layer)]
+            theta = params.p[rr.tape.cells[layer - 1].slot]
             omega = np.exp(theta - theta.max())
             w = (omega / omega.sum()) @ us
             assert np.array_equal(w, w_msg)
@@ -283,7 +285,7 @@ class TestRoundStateAndLearning:
         monkeypatch.setattr(federation, "lagrangian", counted)
         rr, _, _ = one_round(make_shards(M=3, seed=9), round_cfg())
         assert calls == []
-        assert rr.lagrangian_final == rr.lagrangian_final == original(rr.tape.cells[-1], rr.tape.stats.rows)
+        assert rr.lagrangian_final == rr.lagrangian_final == original(rr.tape, len(rr.tape.cells) - 1)
         assert len(calls) == 1
         # the driver reads it once per round, for the round's last epoch
         calls.clear()
@@ -332,7 +334,9 @@ class TestRoundStateAndLearning:
         objective = rr.lagrangian_final
         assert len(calls) == 2
         monkeypatch.undo()
-        assert objective == federation.lagrangian(rr.tape.cells[-1], rr.tape.stats.rows)
+        # a copy of the tape computes its own final residuals
+        fresh = dataclasses.replace(rr.tape)
+        assert objective == federation.lagrangian(fresh, len(fresh.cells) - 1)
 
 
 @pytest.mark.parametrize("dual_update", ["rho_step", "unit_step"])

@@ -19,7 +19,7 @@ from fedunroll.learner import (
     optimizer_step,
 )
 from fedunroll.datagen import SettingSpec, generate_setting
-from fedunroll.math_core import chol_solve, rowdot
+from fedunroll.math_core import EPS, chol_solve, rowdot
 from fedunroll.unrolled_net import (
     DUAL_UPDATES,
     MODES,
@@ -84,35 +84,37 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
     km = keep_mask[:, None]
     kept = np.flatnonzero(keep_mask)
 
+    pp = tape.params
     for i in reversed(range(len(tape.cells))):
         rec, prev = tape.cells[i], tape.inputs(i)
         s = rec.slot
-        rho = rec.rho_eff
-        sw = rec.step_w[:, None]
+        rho, lam, omega = pp.rho_eff[s], pp.lam_eff[s], pp.omega[s]
+        rho_on, lam_on = rho > EPS, lam > 0.0
+        sw = pp.step_w[s][:, None]
         a = rec.alpha / sw
 
         # phi4: w = sum(omega_i u_i), d w / d theta_i = omega_i (u_i - w)
         u = rec.v - rec.z - a
-        contrib = rec.omega[:, None] * wbar[None, :]
+        contrib = omega[:, None] * wbar[None, :]
         contrib = np.where(km, contrib, 0.0)
         vbar += contrib
         zbar -= contrib
         albar -= contrib / sw
         abar = -contrib
-        grads.p[s, idx] += rec.omega * ((u - rec.w[None, :]) @ wbar)
+        grads.p[s, idx] += omega * ((u - rec.w[None, :]) @ wbar)
         wbar = np.zeros(k)
 
         # phi3
         d = rec.v - prev.w[None, :] - a
-        denom = rec.lam_eff + rho[:, None]
+        denom = lam + rho[:, None]
         sfac = rho[:, None] / denom
         sz = sfac * zbar
         vbar += sz
         albar -= sz / sw
         abar -= sz
         wbar -= sz.sum(axis=0)
-        grads.lam_raw[s, idx] += -zbar * rho[:, None] * d / denom**2 * rec.lam_on
-        grads.rho_raw[s, idx] += (zbar * d * rec.lam_eff / denom**2).sum(axis=1) * rec.rho_on
+        grads.lam_raw[s, idx] += -zbar * rho[:, None] * d / denom**2 * lam_on
+        grads.rho_raw[s, idx] += (zbar * d * lam / denom**2).sum(axis=1) * rho_on
         zbar = np.zeros((m, k))
 
         # phi2, on the kept clients
@@ -120,7 +122,7 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
         vb = vbar[kept]
         rho_k = rho[kept, None]
         if tape.mode == "linear":
-            t = chol_solve(rec.chol[kept], vb)
+            t = chol_solve(pp.chol[s][kept], vb)
             anchor_bar = rho_k * t
             rho_bar = rowdot(t, anchor - rec.v[kept])
             vb = np.zeros_like(vb)
@@ -140,9 +142,9 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
         abar[kept] += anchor_bar
         zbar[kept] += anchor_bar
         wbar = np.concatenate((wbar[None, :], anchor_bar)).sum(axis=0)
-        grads.rho_raw[s, idx[kept]] += rho_bar * rec.rho_on[kept]
+        grads.rho_raw[s, idx[kept]] += rho_bar * rho_on[kept]
         if tape.dual_update == "rho_step":
-            grads.rho_raw[s, idx] -= (abar * a).sum(axis=1) / rho * rec.rho_on
+            grads.rho_raw[s, idx] -= (abar * a).sum(axis=1) / rho * rho_on
 
         # phi1
         vbar -= sw * albar
@@ -150,7 +152,7 @@ def _oracle_reverse_pass(tape, grads, vbar, keep_mask):
         wbar += (sw * albar).sum(axis=0)
         if tape.dual_update == "rho_step":
             resid = prev.z - prev.v + prev.w[None, :]
-            grads.rho_raw[s, idx] += (albar * resid).sum(axis=1) * rec.rho_on
+            grads.rho_raw[s, idx] += (albar * resid).sum(axis=1) * rho_on
 
 
 def _oracle_federated_local(tape, shards):
@@ -276,6 +278,20 @@ class TestBackwardVsFiniteDifferences:
         _, tape = forward_network(shards, params, L=2, seed=17)
         grads = backward(tape, shards)
         assert grads.lam_raw[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("dual", DUAL_UPDATES)
+    def test_clamped_penalty_gets_zero_gradient(self, mode, dual):
+        # the clamp passes no gradient at or below its floor, kink included
+        rng = np.random.default_rng(19)
+        shards = make_shards(M=3, seed=19)
+        params = random_params(3, 4, 2, rng)
+        params.rho_raw[0, 1] = -2.0
+        params.rho_raw[1, 2] = EPS
+        _, tape = forward_network(shards, params, L=2, mode=mode, dual_update=dual, seed=19)
+        g = backward(tape, shards).rho_raw
+        assert g[0, 1] == 0.0 and g[1, 2] == 0.0
+        assert np.all(g[0, [0, 2]] != 0.0) and np.all(g[1, :2] != 0.0)
 
     def test_consensus_weight_signal_at_converged_state(self):
         # setting 1 (coefficient 3 personal), default parameters, state

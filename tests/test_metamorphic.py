@@ -78,8 +78,9 @@ def test_permuting_the_clients_permutes_outputs_and_gradients(mode, policy):
     _, p_tape = forward_network(p_shards, p_params, mode=mode, state0=p_state,
                                 client_indices=moved_to[idx[order]])
     for rec, p_rec in zip(tape.cells, p_tape.cells):
-        for name in ("v", "z", "alpha", "omega"):
+        for name in ("v", "z", "alpha"):
             close(getattr(p_rec, name), getattr(rec, name)[order])
+        close(p_tape.params.omega[p_rec.slot], tape.params.omega[rec.slot][order])
         close(p_rec.w, rec.w)
     grads = backward(tape, shards, policy=policy)
     p_grads = backward(p_tape, p_shards, policy=policy)

@@ -22,6 +22,7 @@ from fedunroll.math_core import clamp_positive, rectify, spd_cholesky, stack_row
 from fedunroll.unrolled_net import (
     DUAL_UPDATES,
     MODES,
+    CellRecord,
     CellState,
     GRAD_LR_DEFAULT,
     GRAD_STEPS_DEFAULT,
@@ -236,10 +237,10 @@ class TestLayerOps:
                 )
                 _, tape = forward_network(shards, params, state0=state, client_indices=idx)
                 _, moved = forward_network(shards, shifted, state0=state, client_indices=idx)
-                omega = tape.cells[0].omega
+                omega = tape.params.omega[0]
                 assert omega.shape == (r,) and np.all(omega > 0.0)
                 assert abs(omega.sum() - 1.0) <= 1e-15
-                assert np.array_equal(moved.cells[0].omega, omega)
+                assert np.array_equal(moved.params.omega[0], omega)
                 assert np.array_equal(moved.cells[0].w, tape.cells[0].w)
 
     def test_zero_logits_weigh_active_clients_equally(self):
@@ -247,7 +248,7 @@ class TestLayerOps:
         idx = np.array([0, 3, 4])
         _, tape = forward_network(shards, init_params(5, 4, 2), L=2, client_indices=idx)
         for rec in tape.cells:
-            assert np.array_equal(rec.omega, np.full(3, 1.0 / 3.0))
+            assert np.array_equal(tape.params.omega[rec.slot], np.full(3, 1.0 / 3.0))
 
     def test_aggregation_is_convex_combination(self):
         rng = np.random.default_rng(7)
@@ -412,8 +413,7 @@ class TestNetwork:
         assert v.shape == (2, 4)
         assert np.array_equal(tape.client_indices, idx)
         # client 1's first dual step must use client 1's own penalty
-        rec = tape.cells[0]
-        assert rec.rho_eff[0] == max(params.rho_raw[0, 1], 1e-6)
+        assert tape.params.rho_eff[tape.cells[0].slot, 0] == max(params.rho_raw[0, 1], 1e-6)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_forward_without_population_builds_it_from_every_shard(self, mode):
@@ -489,13 +489,13 @@ class TestNetwork:
         shards = make_shards(M=3, n=20, seed=15)
         params = random_params(3, 4, 3, np.random.default_rng(5))
         _, tape = forward_network(shards, params, L=3, mode="grad", seed=15, grad_steps=steps)
-        xty = client_stats(shards).xty
+        xty, pp = client_stats(shards).xty, tape.params
         for i, rec in enumerate(tape.cells):
             assert rec.v_iterates.shape == (steps - 1, 3, 4)
             prev = tape.inputs(i)
             v, iterates = phi2_v_grad(
-                rec.gram, xty, prev.v, rec.alpha / rec.step_w[:, None], prev.z, prev.w,
-                rec.rho_eff, tape.grad_lr, steps,
+                rec.gram, xty, prev.v, rec.alpha / pp.step_w[rec.slot][:, None], prev.z, prev.w,
+                pp.rho_eff[rec.slot], tape.grad_lr, steps,
             )
             assert np.array_equal(v, rec.v)
             assert np.array_equal(iterates, rec.v_iterates)
@@ -574,19 +574,18 @@ class TestNetwork:
         assert v.shape == (len(indices), 4)
         assert tape.client_indices.tolist() == np.asarray(indices).tolist()
 
-    def test_effective_parameter_masks_recorded(self):
+    def test_effective_parameter_values_on_the_pass(self):
+        # their zero gradients: test_learner's rectified and clamped tests
         shards = make_shards(M=2, seed=11)
         params = init_params(2, 4, 1)
-        params.lam_raw[0, 0, 0] = -0.5   # rectified to zero, mask off
-        params.rho_raw[0, 1] = -2.0      # clamped to floor, mask off
+        params.lam_raw[0, 0, 0] = -0.5   # rectified to zero
+        params.rho_raw[0, 1] = -2.0      # clamped to floor
         _, tape = forward_network(shards, params, L=1, seed=11)
-        rec = tape.cells[0]
-        assert rec.lam_eff[0, 0] == 0.0
-        assert not rec.lam_on[0, 0]
-        assert rec.lam_on[0, 1]
-        assert rec.rho_eff[1] == 1e-6
-        assert not rec.rho_on[1]
-        assert rec.rho_on[0]
+        pp = tape.params
+        assert pp.lam_eff[0, 0, 0] == 0.0
+        assert pp.lam_eff[0, 0, 1] == 1.0
+        assert pp.rho_eff[0, 1] == 1e-6
+        assert pp.rho_eff[0, 0] == 1.0
 
     def test_dual_conventions_agree_at_fixed_large_penalty(self):
         # rho_step carries rho times unit_step's multiplier, and the primal
@@ -677,18 +676,14 @@ def test_parameters_and_draw_layout_are_set_up_once_per_pass(monkeypatch, mode, 
         assert counts == {"clamp_positive": 1, "rectify": 1,
                           "minibatch_layout": 1 if mode == "grad" else 0}
         assert len(tape.cells) == L
-        # the records' parameter fields are views of the pass's arrays
-        for rec in tape.cells:
-            assert np.shares_memory(rec.lam_eff, tape.params.lam_eff)
-            assert np.shares_memory(rec.rho_eff, tape.params.rho_eff)
 
 
 @pytest.mark.parametrize("tied", [False, True])
-def test_linear_factors_are_set_up_once_per_pass_as_views(monkeypatch, tied):
+def test_linear_factors_are_set_up_once_per_pass(monkeypatch, tied):
     # one checked factorization per slot and active client, before the
     # first cell: a tied pass factors each client once, an untied one
-    # once per layer; each record's factors are a view of the pass's
-    # array and equal the client's own factorization bit for bit
+    # once per layer; each slot's factors equal the client's own
+    # factorization bit for bit
     L, m = 4, 3
     shards = make_shards(M=6, n=20, seed=11)
     params = random_params(6, 4, L, np.random.default_rng(11), tied=tied)
@@ -698,11 +693,10 @@ def test_linear_factors_are_set_up_once_per_pass_as_views(monkeypatch, tied):
     assert counts["spd_cholesky"] == (m if tied else m * L)
     pp = tape.params
     assert pp.chol.shape == ((1 if tied else L), m, 4, 4)
-    for rec in tape.cells:
-        assert np.shares_memory(rec.chol, pp.chol)
+    for s, chol in enumerate(pp.chol):
         for i in range(m):
-            A = tape.stats.gram[i] + pp.rho_eff[rec.slot, i] * np.eye(4)
-            assert np.array_equal(rec.chol[i], spd_cholesky(A))
+            A = tape.stats.gram[i] + pp.rho_eff[s, i] * np.eye(4)
+            assert np.array_equal(chol[i], spd_cholesky(A))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -730,9 +724,31 @@ def test_pass_arrays_are_slot_major_and_each_cells_views_contiguous(mode, dual_u
     assert np.array_equal(pp.lam_eff, rectify(gathered[1]))
     for rec in tape.cells:
         s = rec.slot
-        for view in (pp.rho_eff[s], pp.lam_eff[s], pp.step_w[s], pp.denom[s], pp.omega[s],
-                     rec.rho_eff, rec.lam_eff, rec.step_w, rec.omega):
+        for view in (pp.rho_eff[s], pp.lam_eff[s], pp.step_w[s], pp.denom[s], pp.omega[s]):
             assert view.flags.c_contiguous
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dual_update", DUAL_UPDATES)
+@pytest.mark.parametrize("tied", [False, True])
+def test_records_keep_only_what_the_cell_computed(mode, dual_update, tied):
+    # a cell's parameters, weights and factors live only on the tape's
+    # PassParams, read at the record's slot: no record array shares
+    # memory with them
+    L, M, k = 3, 5, 4
+    shards = make_shards(M=M, k=k, n=20, seed=23)
+    params = random_params(M, k, L, np.random.default_rng(23), tied=tied)
+    _, tape = forward_network(shards, params, L=L, mode=mode, dual_update=dual_update, seed=1,
+                              client_indices=np.array([4, 0, 2]),
+                              batch_rng=np.random.default_rng(23), batch_size=8)
+    pass_arrays = [getattr(tape.params, f.name) for f in fields(tape.params)]
+    pass_arrays = [a for a in pass_arrays if a is not None]
+    for rec in tape.cells:
+        for name, value in vars(rec).items():
+            if isinstance(value, np.ndarray):
+                assert not any(np.shares_memory(value, a) for a in pass_arrays), name
+    assert [f.name for f in fields(CellRecord)] == [
+        "layer", "slot", "v", "z", "alpha", "w", "v_iterates", "gram"]
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -755,8 +771,6 @@ def test_pass_weights_are_each_slots_own_softmax_bit_for_bit(tied):
             e = np.exp(theta - theta.max())
             assert row.tobytes() == (e / e.sum()).tobytes()
             assert abs(row.sum() - 1.0) <= 4e-16 * m
-        for rec in tape.cells:
-            assert rec.omega.tobytes() == omega[rec.slot].tobytes()
 
 
 def test_a_failed_factorization_in_a_later_slot_raises_before_the_first_cell(monkeypatch):
